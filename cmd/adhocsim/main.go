@@ -16,8 +16,11 @@
 //
 //	adhocsim -scenario scenarios/hotspot-city.json
 //
-// In scenario mode the network flags are ignored; -iters, -steps, -seed,
-// -workers, -spatial, -kinetic and the lifecycle flags below still apply.
+// Both modes run one path: the network flags, or the file, become a
+// scenario.Spec; -iters, -steps, -seed, -workers and -kinetic write into its
+// run section (in scenario mode only when set explicitly, and explicit
+// network flags are rejected there rather than silently shadowed); the spec
+// is built once and run phase by phase. -spatial applies to both modes.
 //
 // # Run lifecycle
 //
@@ -27,8 +30,10 @@
 // evaluation, "ranges" for range estimation) when the run ends for any
 // reason — completion, interrupt, timeout or error. A later invocation with
 // -resume <base> skips the iterations those files hold and produces output
-// bit-identical to an uninterrupted run; checkpoints carry a workload hash,
-// so resuming with changed parameters fails instead of mixing results.
+// bit-identical to an uninterrupted run; checkpoints carry a hash of the
+// workload identity (scenario.Spec.Identity: the spec minus its workers and
+// kinetic settings), so resuming with changed parameters fails instead of
+// mixing results, while the performance knobs may change between attempts.
 //
 // # Observability
 //
@@ -49,7 +54,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -64,7 +68,6 @@ import (
 
 	"adhocnet/internal/checkpoint"
 	"adhocnet/internal/core"
-	"adhocnet/internal/geom"
 	"adhocnet/internal/obs"
 	"adhocnet/internal/scenario"
 	"adhocnet/internal/spatial"
@@ -159,8 +162,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 	if err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
-	kinetic, err := core.ParseKineticMode(*kineticName)
-	if err != nil {
+	if _, err := core.ParseKineticMode(*kineticName); err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	if *timeout > 0 {
@@ -182,123 +184,84 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 	}()
 	lc := &lifecycle{ctx: ctx, checkpoint: *ckptPath, resume: *resumePath, errOut: errOut, obs: ob}
 
+	// Both modes describe the workload as one scenario.Spec: read from the
+	// file, or built from the network flags.
+	var spec scenario.Spec
+	visitRunFlags := fs.Visit
 	if *scenarioPath != "" {
-		sc, err := registry.LoadFile(*scenarioPath)
-		if err != nil {
+		if spec, err = scenario.ReadSpecFile(*scenarioPath); err != nil {
 			return err
 		}
-		// Explicitly-set run flags override the file, so a library scenario
-		// can be probed at a different effort without editing it. Explicit
-		// network flags would be silently shadowed by the file — reject
-		// them instead of running a workload the user didn't ask for.
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "scenario", "per-iter", "timeout", "checkpoint", "resume",
-				"obs", "run-report", "progress":
-			case "iters":
-				sc.Config.Iterations = *iters
-			case "steps":
-				sc.Config.Steps = *steps
-			case "seed":
-				sc.Config.Seed = *seed
-			case "workers":
-				sc.Config.Workers = *workers
-			case "spatial":
-				sc.Config.Spatial = backend
-			case "kinetic":
-				sc.Config.Kinetic = kinetic
-			default:
-				ignored = append(ignored, "-"+f.Name)
-			}
+	} else {
+		if *r <= 0 {
+			return fmt.Errorf("%w: flag -r is required and must be positive (got %v)", errUsage, *r)
+		}
+		mob, err := registry.MobilityPart(*l, *model, scenario.ModelFlags{
+			VMin: *vmin, VMax: *vmax, Pause: *tpause,
+			PStationary: *pstationary, PPause: *ppause, M: *m,
+			Set: explicitFlags(fs),
 		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("%w: flags %s have no effect with -scenario (the file defines the workload; only -iters, -steps, -seed, -workers, -spatial, -kinetic, -per-iter and the lifecycle flags apply)",
-				errUsage, strings.Join(ignored, ", "))
-		}
-		if err := sc.Config.Validate(); err != nil {
-			return err
-		}
-		sc.Config.Obs = ob.registry()
-		spec, err := json.Marshal(sc.Spec)
 		if err != nil {
 			return err
 		}
-		lc.workload = fmt.Sprintf("scenario|%s|steps=%d", spec, sc.Config.Steps)
-		ob.describe(lc.workload, sc.Config)
-		return runScenario(lc, sc, *verbose, out)
+		spec = scenario.Spec{Name: "adhocsim", Region: scenario.RegionSpec{L: *l, Dim: *dim},
+			Nodes: *n, Mobility: mob, Radii: []float64{*r}}
+		if *placement != "uniform" {
+			place := scenario.Part(*placement)
+			spec.Placement = &place
+		}
+		if *curve {
+			spec.Targets = &scenario.TargetsSpec{Time: []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1}}
+		}
+		// Without a file the run flags define the run, defaults included.
+		visitRunFlags = fs.VisitAll
 	}
-
-	if *r <= 0 {
-		return fmt.Errorf("%w: flag -r is required and must be positive (got %v)", errUsage, *r)
-	}
-	reg, err := geom.NewRegion(*l, *dim)
-	if err != nil {
-		return err
-	}
-	mob, err := registry.ModelFromFlags(reg, *model, scenario.ModelFlags{
-		VMin: *vmin, VMax: *vmax, Pause: *tpause,
-		PStationary: *pstationary, PPause: *ppause, M: *m,
-		Set: explicitFlags(fs),
+	// Explicitly-set run flags override the file, so a library scenario can
+	// be probed at a different effort without editing it. Explicit network
+	// flags would be silently shadowed by the file — reject them instead of
+	// running a workload the user didn't ask for.
+	var shadowed []string
+	visitRunFlags(func(f *flag.Flag) {
+		switch f.Name {
+		case "iters":
+			spec.Run.Iterations = *iters
+		case "steps":
+			spec.Run.Steps = *steps
+		case "seed":
+			spec.Run.Seed = seed
+		case "workers":
+			spec.Run.Workers = *workers
+		case "kinetic":
+			spec.Run.Kinetic = *kineticName
+		case "scenario", "spatial", "per-iter", "timeout", "checkpoint", "resume",
+			"obs", "run-report", "progress":
+		default:
+			shadowed = append(shadowed, "-"+f.Name)
+		}
 	})
+	if *scenarioPath != "" && len(shadowed) > 0 {
+		return fmt.Errorf("%w: flags %s have no effect with -scenario (the file defines the workload; only -iters, -steps, -seed, -workers, -spatial, -kinetic, -per-iter and the lifecycle flags apply)",
+			errUsage, strings.Join(shadowed, ", "))
+	}
+	sc, err := registry.Build(spec)
 	if err != nil {
 		return err
 	}
-	place, err := registry.BuildPlacement(reg, scenario.Part(*placement))
+	sc.Config.Spatial = backend
+	sc.Config.Obs = ob.registry()
+	if lc.workload, err = sc.Spec.Identity(); err != nil {
+		return err
+	}
+	ob.describe(lc.workload, sc.Config)
+
+	fixed, est, err := runPhases(lc, sc)
 	if err != nil {
 		return err
 	}
-	net := core.Network{Nodes: *n, Region: reg, Model: mob}
-	if *placement != "uniform" {
-		net.Placement = place
-	}
-	cfg := core.RunConfig{Iterations: *iters, Steps: *steps, Seed: *seed, Workers: *workers, Spatial: backend, Kinetic: kinetic, Obs: ob.registry()}
-	// Everything that affects results goes into the workload hash; Workers,
-	// Spatial and Kinetic do not (the scheduler is worker-count invariant,
-	// and both the spatial backend and the kinetic path are bit-identical by
-	// construction), so a run may be resumed at different parallelism, with
-	// a different index, or on the other evaluation path.
-	lc.workload = fmt.Sprintf("flags|l=%g|d=%d|n=%d|model=%s|placement=%s|vmin=%g|vmax=%g|tpause=%d|pstationary=%g|ppause=%g|m=%g|steps=%d",
-		*l, *dim, *n, *model, *placement, *vmin, *vmax, *tpause, *pstationary, *ppause, *m, *steps)
-	ob.describe(lc.workload, cfg)
-
-	var res core.FixedRangeResult
-	err = lc.phase("fixed", cfg, core.FixedRangeRowWidth(1), fmt.Sprintf("r=%g", *r),
-		func(ctx context.Context, cfg core.RunConfig) error {
-			var err error
-			res, err = core.EvaluateFixedRange(ctx, net, cfg, *r)
-			return err
-		})
-	if err != nil {
-		return err
-	}
-
-	printHeader(out, net, cfg, fmt.Sprintf("r=%g", *r))
-	printFixed(out, res)
-
-	if *curve {
-		fractions := []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1}
-		targets := core.RangeTargets{TimeFractions: fractions}
-		var est core.RangeEstimates
-		err := lc.phase("ranges", cfg, targets.RowWidth(), fmt.Sprintf("fractions=%v", fractions),
-			func(ctx context.Context, cfg core.RunConfig) error {
-				var err error
-				est, err = core.EstimateRanges(ctx, net, cfg, targets)
-				return err
-			})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nrange-vs-uptime curve (mean over iterations):\n")
-		fmt.Fprintf(out, "%10s %12s %12s\n", "uptime", "range", "range/r")
-		for i, f := range fractions {
-			e := est.Time[i]
-			fmt.Fprintf(out, "%9.0f%% %12.2f %12.3f\n", 100*f, e.Mean, e.Mean / *r)
-		}
-	}
-
-	if *verbose {
-		printPerIteration(out, res)
+	if *scenarioPath != "" {
+		printScenario(out, sc, fixed, est, *verbose)
+	} else {
+		printFlagRun(out, sc, fixed[0], est, *verbose)
 	}
 	return nil
 }
@@ -319,7 +282,7 @@ type lifecycle struct {
 	ctx        context.Context
 	checkpoint string // base path to write, "" = no checkpointing
 	resume     string // base path to read, "" = fresh run
-	workload   string // canonical workload description, hashed into the files
+	workload   string // scenario.Spec.Identity of the run, hashed into the files
 	errOut     io.Writer
 	obs        *observability // nil when no observability flag is set
 }
@@ -329,14 +292,14 @@ type lifecycle struct {
 // resuming (rejecting workload mismatches), and writes the final checkpoint
 // when the phase ends for any reason — including interrupt and error — so a
 // later -resume can pick up from the completed iterations.
-func (lc *lifecycle) phase(name string, cfg core.RunConfig, rowWidth int, extra string, runPhase func(context.Context, core.RunConfig) error) error {
+func (lc *lifecycle) phase(name string, cfg core.RunConfig, rowWidth int, runPhase func(context.Context, core.RunConfig) error) error {
 	phaseStart := lc.obs.now()
 	defer func() { lc.obs.phaseDone(name, phaseStart) }()
 	if lc.checkpoint == "" && lc.resume == "" {
 		return runPhase(lc.ctx, cfg)
 	}
 	meta := checkpoint.Meta{
-		Hash:       checkpoint.Hash(lc.workload, name, extra),
+		Hash:       checkpoint.Hash(lc.workload, name),
 		Seed:       cfg.Seed,
 		Iterations: cfg.Iterations,
 		RowWidth:   rowWidth,
@@ -516,60 +479,76 @@ func (ob *observability) finish() error {
 	return errors.Join(errs...)
 }
 
-// runScenario executes a scenario end-to-end: every fixed radius of the
-// spec through the paper simulator, then the range-estimation targets.
-func runScenario(lc *lifecycle, sc *scenario.Scenario, verbose bool, out io.Writer) error {
+// runPhases runs a scenario's lifecycle phases: every fixed radius of the
+// spec through the paper simulator ("fixed"), then the range-estimation
+// targets ("ranges"). A phase with nothing to evaluate is skipped.
+func runPhases(lc *lifecycle, sc *scenario.Scenario) (fixed []core.FixedRangeResult, est core.RangeEstimates, err error) {
+	if len(sc.Radii) > 0 {
+		err = lc.phase("fixed", sc.Config, core.FixedRangeRowWidth(len(sc.Radii)),
+			func(ctx context.Context, cfg core.RunConfig) (err error) {
+				fixed, err = core.EvaluateFixedRanges(ctx, sc.Network, cfg, sc.Radii)
+				return err
+			})
+		if err != nil {
+			return nil, est, err
+		}
+	}
+	if sc.Targets.RowWidth() > 0 {
+		err = lc.phase("ranges", sc.Config, sc.Targets.RowWidth(),
+			func(ctx context.Context, cfg core.RunConfig) (err error) {
+				est, err = core.EstimateRanges(ctx, sc.Network, cfg, sc.Targets)
+				return err
+			})
+	}
+	return fixed, est, err
+}
+
+// printFlagRun prints a flag-built run: its one radius, the -curve
+// range-vs-uptime table when requested, then the per-iteration rows.
+func printFlagRun(out io.Writer, sc *scenario.Scenario, res core.FixedRangeResult, est core.RangeEstimates, verbose bool) {
+	printHeader(out, sc.Network, sc.Config, fmt.Sprintf("r=%g", res.Radius))
+	printFixed(out, res)
+	if len(est.Time) > 0 {
+		fmt.Fprintf(out, "\nrange-vs-uptime curve (mean over iterations):\n")
+		fmt.Fprintf(out, "%10s %12s %12s\n", "uptime", "range", "range/r")
+		for _, e := range est.Time {
+			fmt.Fprintf(out, "%9.0f%% %12.2f %12.3f\n", 100*e.Target, e.Mean, e.Mean/res.Radius)
+		}
+	}
+	if verbose {
+		printPerIteration(out, res)
+	}
+}
+
+// printScenario prints a scenario-file run: its name and description, every
+// fixed radius, then the range-estimation summary.
+func printScenario(out io.Writer, sc *scenario.Scenario, fixed []core.FixedRangeResult, est core.RangeEstimates, verbose bool) {
 	fmt.Fprintf(out, "scenario: %s\n", sc.Spec.Name)
 	if sc.Spec.Description != "" {
 		fmt.Fprintf(out, "  %s\n", sc.Spec.Description)
 	}
 	printHeader(out, sc.Network, sc.Config, fmt.Sprintf("placement=%s", sc.PlacementName()))
-
-	if len(sc.Radii) > 0 {
-		var results []core.FixedRangeResult
-		err := lc.phase("fixed", sc.Config, core.FixedRangeRowWidth(len(sc.Radii)), fmt.Sprintf("radii=%v", sc.Radii),
-			func(ctx context.Context, cfg core.RunConfig) error {
-				var err error
-				results, err = core.EvaluateFixedRanges(ctx, sc.Network, cfg, sc.Radii)
-				return err
-			})
-		if err != nil {
-			return err
+	for _, res := range fixed {
+		fmt.Fprintf(out, "--- r = %g ---\n", res.Radius)
+		printFixed(out, res)
+		if verbose {
+			printPerIteration(out, res)
 		}
-		for _, res := range results {
-			fmt.Fprintf(out, "--- r = %g ---\n", res.Radius)
-			printFixed(out, res)
-			if verbose {
-				printPerIteration(out, res)
-			}
-			fmt.Fprintln(out)
-		}
+		fmt.Fprintln(out)
 	}
-
-	if len(sc.Targets.TimeFractions) > 0 || len(sc.Targets.ComponentFractions) > 0 {
-		var est core.RangeEstimates
-		err := lc.phase("ranges", sc.Config, sc.Targets.RowWidth(),
-			fmt.Sprintf("targets=%v|%v", sc.Targets.TimeFractions, sc.Targets.ComponentFractions),
-			func(ctx context.Context, cfg core.RunConfig) error {
-				var err error
-				est, err = core.EstimateRanges(ctx, sc.Network, cfg, sc.Targets)
-				return err
-			})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "range estimates (per-iteration summary):\n")
-		fmt.Fprintf(out, "%12s %12s %12s %12s %12s\n", "target", "mean", "std", "min", "max")
-		for _, e := range est.Time {
-			fmt.Fprintf(out, "  r_time(%3.0f%%) %10.2f %12.2f %12.2f %12.2f\n",
-				100*e.Target, e.Mean, e.Std, e.Min, e.Max)
-		}
-		for _, e := range est.Component {
-			fmt.Fprintf(out, "  r_comp(%3.0f%%) %10.2f %12.2f %12.2f %12.2f\n",
-				100*e.Target, e.Mean, e.Std, e.Min, e.Max)
-		}
+	if sc.Targets.RowWidth() == 0 {
+		return
 	}
-	return nil
+	fmt.Fprintf(out, "range estimates (per-iteration summary):\n")
+	fmt.Fprintf(out, "%12s %12s %12s %12s %12s\n", "target", "mean", "std", "min", "max")
+	for _, e := range est.Time {
+		fmt.Fprintf(out, "  r_time(%3.0f%%) %10.2f %12.2f %12.2f %12.2f\n",
+			100*e.Target, e.Mean, e.Std, e.Min, e.Max)
+	}
+	for _, e := range est.Component {
+		fmt.Fprintf(out, "  r_comp(%3.0f%%) %10.2f %12.2f %12.2f %12.2f\n",
+			100*e.Target, e.Mean, e.Std, e.Min, e.Max)
+	}
 }
 
 func printHeader(out io.Writer, net core.Network, cfg core.RunConfig, extra string) {

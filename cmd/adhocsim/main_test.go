@@ -15,6 +15,7 @@ import (
 
 	"adhocnet/internal/core"
 	"adhocnet/internal/obs"
+	"adhocnet/internal/scenario"
 )
 
 // resumeUntilDone drives an interruptible run to completion: it retries with
@@ -330,31 +331,88 @@ func TestInterruptResumeScenarioCLI(t *testing.T) {
 }
 
 func TestResumeRejectsChangedWorkload(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "ck")
-	args := []string{"-l", "256", "-n", "16", "-r", "100", "-iters", "3", "-steps", "5", "-checkpoint", base}
-	var out strings.Builder
-	if err := run(context.Background(), args, &out, io.Discard); err != nil {
+	// A scenario whose radius is changed by rewriting the file, not by a flag.
+	dir := t.TempDir()
+	scen := filepath.Join(dir, "fleet.json")
+	changedRadii := filepath.Join(dir, "fleet-radii.json")
+	spec := `{"name":"fleet","region":{"l":256},"nodes":16,"mobility":{"kind":"waypoint"},` +
+		`"run":{"iterations":3,"steps":5},"radii":[%v],"targets":{"time":[1]}}`
+	if err := os.WriteFile(scen, []byte(fmt.Sprintf(spec, 100)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for name, changed := range map[string][]string{
-		"different r":     {"-l", "256", "-n", "16", "-r", "120", "-iters", "3", "-steps", "5", "-resume", base},
-		"different steps": {"-l", "256", "-n", "16", "-r", "100", "-iters", "3", "-steps", "6", "-resume", base},
-		"different seed":  {"-l", "256", "-n", "16", "-r", "100", "-iters", "3", "-steps", "5", "-seed", "9", "-resume", base},
-		"different iters": {"-l", "256", "-n", "16", "-r", "100", "-iters", "4", "-steps", "5", "-resume", base},
-	} {
-		var out, errOut strings.Builder
-		if code := cliMain(changed, &out, &errOut); code != 1 {
-			t.Errorf("%s: exit code %d, want 1 (resume must reject a changed workload)", name, code)
-		} else if !strings.Contains(errOut.String(), "does not match") {
-			t.Errorf("%s: stderr lacks a mismatch explanation:\n%s", name, errOut.String())
+	if err := os.WriteFile(changedRadii, []byte(fmt.Sprintf(spec, 120)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	modes := map[string]struct {
+		args    []string            // the checkpointed run
+		changed map[string][]string // workloads that must not resume from it
+	}{
+		"flags": {
+			args: []string{"-l", "256", "-n", "16", "-r", "100", "-iters", "3", "-steps", "5"},
+			changed: map[string][]string{
+				"different r":     {"-l", "256", "-n", "16", "-r", "120", "-iters", "3", "-steps", "5"},
+				"different steps": {"-l", "256", "-n", "16", "-r", "100", "-iters", "3", "-steps", "6"},
+				"different seed":  {"-l", "256", "-n", "16", "-r", "100", "-iters", "3", "-steps", "5", "-seed", "9"},
+				"different iters": {"-l", "256", "-n", "16", "-r", "100", "-iters", "4", "-steps", "5"},
+			},
+		},
+		"scenario": {
+			args: []string{"-scenario", scen},
+			changed: map[string][]string{
+				"different radii": {"-scenario", changedRadii},
+				"different steps": {"-scenario", scen, "-steps", "6"},
+				"different seed":  {"-scenario", scen, "-seed", "9"},
+				"different iters": {"-scenario", scen, "-iters", "4"},
+			},
+		},
+	}
+	for mode, m := range modes {
+		base := filepath.Join(t.TempDir(), "ck")
+		var out strings.Builder
+		if err := run(context.Background(), append(append([]string{}, m.args...), "-checkpoint", base), &out, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		for name, changed := range m.changed {
+			var out, errOut strings.Builder
+			if code := cliMain(append(changed, "-resume", base), &out, &errOut); code != 1 {
+				t.Errorf("%s mode, %s: exit code %d, want 1 (resume must reject a changed workload)", mode, name, code)
+			} else if !strings.Contains(errOut.String(), "does not match") {
+				t.Errorf("%s mode, %s: stderr lacks a mismatch explanation:\n%s", mode, name, errOut.String())
+			}
+		}
+		// Performance knobs may change freely: results depend on none of them.
+		for _, knob := range [][]string{{"-workers", "3"}, {"-kinetic", "off"}, {"-spatial", "kdtree"}} {
+			args := append(append(append([]string{}, m.args...), knob...), "-resume", base)
+			var out, errOut strings.Builder
+			if code := cliMain(args, &out, &errOut); code != 0 {
+				t.Errorf("%s mode: resume with %v failed (exit %d): %s", mode, knob, code, errOut.String())
+			} else if !strings.Contains(errOut.String(), "resuming fixed phase") {
+				t.Errorf("%s mode: run with %v did not resume:\n%s", mode, knob, errOut.String())
+			}
 		}
 	}
-	// Workers may change freely: results do not depend on parallelism.
-	ok := []string{"-l", "256", "-n", "16", "-r", "100", "-iters", "3", "-steps", "5", "-workers", "3", "-resume", base}
-	var errOut strings.Builder
-	out.Reset()
-	if code := cliMain(ok, &out, &errOut); code != 0 {
-		t.Errorf("resume with different -workers failed: %s", errOut.String())
+}
+
+// TestGoldenStdout pins the flag-mode and scenario-mode stdout layouts byte
+// for byte against the files under testdata/.
+func TestGoldenStdout(t *testing.T) {
+	for golden, args := range map[string][]string{
+		"flags.golden": {"-l", "512", "-n", "24", "-r", "150", "-iters", "3", "-steps", "40",
+			"-model", "drunkard", "-seed", "5", "-workers", "2", "-curve", "-per-iter"},
+		"scenario.golden": {"-scenario", filepath.Join("..", "..", "scenarios", "mixed-stationary-fleet.json"),
+			"-iters", "2", "-steps", "30", "-workers", "2", "-per-iter"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := run(context.Background(), args, &out, io.Discard); err != nil {
+			t.Fatalf("%s: %v", golden, err)
+		}
+		if out.String() != string(want) {
+			t.Errorf("%s: stdout differs:\n--- got ---\n%s\n--- want ---\n%s", golden, out.String(), want)
+		}
 	}
 }
 
@@ -450,8 +508,8 @@ func TestObservabilityFlags(t *testing.T) {
 	if err != nil {
 		t.Fatalf("report does not round-trip strictly: %v\n%s", err, data)
 	}
-	if !strings.HasPrefix(rep.Workload, "flags|l=1024|") {
-		t.Errorf("report workload = %q, want the flag-mode identity", rep.Workload)
+	if spec, err := scenario.Decode([]byte(rep.Workload)); err != nil || spec.Region.L != 1024 || spec.Nodes != 128 {
+		t.Errorf("report workload = %q, want the flag-built spec's identity (decode error: %v)", rep.Workload, err)
 	}
 	if rep.Iterations != 3 || rep.Steps != 300 {
 		t.Errorf("report effort = %dx%d, want 3x300", rep.Iterations, rep.Steps)

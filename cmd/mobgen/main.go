@@ -79,11 +79,15 @@ func genCmd(args []string, out io.Writer) error {
 	}
 	explicit := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	mob, err := registry.ModelFromFlags(reg, *model, scenario.ModelFlags{
+	part, err := registry.MobilityPart(*l, *model, scenario.ModelFlags{
 		VMin: *vmin, VMax: *vmax, Pause: *tpause,
 		PStationary: *pstationary, PPause: *ppause, M: *m,
 		Set: explicit,
 	})
+	if err != nil {
+		return err
+	}
+	mob, err := registry.BuildMobility(reg, part)
 	if err != nil {
 		return err
 	}

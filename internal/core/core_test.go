@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -128,6 +129,18 @@ func TestEstimateRangesValidation(t *testing.T) {
 	if _, err := EstimateRanges(context.Background(), net, cfg, RangeTargets{ComponentFractions: []float64{0}}); err == nil {
 		t.Error("component fraction 0 accepted")
 	}
+	// NaN fails every comparison, so it must be rejected as a validation
+	// error, not reach the quantile or bisection code.
+	for name, targets := range map[string]RangeTargets{
+		"NaN time fraction":      {TimeFractions: []float64{math.NaN()}},
+		"NaN component fraction": {ComponentFractions: []float64{math.NaN()}},
+	} {
+		_, err := EstimateRanges(context.Background(), net, cfg, targets)
+		var pe *PanicError
+		if err == nil || errors.As(err, &pe) {
+			t.Errorf("%s: got %v, want a validation error", name, err)
+		}
+	}
 	one := testNetwork(100, 1, mobility.Stationary{})
 	if _, err := EstimateRanges(context.Background(), one, cfg, PaperTargets()); err == nil {
 		t.Error("single-node estimation accepted")
@@ -167,7 +180,7 @@ func TestStationaryStepsOneMatchesStationarySample(t *testing.T) {
 	got := append([]float64(nil), est.Time[0].PerIteration...)
 	sortFloats(got)
 	for i := range sample {
-		if math.Abs(got[i]-sample[i]) > 1e-12 {
+		if got[i] != sample[i] {
 			t.Fatalf("critical sample %d: %v vs %v", i, got[i], sample[i])
 		}
 	}

@@ -13,7 +13,7 @@ import (
 	"adhocnet/internal/xrand"
 )
 
-// seedForIteration mirrors forEachIteration's per-iteration stream
+// seedForIteration mirrors runIterations's per-iteration stream
 // derivation.
 func seedForIteration(cfg RunConfig, iter int) *xrand.Rand {
 	return xrand.New(cfg.Seed).SplitN(cfg.Iterations)[iter]

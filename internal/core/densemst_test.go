@@ -18,7 +18,7 @@ import (
 
 // denseEstimateReference recomputes EstimateRanges' per-iteration values
 // using the allocating dense-Prim profile path (snapshotProfile), mirroring
-// forEachIteration's seed derivation exactly.
+// runIterations's seed derivation exactly.
 func denseEstimateReference(t *testing.T, net Network, cfg RunConfig, targets RangeTargets) (timeVals, compVals [][]float64) {
 	t.Helper()
 	timeVals = make([][]float64, len(targets.TimeFractions))

@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"adhocnet/internal/geom"
 	"adhocnet/internal/graph"
 	"adhocnet/internal/stats"
-	"adhocnet/internal/xrand"
 )
 
 // RangeTargets selects which transmitting-range statistics EstimateRanges
@@ -45,13 +45,15 @@ func (t RangeTargets) RowWidth() int {
 
 // Validate checks the targets.
 func (t RangeTargets) Validate() error {
+	// Written as negated in-range tests so that NaN, which fails every
+	// comparison, is rejected too.
 	for _, f := range t.TimeFractions {
-		if f < 0 || f > 1 {
+		if !(f >= 0 && f <= 1) {
 			return fmt.Errorf("core: time fraction %v outside [0,1]", f)
 		}
 	}
 	for _, g := range t.ComponentFractions {
-		if g <= 0 || g > 1 {
+		if !(g > 0 && g <= 1) {
 			return fmt.Errorf("core: component fraction %v outside (0,1]", g)
 		}
 	}
@@ -125,12 +127,10 @@ func (e RangeEstimates) ComponentFraction(g float64) (Estimate, error) {
 //
 // The run honors ctx (a canceled run returns ErrCanceled within about one
 // snapshot's evaluation time) and supports checkpoint/resume through
-// cfg.Sink; an iteration's checkpoint row is its per-target range values.
+// cfg.Sink; an iteration's checkpoint row is its per-target range values,
+// time fractions first.
 func EstimateRanges(ctx context.Context, net Network, cfg RunConfig, targets RangeTargets) (RangeEstimates, error) {
 	if err := net.Validate(); err != nil {
-		return RangeEstimates{}, err
-	}
-	if err := cfg.Validate(); err != nil {
 		return RangeEstimates{}, err
 	}
 	if err := targets.Validate(); err != nil {
@@ -140,21 +140,11 @@ func EstimateRanges(ctx context.Context, net Network, cfg RunConfig, targets Ran
 		return RangeEstimates{}, fmt.Errorf("core: range estimation needs at least 2 nodes, got %d", net.Nodes)
 	}
 
-	timeVals := make([][]float64, len(targets.TimeFractions))
-	for i := range timeVals {
-		timeVals[i] = make([]float64, cfg.Iterations)
-	}
-	compVals := make([][]float64, len(targets.ComponentFractions))
-	for i := range compVals {
-		compVals[i] = make([]float64, cfg.Iterations)
-	}
-	rowWidth := targets.RowWidth()
-
-	rm := newRunMetrics(cfg.Obs)
-	err := forEachIteration(ctx, cfg, func(ctx context.Context, iter int, rng *xrand.Rand, ws *graph.Workspace, inner int) ([]float64, error) {
+	width := targets.RowWidth()
+	rows, err := runIterations(ctx, cfg, floatsCodec(width), func(ctx context.Context, it iteration) ([]float64, error) {
 		profiles := make([]*graph.Profile, 0, cfg.Steps)
 		criticals := make([]float64, 0, cfg.Steps)
-		err := runTrajectory(ctx, iter, net, cfg.Steps, inner, cfg.Kinetic, rng, ws, rm,
+		err := runTrajectory(ctx, it, net,
 			func() *estimateSnap { return &estimateSnap{} },
 			func(_ int, pts []geom.Point, moved []int32, ws *graph.Workspace, out *estimateSnap) {
 				p := ws.ProfileKinetic(pts, net.Region.Dim, moved)
@@ -173,51 +163,48 @@ func EstimateRanges(ctx context.Context, net Network, cfg RunConfig, targets Ran
 			return nil, err
 		}
 		sort.Float64s(criticals)
-		for i, f := range targets.TimeFractions {
-			timeVals[i][iter] = quantileForTimeFraction(criticals, f)
+		row := make([]float64, 0, width)
+		for _, f := range targets.TimeFractions {
+			row = append(row, quantileForTimeFraction(criticals, f))
 		}
-		for i, g := range targets.ComponentFractions {
-			compVals[i][iter] = radiusForAverageLargest(profiles, net.Nodes, g)
-		}
-		if cfg.Sink == nil {
-			return nil, nil
-		}
-		row := make([]float64, 0, rowWidth)
-		for i := range targets.TimeFractions {
-			row = append(row, timeVals[i][iter])
-		}
-		for i := range targets.ComponentFractions {
-			row = append(row, compVals[i][iter])
+		for _, g := range targets.ComponentFractions {
+			row = append(row, radiusForAverageLargest(profiles, net.Nodes, g))
 		}
 		return row, nil
-	}, func(iter int, row []float64) error {
-		if len(row) != rowWidth {
-			return fmt.Errorf("core: checkpoint row for iteration %d has %d values, want %d (targets changed?)",
-				iter, len(row), rowWidth)
-		}
-		for i := range targets.TimeFractions {
-			timeVals[i][iter] = row[i]
-		}
-		for i := range targets.ComponentFractions {
-			compVals[i][iter] = row[len(targets.TimeFractions)+i]
-		}
-		return nil
 	})
 	if err != nil {
 		return RangeEstimates{}, err
 	}
 
+	// column j of rows is one statistic's per-iteration values.
+	column := func(j int) []float64 {
+		vals := make([]float64, len(rows))
+		for i, row := range rows {
+			vals[i] = row[j]
+		}
+		return vals
+	}
 	out := RangeEstimates{
 		Time:      make([]Estimate, len(targets.TimeFractions)),
 		Component: make([]Estimate, len(targets.ComponentFractions)),
 	}
 	for i, f := range targets.TimeFractions {
-		out.Time[i] = summarize(f, timeVals[i])
+		out.Time[i] = summarize(f, column(i))
 	}
 	for i, g := range targets.ComponentFractions {
-		out.Component[i] = summarize(g, compVals[i])
+		out.Component[i] = summarize(g, column(len(targets.TimeFractions)+i))
 	}
 	return out, nil
+}
+
+// floatsCodec is the checkpoint-row layout of a result that already is a
+// flat row of the given width, such as EstimateRanges' per-target values.
+func floatsCodec(width int) rowCodec[[]float64] {
+	return rowCodec[[]float64]{
+		width:  width,
+		encode: func(row, vals []float64) []float64 { return append(row, vals...) },
+		decode: func(row []float64) []float64 { return slices.Clone(row) },
+	}
 }
 
 // estimateSnap is the per-snapshot result slot of EstimateRanges: the

@@ -8,7 +8,6 @@ import (
 	"adhocnet/internal/geom"
 	"adhocnet/internal/graph"
 	"adhocnet/internal/stats"
-	"adhocnet/internal/xrand"
 )
 
 // IterationResult holds the paper simulator's outputs for one iteration at
@@ -65,80 +64,13 @@ type FixedRangeResult struct {
 // snapshot's evaluation time) and supports checkpoint/resume through
 // cfg.Sink; an iteration's checkpoint row is its IterationResult per radius.
 func EvaluateFixedRanges(ctx context.Context, net Network, cfg RunConfig, radii []float64) ([]FixedRangeResult, error) {
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(radii) == 0 {
-		return nil, fmt.Errorf("core: no radii to evaluate")
-	}
-	for _, r := range radii {
-		if r < 0 || math.IsNaN(r) {
-			return nil, fmt.Errorf("core: invalid radius %v", r)
-		}
-	}
-
-	perIter := make([][]IterationResult, len(radii))
-	for i := range perIter {
-		perIter[i] = make([]IterationResult, cfg.Iterations)
-	}
-
-	rm := newRunMetrics(cfg.Obs)
-	err := forEachIteration(ctx, cfg, func(ctx context.Context, iter int, rng *xrand.Rand, ws *graph.Workspace, inner int) ([]float64, error) {
-		accs := make([]fixedAccumulator, len(radii))
-		for i := range accs {
-			accs[i].minLargest = net.Nodes + 1
-		}
-		err := runTrajectory(ctx, iter, net, cfg.Steps, inner, cfg.Kinetic, rng, ws, rm,
-			func() []radiusObs { return make([]radiusObs, len(radii)) },
-			func(_ int, pts []geom.Point, moved []int32, ws *graph.Workspace, out []radiusObs) {
-				p := ws.ProfileKinetic(pts, net.Region.Dim, moved)
-				for i, r := range radii {
-					out[i] = radiusObs{largest: int32(p.LargestAt(r)), connected: p.ConnectedAt(r)}
-				}
-			},
-			func(_ int, out []radiusObs) {
-				// Interval (outage-run) tracking is order-sensitive; the
-				// ordered reduction guarantees step order here.
-				for i := range out {
-					accs[i].observe(int(out[i].largest), out[i].connected)
-				}
-			})
-		if err != nil {
-			return nil, err
-		}
-		var row []float64
-		if cfg.Sink != nil {
-			row = make([]float64, 0, len(radii)*iterationResultWidth)
-		}
-		for i := range accs {
-			perIter[i][iter] = accs[i].finish()
-			if cfg.Sink != nil {
-				row = appendIterationResult(row, perIter[i][iter])
+	return evaluateFixed(ctx, net, cfg, radii,
+		func(_ int, pts []geom.Point, moved []int32, ws *graph.Workspace, out []radiusObs) {
+			p := ws.ProfileKinetic(pts, net.Region.Dim, moved)
+			for i, r := range radii {
+				out[i] = radiusObs{largest: int32(p.LargestAt(r)), connected: p.ConnectedAt(r)}
 			}
-		}
-		return row, nil
-	}, func(iter int, row []float64) error {
-		if len(row) != len(radii)*iterationResultWidth {
-			return fmt.Errorf("core: checkpoint row for iteration %d has %d values, want %d (radii changed?)",
-				iter, len(row), len(radii)*iterationResultWidth)
-		}
-		for i := range radii {
-			perIter[i][iter] = decodeIterationResult(row[i*iterationResultWidth:])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([]FixedRangeResult, len(radii))
-	for i, r := range radii {
-		out[i] = reduceFixed(r, net.Nodes, cfg.Steps, perIter[i])
-	}
-	return out, nil
+		})
 }
 
 // EvaluateFixedRange is EvaluateFixedRanges for a single radius.
@@ -150,6 +82,82 @@ func EvaluateFixedRange(ctx context.Context, net Network, cfg RunConfig, radius 
 	return res[0], nil
 }
 
+// DirectFixedRange is the reference implementation of EvaluateFixedRange: it
+// rebuilds the communication graph explicitly at the given radius after
+// every mobility step, exactly as the paper's simulator did, instead of
+// deriving connectivity from MST profiles. It exists for cross-validation
+// (the two must agree bit-for-bit on the same seed) and for the
+// profile-vs-direct ablation benchmark. It shares the lifecycle contract of
+// EvaluateFixedRanges: ctx cancellation, panic containment, and
+// checkpoint/resume through cfg.Sink (same row layout, one radius).
+func DirectFixedRange(ctx context.Context, net Network, cfg RunConfig, radius float64) (FixedRangeResult, error) {
+	res, err := evaluateFixed(ctx, net, cfg, []float64{radius},
+		func(_ int, pts []geom.Point, moved []int32, ws *graph.Workspace, out []radiusObs) {
+			g := ws.PointGraphKinetic(pts, net.Region.Dim, radius, moved)
+			components, largest := ws.ComponentSummary(g)
+			out[0] = radiusObs{largest: int32(largest), connected: components <= 1}
+		})
+	if err != nil {
+		return FixedRangeResult{}, err
+	}
+	return res[0], nil
+}
+
+// evaluateFixed is the fixed-range pipeline shared by EvaluateFixedRanges
+// and DirectFixedRange, which differ only in eval: how one snapshot's
+// observation at every radius is obtained.
+func evaluateFixed(ctx context.Context, net Network, cfg RunConfig, radii []float64,
+	eval func(step int, pts []geom.Point, moved []int32, ws *graph.Workspace, out []radiusObs),
+) ([]FixedRangeResult, error) {
+	if err := net.Validate(); err != nil {
+		return nil, err
+	}
+	if len(radii) == 0 {
+		return nil, fmt.Errorf("core: no radii to evaluate")
+	}
+	for _, r := range radii {
+		if r < 0 || math.IsNaN(r) {
+			return nil, fmt.Errorf("core: invalid radius %v", r)
+		}
+	}
+	iters, err := runIterations(ctx, cfg, fixedCodec(len(radii)), func(ctx context.Context, it iteration) ([]IterationResult, error) {
+		accs := make([]fixedAccumulator, len(radii))
+		for i := range accs {
+			accs[i].minLargest = net.Nodes + 1
+		}
+		err := runTrajectory(ctx, it, net,
+			func() []radiusObs { return make([]radiusObs, len(radii)) },
+			eval,
+			func(_ int, out []radiusObs) {
+				// Interval (outage-run) tracking is order-sensitive; the
+				// ordered reduction guarantees step order here.
+				for i := range out {
+					accs[i].observe(int(out[i].largest), out[i].connected)
+				}
+			})
+		if err != nil {
+			return nil, err
+		}
+		res := make([]IterationResult, len(radii))
+		for i := range accs {
+			res[i] = accs[i].finish()
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]FixedRangeResult, len(radii))
+	for i, r := range radii {
+		perIter := make([]IterationResult, len(iters))
+		for k := range iters {
+			perIter[k] = iters[k][i]
+		}
+		out[i] = reduceFixed(r, net.Nodes, cfg.Steps, perIter)
+	}
+	return out, nil
+}
+
 // iterationResultWidth is the flat checkpoint-row footprint of one
 // IterationResult. The integer fields (MinLargest, interval counts and
 // lengths) are bounded by the node and step counts, far inside float64's
@@ -157,29 +165,40 @@ func EvaluateFixedRange(ctx context.Context, net Network, cfg RunConfig, radius 
 // as raw bit patterns (the checkpoint format stores IEEE bits).
 const iterationResultWidth = 6
 
-// appendIterationResult flattens one iteration's result onto row.
-func appendIterationResult(row []float64, r IterationResult) []float64 {
-	return append(row,
-		r.ConnectedFraction,
-		r.AvgLargestDisconnected,
-		float64(r.MinLargest),
-		float64(r.Intervals.Count),
-		r.Intervals.MeanLength,
-		float64(r.Intervals.MaxLength),
-	)
-}
-
-// decodeIterationResult is the inverse of appendIterationResult; it reads
-// the first iterationResultWidth values of row.
-func decodeIterationResult(row []float64) IterationResult {
-	return IterationResult{
-		ConnectedFraction:      row[0],
-		AvgLargestDisconnected: row[1],
-		MinLargest:             int(row[2]),
-		Intervals: IntervalStats{
-			Count:      int(row[3]),
-			MeanLength: row[4],
-			MaxLength:  int(row[5]),
+// fixedCodec is the checkpoint-row layout of a fixed-range run over the
+// given number of radii: one IterationResult per radius, in radius order.
+func fixedCodec(radii int) rowCodec[[]IterationResult] {
+	return rowCodec[[]IterationResult]{
+		width: FixedRangeRowWidth(radii),
+		encode: func(row []float64, rs []IterationResult) []float64 {
+			for _, r := range rs {
+				row = append(row,
+					r.ConnectedFraction,
+					r.AvgLargestDisconnected,
+					float64(r.MinLargest),
+					float64(r.Intervals.Count),
+					r.Intervals.MeanLength,
+					float64(r.Intervals.MaxLength),
+				)
+			}
+			return row
+		},
+		decode: func(row []float64) []IterationResult {
+			rs := make([]IterationResult, radii)
+			for i := range rs {
+				v := row[i*iterationResultWidth:]
+				rs[i] = IterationResult{
+					ConnectedFraction:      v[0],
+					AvgLargestDisconnected: v[1],
+					MinLargest:             int(v[2]),
+					Intervals: IntervalStats{
+						Count:      int(v[3]),
+						MeanLength: v[4],
+						MaxLength:  int(v[5]),
+					},
+				}
+			}
+			return rs
 		},
 	}
 }
@@ -296,60 +315,4 @@ func reduceFixed(r float64, nodes, steps int, iters []IterationResult) FixedRang
 		out.MinLargest = nodes
 	}
 	return out
-}
-
-// DirectFixedRange is the reference implementation of EvaluateFixedRange: it
-// rebuilds the communication graph explicitly at the given radius after
-// every mobility step, exactly as the paper's simulator did, instead of
-// deriving connectivity from MST profiles. It exists for cross-validation
-// (the two must agree bit-for-bit on the same seed) and for the
-// profile-vs-direct ablation benchmark. It shares the lifecycle contract of
-// EvaluateFixedRanges: ctx cancellation, panic containment, and
-// checkpoint/resume through cfg.Sink (same row layout, one radius).
-func DirectFixedRange(ctx context.Context, net Network, cfg RunConfig, radius float64) (FixedRangeResult, error) {
-	if err := net.Validate(); err != nil {
-		return FixedRangeResult{}, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return FixedRangeResult{}, err
-	}
-	if radius < 0 || math.IsNaN(radius) {
-		return FixedRangeResult{}, fmt.Errorf("core: invalid radius %v", radius)
-	}
-
-	iters := make([]IterationResult, cfg.Iterations)
-	rm := newRunMetrics(cfg.Obs)
-	err := forEachIteration(ctx, cfg, func(ctx context.Context, iter int, rng *xrand.Rand, ws *graph.Workspace, inner int) ([]float64, error) {
-		acc := fixedAccumulator{minLargest: net.Nodes + 1}
-		err := runTrajectory(ctx, iter, net, cfg.Steps, inner, cfg.Kinetic, rng, ws, rm,
-			func() *radiusObs { return &radiusObs{} },
-			func(_ int, pts []geom.Point, moved []int32, ws *graph.Workspace, out *radiusObs) {
-				g := ws.PointGraphKinetic(pts, net.Region.Dim, radius, moved)
-				components, largest := ws.ComponentSummary(g)
-				out.largest = int32(largest)
-				out.connected = components <= 1
-			},
-			func(_ int, out *radiusObs) {
-				acc.observe(int(out.largest), out.connected)
-			})
-		if err != nil {
-			return nil, err
-		}
-		iters[iter] = acc.finish()
-		if cfg.Sink == nil {
-			return nil, nil
-		}
-		return appendIterationResult(make([]float64, 0, iterationResultWidth), iters[iter]), nil
-	}, func(iter int, row []float64) error {
-		if len(row) != iterationResultWidth {
-			return fmt.Errorf("core: checkpoint row for iteration %d has %d values, want %d",
-				iter, len(row), iterationResultWidth)
-		}
-		iters[iter] = decodeIterationResult(row)
-		return nil
-	})
-	if err != nil {
-		return FixedRangeResult{}, err
-	}
-	return reduceFixed(radius, net.Nodes, cfg.Steps, iters), nil
 }

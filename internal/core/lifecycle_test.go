@@ -10,14 +10,12 @@ import (
 	"errors"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"adhocnet/internal/checkpoint"
 	"adhocnet/internal/faultinject"
 	"adhocnet/internal/geom"
-	"adhocnet/internal/graph"
 	"adhocnet/internal/mobility"
 	"adhocnet/internal/xrand"
 )
@@ -382,22 +380,6 @@ func TestResumeAcrossWorkerCounts(t *testing.T) {
 	}
 	if !sameResult(got, want) {
 		t.Error("resume at a different worker count is not bit-identical")
-	}
-}
-
-func TestSinkWithoutRestoreIsRejected(t *testing.T) {
-	leakCheck(t)
-	// A sink handed to an entry point with no restore callback must be
-	// rejected up front, not silently ignored: the caller expects resumable
-	// progress and would get none.
-	cfg := RunConfig{Iterations: 2, Steps: 1, Seed: 1,
-		Sink: checkpoint.New(interruptMeta(RunConfig{Iterations: 2, Seed: 1}, 1))}
-	err := forEachIteration(context.Background(), cfg,
-		func(context.Context, int, *xrand.Rand, *graph.Workspace, int) ([]float64, error) {
-			return nil, nil
-		}, nil)
-	if err == nil || !strings.Contains(err.Error(), "does not support checkpoint/resume") {
-		t.Fatalf("got %v, want the no-checkpoint-support error", err)
 	}
 }
 

@@ -54,7 +54,7 @@ import (
 // concurrently, inner the base number of snapshot evaluators each of those
 // iterations may use, and spare how many of the outer workers receive one
 // evaluator beyond the base so the whole budget is spent (spare < outer;
-// forEachIteration hands the extras to the first outer workers). This is the
+// runIterations hands the extras to the first outer workers). This is the
 // single source of truth for the split — the CLIs render it and the
 // scheduler executes it. Results never depend on the split.
 func (c RunConfig) Levels() (outer, inner, spare int) {
@@ -97,21 +97,48 @@ func (c RunConfig) FormatLevels() string {
 	return fmt.Sprintf("%dx%d", outer, inner)
 }
 
-// forEachIteration runs `run` for every iteration index with a private,
-// deterministically derived random stream, using a bounded worker pool (the
-// scheduler's outer level). Each worker owns one graph.Workspace that run
+// iteration is what the driver hands one outer iteration's body: the
+// iteration index, its private seed-derived random stream, the worker-owned
+// graph.Workspace reused across that worker's iterations, the inner
+// snapshot-worker budget, and the run parameters and metrics bundle that
+// runTrajectory needs.
+type iteration struct {
+	index   int
+	rng     *xrand.Rand
+	ws      *graph.Workspace
+	inner   int
+	steps   int
+	kinetic KineticMode
+	rm      *runMetrics
+}
+
+// rowCodec is an entry point's checkpoint-row layout for its per-iteration
+// result A: encode appends exactly width values to row, decode is its
+// inverse. The layout is private to the entry point; the driver only checks
+// the width.
+type rowCodec[A any] struct {
+	width  int
+	encode func(row []float64, a A) []float64
+	decode func(row []float64) A
+}
+
+// runIterations is the one iteration driver behind every core entry point.
+// It validates cfg, then runs iterate for every iteration index with a
+// private, deterministically derived random stream, using a bounded worker
+// pool (the scheduler's outer level), and returns the per-iteration results
+// in iteration order. Each worker owns one graph.Workspace that iterate
 // reuses across its iterations, and receives the inner snapshot-worker
-// budget it may spend per iteration (run forwards it to runTrajectory).
+// budget it may spend per iteration (iterate forwards it to runTrajectory).
 // Results must not depend on which worker runs which iteration, nor on the
 // inner budget, which is what keeps RunConfig determinism independent of
 // Workers.
 //
-// run returns the iteration's checkpoint row (nil when cfg.Sink is nil);
-// restore is its inverse, replaying a committed row into the caller's result
-// arrays. When cfg.Sink is set, iterations the sink already holds are
-// restored on the calling goroutine and never simulated — the remaining
+// When cfg.Sink is set, iterations the sink already holds are decoded with
+// codec on the calling goroutine and never simulated — the remaining
 // iterations use the same seed-derived streams they would in a full run, so
-// a resumed run is bit-identical to an uninterrupted one.
+// a resumed run is bit-identical to an uninterrupted one — and every newly
+// completed iteration is encoded and committed. With a nil Sink the codec is
+// never called, so no per-iteration row is allocated.
 //
 // Error policy: an iteration that fails with an ordinary error is recorded
 // and the remaining iterations still run (independent Monte-Carlo trials);
@@ -119,33 +146,35 @@ func (c RunConfig) FormatLevels() string {
 // *PanicError by runIteration) or a canceled ctx stops the run promptly:
 // queued iterations are not started, in-flight ones stop at the next
 // snapshot boundary, and all workers are always joined before returning.
-func forEachIteration(ctx context.Context, cfg RunConfig,
-	run func(ctx context.Context, iter int, rng *xrand.Rand, ws *graph.Workspace, inner int) ([]float64, error),
-	restore func(iter int, row []float64) error,
-) error {
-	if err := ctx.Err(); err != nil {
-		return ctxError(ctx)
+func runIterations[A any](ctx context.Context, cfg RunConfig, codec rowCodec[A],
+	iterate func(ctx context.Context, it iteration) (A, error),
+) ([]A, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Sink != nil && restore == nil {
-		return fmt.Errorf("core: this entry point does not support checkpoint/resume (RunConfig.Sink must be nil)")
+	if err := ctx.Err(); err != nil {
+		return nil, ctxError(ctx)
 	}
 	rm := newRunMetrics(cfg.Obs)
 	rm.plannedIterations(cfg.Iterations)
 	seeds := xrand.New(cfg.Seed).SplitN(cfg.Iterations)
+	results := make([]A, cfg.Iterations)
 
 	// Restore already-completed iterations before spawning anything, in
 	// iteration order on this goroutine, so restoration is deterministic.
 	var skip []bool
 	if cfg.Sink != nil {
 		skip = make([]bool, cfg.Iterations)
-		for i := 0; i < cfg.Iterations; i++ {
+		for i := range skip {
 			row, ok := cfg.Sink.Lookup(i)
 			if !ok {
 				continue
 			}
-			if err := restore(i, row); err != nil {
-				return err
+			if len(row) != codec.width {
+				return nil, fmt.Errorf("core: checkpoint row for iteration %d has %d values, want %d",
+					i, len(row), codec.width)
 			}
+			results[i] = codec.decode(row)
 			skip[i] = true
 			rm.restoredIteration()
 		}
@@ -183,7 +212,9 @@ func forEachIteration(ctx context.Context, cfg RunConfig,
 				if runCtx.Err() != nil {
 					continue // canceled: drain the queue without simulating
 				}
-				row, err := runIteration(runCtx, iter, seeds[iter], ws, inner, run)
+				it := iteration{index: iter, rng: seeds[iter], ws: ws, inner: inner,
+					steps: cfg.Steps, kinetic: cfg.Kinetic, rm: rm}
+				a, err := runIteration(runCtx, it, iterate)
 				rm.flushWorkspace(ws)
 				if err != nil {
 					if isCancellation(err) {
@@ -194,8 +225,9 @@ func forEachIteration(ctx context.Context, cfg RunConfig,
 					record(err, errors.As(err, &pe))
 					continue
 				}
+				results[iter] = a
 				if cfg.Sink != nil {
-					cfg.Sink.Commit(iter, row)
+					cfg.Sink.Commit(iter, codec.encode(make([]float64, 0, codec.width), a))
 				}
 				rm.iterationDone()
 			}
@@ -215,28 +247,28 @@ dispatch:
 	close(next)
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
-		return err
+		return nil, err
 	}
 	if ctx.Err() != nil {
-		return ctxError(ctx)
+		return nil, ctxError(ctx)
 	}
-	return nil
+	return results, nil
 }
 
-// runIteration invokes run with a catch-all panic guard: a panic anywhere in
-// the iteration that is not already attributed to a snapshot step (those are
-// recovered closer to the fault, with step provenance) surfaces as a
-// *PanicError with Step = -1.
-func runIteration(ctx context.Context, iter int, rng *xrand.Rand, ws *graph.Workspace, inner int,
-	run func(ctx context.Context, iter int, rng *xrand.Rand, ws *graph.Workspace, inner int) ([]float64, error),
-) (row []float64, err error) {
+// runIteration invokes iterate with a catch-all panic guard: a panic
+// anywhere in the iteration that is not already attributed to a snapshot
+// step (those are recovered closer to the fault, with step provenance)
+// surfaces as a *PanicError with Step = -1.
+func runIteration[A any](ctx context.Context, it iteration,
+	iterate func(ctx context.Context, it iteration) (A, error),
+) (a A, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = newPanicError(iter, -1, r)
+			err = newPanicError(it.index, -1, r)
 		}
 	}()
-	faultinject.Fire(faultinject.IterationStart, iter, -1)
-	return run(ctx, iter, rng, ws, inner)
+	faultinject.Fire(faultinject.IterationStart, it.index, -1)
+	return iterate(ctx, it)
 }
 
 // runTrajectory simulates one iteration of the network: it drives the
@@ -259,24 +291,25 @@ func runIteration(ctx context.Context, iter int, rng *xrand.Rand, ws *graph.Work
 // panics in eval/merge/Step into *PanicError values carrying (iter, step).
 //
 // The kinetic mode restructures the same loop instead of replacing it: when
-// kin.enabled says so, the iteration is pinned to this worker's sequential
-// branch (forgoing the snapshot pool), the workspace is armed for
+// it.kinetic.enabled says so, the iteration is pinned to this worker's
+// sequential branch (forgoing the snapshot pool), the workspace is armed for
 // incremental repair, and eval receives each step's moved set from the
 // mobility model — a native Mover, or any State adapted through TrackMoves.
 // Snapshot 0 passes moved = nil (the initial placement is not a
 // displacement), which is also what primes the workspace caches. The pooled
 // path always passes nil: its evaluators see snapshots out of order from
 // rotating ring buffers, so there is nothing coherent to repair from.
-func runTrajectory[R any](ctx context.Context, iter int, net Network, steps, inner int, kin KineticMode, rng *xrand.Rand, ws *graph.Workspace, rm *runMetrics,
+func runTrajectory[R any](ctx context.Context, it iteration, net Network,
 	newSlot func() R,
 	eval func(step int, pts []geom.Point, moved []int32, ws *graph.Workspace, out R),
 	merge func(step int, out R),
 ) error {
-	state, err := net.Model.NewState(rng, net.Region, net.Nodes, net.Placement)
+	iter, steps, inner, ws, rm := it.index, it.steps, it.inner, it.ws, it.rm
+	state, err := net.Model.NewState(it.rng, net.Region, net.Nodes, net.Placement)
 	if err != nil {
 		return err
 	}
-	kinetic := kin.enabled(steps, inner)
+	kinetic := it.kinetic.enabled(steps, inner)
 	if inner <= 1 || steps < 2 || kinetic {
 		rm.sequentialTrajectory()
 		ws.SetKinetic(kinetic)

@@ -6,9 +6,7 @@ import (
 	"sort"
 
 	"adhocnet/internal/geom"
-	"adhocnet/internal/graph"
 	"adhocnet/internal/stats"
-	"adhocnet/internal/xrand"
 )
 
 // DefaultStationaryQuantile is the quantile of the stationary
@@ -37,21 +35,25 @@ func StationaryCriticalSample(ctx context.Context, reg geom.Region, n, samples i
 		return nil, fmt.Errorf("core: sample count must be positive, got %d", samples)
 	}
 	cfg := RunConfig{Iterations: samples, Steps: 1, Seed: seed, Workers: workers}
-	out := make([]float64, samples)
 	// One snapshot per sample: the outer level alone saturates the budget.
-	// No restore callback: this entry point has no RunConfig parameter in its
-	// public signature, so cfg.Sink is always nil here.
-	err := forEachIteration(ctx, cfg, func(_ context.Context, iter int, rng *xrand.Rand, ws *graph.Workspace, _ int) ([]float64, error) {
-		pts := ws.Points(n)
-		reg.FillUniformPoints(rng, pts)
-		out[iter] = ws.Profile(pts, reg.Dim).Critical()
-		return nil, nil
-	}, nil)
+	out, err := runIterations(ctx, cfg, criticalCodec, func(_ context.Context, it iteration) (float64, error) {
+		pts := it.ws.Points(n)
+		reg.FillUniformPoints(it.rng, pts)
+		return it.ws.Profile(pts, reg.Dim).Critical(), nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	sort.Float64s(out)
 	return out, nil
+}
+
+// criticalCodec is the width-1 checkpoint-row layout of one stationary
+// sample: its critical radius.
+var criticalCodec = rowCodec[float64]{
+	width:  1,
+	encode: func(row []float64, critical float64) []float64 { return append(row, critical) },
+	decode: func(row []float64) float64 { return row[0] },
 }
 
 // RStationary estimates the stationary transmitting range r_stationary as

@@ -8,7 +8,6 @@ import (
 	"adhocnet/internal/geom"
 	"adhocnet/internal/graph"
 	"adhocnet/internal/stats"
-	"adhocnet/internal/xrand"
 )
 
 // StructureResult aggregates structural properties of the communication
@@ -68,33 +67,36 @@ type iterAcc struct {
 // exactly in float64 (they are bounded by the step count).
 const iterAccWidth = 5*5 + 4
 
-// encode flattens the accumulator state onto row (see stats.Accumulator
-// State/Restore for why raw state, not re-observation, is required for
-// bit-identical resume).
-func (a *iterAcc) encode(row []float64) []float64 {
-	for _, acc := range []*stats.Accumulator{&a.degree, &a.isolated, &a.diameter, &a.hops, &a.articulation} {
-		n, mean, m2, min, max := acc.State()
-		row = append(row, float64(n), mean, m2, min, max)
-	}
-	return append(row, float64(a.biconnected), float64(a.disconnected), float64(a.isolatedOnly), float64(a.snapshots))
-}
-
-// decode is the inverse of encode.
-func (a *iterAcc) decode(row []float64) {
-	for _, acc := range []*stats.Accumulator{&a.degree, &a.isolated, &a.diameter, &a.hops, &a.articulation} {
-		acc.Restore(int64(row[0]), row[1], row[2], row[3], row[4])
-		row = row[5:]
-	}
-	a.biconnected = int(row[0])
-	a.disconnected = int(row[1])
-	a.isolatedOnly = int(row[2])
-	a.snapshots = int(row[3])
+// iterAccCodec flattens the accumulator state onto a checkpoint row (see
+// stats.Accumulator State/Restore for why raw state, not re-observation, is
+// required for bit-identical resume).
+var iterAccCodec = rowCodec[iterAcc]{
+	width: iterAccWidth,
+	encode: func(row []float64, a iterAcc) []float64 {
+		for _, acc := range []*stats.Accumulator{&a.degree, &a.isolated, &a.diameter, &a.hops, &a.articulation} {
+			n, mean, m2, min, max := acc.State()
+			row = append(row, float64(n), mean, m2, min, max)
+		}
+		return append(row, float64(a.biconnected), float64(a.disconnected), float64(a.isolatedOnly), float64(a.snapshots))
+	},
+	decode: func(row []float64) (a iterAcc) {
+		for _, acc := range []*stats.Accumulator{&a.degree, &a.isolated, &a.diameter, &a.hops, &a.articulation} {
+			acc.Restore(int64(row[0]), row[1], row[2], row[3], row[4])
+			row = row[5:]
+		}
+		a.biconnected = int(row[0])
+		a.disconnected = int(row[1])
+		a.isolatedOnly = int(row[2])
+		a.snapshots = int(row[3])
+		return a
+	},
 }
 
 // EvaluateStructure simulates the network and measures graph-structure
-// metrics at the given transmitting range. It rebuilds the explicit
-// communication graph per snapshot (the profile shortcut cannot answer
-// degree or hop questions).
+// metrics at the given transmitting range. It evaluates the explicit
+// communication graph of every snapshot (the profile shortcut cannot answer
+// degree or hop questions), built from scratch or, on the kinetic path,
+// repaired from the previous step's graph (see RunConfig.Kinetic).
 //
 // The run honors ctx (a canceled run returns ErrCanceled within about one
 // snapshot's evaluation time) and supports checkpoint/resume through
@@ -103,19 +105,13 @@ func EvaluateStructure(ctx context.Context, net Network, cfg RunConfig, radius f
 	if err := net.Validate(); err != nil {
 		return StructureResult{}, err
 	}
-	if err := cfg.Validate(); err != nil {
-		return StructureResult{}, err
-	}
 	if radius < 0 || math.IsNaN(radius) {
 		return StructureResult{}, fmt.Errorf("core: invalid radius %v", radius)
 	}
 
-	accs := make([]iterAcc, cfg.Iterations)
-
-	rm := newRunMetrics(cfg.Obs)
-	err := forEachIteration(ctx, cfg, func(ctx context.Context, iter int, rng *xrand.Rand, ws *graph.Workspace, inner int) ([]float64, error) {
-		acc := &accs[iter]
-		err := runTrajectory(ctx, iter, net, cfg.Steps, inner, cfg.Kinetic, rng, ws, rm,
+	accs, err := runIterations(ctx, cfg, iterAccCodec, func(ctx context.Context, it iteration) (iterAcc, error) {
+		var acc iterAcc
+		err := runTrajectory(ctx, it, net,
 			func() *structSnap { return &structSnap{} },
 			func(_ int, pts []geom.Point, moved []int32, ws *graph.Workspace, out *structSnap) {
 				g := ws.PointGraphKinetic(pts, net.Region.Dim, radius, moved)
@@ -166,20 +162,7 @@ func EvaluateStructure(ctx context.Context, net Network, cfg RunConfig, radius f
 					acc.biconnected++
 				}
 			})
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Sink == nil {
-			return nil, nil
-		}
-		return acc.encode(make([]float64, 0, iterAccWidth)), nil
-	}, func(iter int, row []float64) error {
-		if len(row) != iterAccWidth {
-			return fmt.Errorf("core: checkpoint row for iteration %d has %d values, want %d",
-				iter, len(row), iterAccWidth)
-		}
-		accs[iter].decode(row)
-		return nil
+		return acc, err
 	})
 	if err != nil {
 		return StructureResult{}, err

@@ -83,19 +83,6 @@ func (r *Registry) Parse(data []byte) (*Scenario, error) {
 	return r.Build(spec)
 }
 
-// LoadFile reads, decodes, validates and builds a scenario file.
-func (r *Registry) LoadFile(path string) (*Scenario, error) {
-	spec, err := ReadSpecFile(path)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := r.Build(spec)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return sc, nil
-}
-
 // PlacementName names the scenario's placement for reports ("uniform" when
 // the spec omitted it).
 func (s *Scenario) PlacementName() string {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -264,8 +265,8 @@ func Default() *Registry {
 // A negative VMax or M means "use the scale-dependent default 0.01*l",
 // matching the historical CLI behavior. Set holds the flag names the user
 // passed explicitly ("vmin", "vmax", "tpause", "pstationary", "ppause",
-// "m"); when non-nil, ModelFromFlags rejects explicit flags the chosen
-// model does not consume instead of silently ignoring them.
+// "m"); when non-nil, MobilityPart rejects explicit flags the chosen model
+// does not consume instead of silently ignoring them.
 type ModelFlags struct {
 	VMin        float64
 	VMax        float64
@@ -278,21 +279,20 @@ type ModelFlags struct {
 
 // modelFlagUse maps each kind to the CLI flags it consumes; kinds absent
 // here (stationary, future registry entries) consume none.
-var modelFlagUse = map[string]map[string]bool{
-	"waypoint":    {"vmin": true, "vmax": true, "tpause": true, "pstationary": true},
-	"direction":   {"vmin": true, "vmax": true, "tpause": true, "pstationary": true},
-	"drunkard":    {"pstationary": true, "ppause": true, "m": true},
-	"gaussmarkov": {"pstationary": true},
-	"rpgm":        {"vmin": true, "vmax": true, "tpause": true},
+var modelFlagUse = map[string][]string{
+	"waypoint":    {"vmin", "vmax", "tpause", "pstationary"},
+	"direction":   {"vmin", "vmax", "tpause", "pstationary"},
+	"drunkard":    {"pstationary", "ppause", "m"},
+	"gaussmarkov": {"pstationary"},
+	"rpgm":        {"vmin", "vmax", "tpause"},
 }
 
 // checkFlagUse returns an error naming every explicitly-set flag the kind
 // ignores, mirroring the -scenario mode's shadowed-flag rejection.
 func checkFlagUse(kind string, set map[string]bool) error {
-	used := modelFlagUse[kind]
 	var ignored []string
 	for _, name := range []string{"vmin", "vmax", "tpause", "pstationary", "ppause", "m"} {
-		if set[name] && !used[name] {
+		if set[name] && !slices.Contains(modelFlagUse[kind], name) {
 			ignored = append(ignored, "-"+name)
 		}
 	}
@@ -303,51 +303,40 @@ func checkFlagUse(kind string, set map[string]bool) error {
 	return nil
 }
 
-// ModelFromFlags resolves a CLI -model flag through the registry: the
-// classical kinds receive the flag values exactly as the old hard-coded
-// switches passed them, gaussmarkov/rpgm receive the subset of the shared
-// flags that maps onto them (everything else at registry defaults), and
-// unknown kinds fail with the registry's shared error message. This is the
-// single name->model lookup behind both adhocsim and mobgen.
-func (r *Registry) ModelFromFlags(reg geom.Region, kind string, f ModelFlags) (mobility.Model, error) {
-	if _, known := r.mobility[kind]; known {
-		if err := checkFlagUse(kind, f.Set); err != nil {
-			return nil, err
-		}
+// MobilityPart turns a CLI -model flag and the shared mobility flags into
+// the mobility part of a spec, as if it had been written in a spec file.
+// Every parameter the kind consumes is written out, defaults included,
+// because the flag defaults differ from the registry's (drunkard -pstationary
+// defaults to 0, the registry's drunkard to 0.1); the rest stays at registry
+// defaults. An unknown kind yields a kind-only part, which BuildMobility
+// rejects with the registry's shared error message. This is the single
+// flags->model path behind both adhocsim and mobgen.
+func (r *Registry) MobilityPart(l float64, kind string, f ModelFlags) (PartSpec, error) {
+	if _, known := r.mobility[kind]; !known {
+		return Part(kind), nil
+	}
+	if err := checkFlagUse(kind, f.Set); err != nil {
+		return PartSpec{}, err
 	}
 	if f.VMax < 0 {
-		f.VMax = 0.01 * reg.L
+		f.VMax = 0.01 * l
 	}
 	if f.M < 0 {
-		f.M = 0.01 * reg.L
+		f.M = 0.01 * l
 	}
-	switch kind {
-	case "waypoint":
-		return mobility.RandomWaypoint{VMin: f.VMin, VMax: f.VMax, PauseSteps: f.Pause, PStationary: f.PStationary}, nil
-	case "drunkard":
-		return mobility.Drunkard{PStationary: f.PStationary, PPause: f.PPause, M: f.M}, nil
-	case "direction":
-		return mobility.RandomDirection{VMin: f.VMin, VMax: f.VMax, PauseSteps: f.Pause, PStationary: f.PStationary}, nil
-	case "gaussmarkov":
-		return r.BuildMobility(reg, partWithParams(kind, map[string]any{
-			"pstationary": f.PStationary,
-		}))
-	case "rpgm":
-		return r.BuildMobility(reg, partWithParams(kind, map[string]any{
-			"vmin": f.VMin, "vmax": f.VMax, "pause": f.Pause,
-		}))
-	default:
-		return r.BuildMobility(reg, Part(kind))
+	values := map[string]any{"vmin": f.VMin, "vmax": f.VMax, "pause": f.Pause,
+		"pstationary": f.PStationary, "ppause": f.PPause, "m": f.M}
+	params := map[string]any{"kind": kind}
+	for _, flag := range modelFlagUse[kind] {
+		param := flag
+		if flag == "tpause" {
+			param = "pause"
+		}
+		params[param] = values[param]
 	}
-}
-
-// partWithParams builds a PartSpec carrying explicit parameter values, as
-// if they had been written in a spec file.
-func partWithParams(kind string, params map[string]any) PartSpec {
-	params["kind"] = kind
 	raw, err := json.Marshal(params)
 	if err != nil {
-		panic(err) // cannot happen: strings, ints and floats always marshal
+		return PartSpec{}, fmt.Errorf("scenario: mobility %q: %w", kind, err)
 	}
-	return PartSpec{Kind: kind, raw: raw}
+	return PartSpec{Kind: kind, raw: raw}, nil
 }

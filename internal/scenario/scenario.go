@@ -246,6 +246,32 @@ func (s Spec) componentTargets() []float64 {
 	return s.Targets.Component
 }
 
+// Identity returns the spec's workload identity, which checkpoint hashes and
+// run reports key on: its JSON with the performance-only run fields
+// (workers, kinetic) cleared, since results are bit-identical across them,
+// re-encoded with sorted object keys so that the order in which a spec file
+// lists a part's parameters does not matter. Numbers keep their literal
+// text, so no seed or parameter loses precision.
+func (s Spec) Identity() (string, error) {
+	s.Run.Workers, s.Run.Kinetic = 0, ""
+	raw, err := json.Marshal(s)
+	if err != nil {
+		return "", fmt.Errorf("scenario: encoding spec: %w", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		return "", fmt.Errorf("scenario: encoding spec: %w", err)
+	}
+	canon, err := json.Marshal(v)
+	if err != nil {
+		return "", fmt.Errorf("scenario: encoding spec: %w", err)
+	}
+	return string(canon), nil
+}
+
 // ReadSpec decodes a spec from a reader (strictly, like Decode).
 func ReadSpec(r io.Reader) (Spec, error) {
 	data, err := io.ReadAll(r)

@@ -105,6 +105,16 @@ func TestExplicitZeroSeedPreserved(t *testing.T) {
 	}
 }
 
+// modelFromFlags resolves CLI mobility flags the way the CLIs do: through
+// the spec part MobilityPart writes, built by the registry.
+func modelFromFlags(r *Registry, reg geom.Region, kind string, f ModelFlags) (mobility.Model, error) {
+	part, err := r.MobilityPart(reg.L, kind, f)
+	if err != nil {
+		return nil, err
+	}
+	return r.BuildMobility(reg, part)
+}
+
 func TestModelFromFlagsRejectsInapplicableFlags(t *testing.T) {
 	reg := geom.MustRegion(1000, 2)
 	r := Default()
@@ -125,7 +135,7 @@ func TestModelFromFlagsRejectsInapplicableFlags(t *testing.T) {
 		for _, name := range c.set {
 			set[name] = true
 		}
-		_, err := r.ModelFromFlags(reg, c.kind, ModelFlags{VMax: -1, M: -1, Set: set})
+		_, err := modelFromFlags(r, reg, c.kind, ModelFlags{VMax: -1, M: -1, Set: set})
 		if err == nil {
 			t.Errorf("%s with explicit %v: inapplicable flags accepted", c.kind, c.set)
 		} else if !strings.Contains(err.Error(), "-"+c.set[0]) {
@@ -133,11 +143,11 @@ func TestModelFromFlagsRejectsInapplicableFlags(t *testing.T) {
 		}
 	}
 	// Flags that do apply must still pass, and a nil Set skips the check.
-	if _, err := r.ModelFromFlags(reg, "rpgm",
+	if _, err := modelFromFlags(r, reg, "rpgm",
 		ModelFlags{VMin: 0.5, VMax: -1, M: -1, Set: map[string]bool{"vmin": true}}); err != nil {
 		t.Errorf("applicable flag rejected: %v", err)
 	}
-	if _, err := r.ModelFromFlags(reg, "stationary", ModelFlags{VMax: -1, M: -1}); err != nil {
+	if _, err := modelFromFlags(r, reg, "stationary", ModelFlags{VMax: -1, M: -1}); err != nil {
 		t.Errorf("nil Set should skip the check: %v", err)
 	}
 }
@@ -289,7 +299,7 @@ func TestModelFromFlagsMatchesLegacySwitch(t *testing.T) {
 		"direction":  mobility.RandomDirection{VMin: 0.2, VMax: 10, PauseSteps: 7, PStationary: 0.25},
 	}
 	for kind, want := range cases {
-		got, err := r.ModelFromFlags(reg, kind, flags)
+		got, err := modelFromFlags(r, reg, kind, flags)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -299,21 +309,30 @@ func TestModelFromFlagsMatchesLegacySwitch(t *testing.T) {
 	}
 	// The new kinds receive the subset of the shared flags that maps onto
 	// them; the rest stays at registry defaults.
-	gm, err := r.ModelFromFlags(reg, "gaussmarkov", flags)
+	gm, err := modelFromFlags(r, reg, "gaussmarkov", flags)
 	if err != nil {
 		t.Fatalf("gaussmarkov via flags: %v", err)
 	}
 	if gm != (mobility.GaussMarkov{Alpha: 0.85, MeanSpeed: 10, Sigma: 2.5, PStationary: 0.25}) {
 		t.Errorf("gaussmarkov via flags dropped -pstationary: %+v", gm)
 	}
-	rp, err := r.ModelFromFlags(reg, "rpgm", flags)
+	rp, err := modelFromFlags(r, reg, "rpgm", flags)
 	if err != nil {
 		t.Fatalf("rpgm via flags: %v", err)
 	}
 	if rp != (mobility.RPGM{Groups: 4, GroupRadius: 50, Jitter: 10, VMin: 0.2, VMax: 10, PauseSteps: 7}) {
 		t.Errorf("rpgm via flags dropped speed/pause flags: %+v", rp)
 	}
-	if _, err := r.ModelFromFlags(reg, "teleport", flags); err == nil {
+	// Flag defaults differ from registry defaults: -pstationary 0 must reach
+	// the drunkard, not the registry's 0.1.
+	dr, err := modelFromFlags(r, reg, "drunkard", ModelFlags{VMin: 0.1, VMax: -1, Pause: 2000, PPause: 0.3, M: -1})
+	if err != nil {
+		t.Fatalf("drunkard at flag defaults: %v", err)
+	}
+	if dr != (mobility.Drunkard{PPause: 0.3, M: 10}) {
+		t.Errorf("drunkard at flag defaults took registry defaults: %+v", dr)
+	}
+	if _, err := modelFromFlags(r, reg, "teleport", flags); err == nil {
 		t.Error("unknown kind accepted via flags")
 	}
 }
