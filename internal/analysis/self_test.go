@@ -84,6 +84,9 @@ func TestHotPathMarksPresent(t *testing.T) {
 		"graph.primMSTInto",
 		"graph.Find",
 		"graph.Union",
+		"graph.hopStatsInto",
+		"graph.cutVerticesInto",
+		"graph.labelComponents",
 		"core.observe",
 	} {
 		if !marked[want] {

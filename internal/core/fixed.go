@@ -234,6 +234,7 @@ type fixedAccumulator struct {
 // "Connected" follows the paper's convention that graphs on fewer than two
 // nodes are trivially connected, for both the profile path (ConnectedAt) and
 // the direct path (component count <= 1).
+//
 //adhoc:hotpath
 func (a *fixedAccumulator) observe(largest int, connected bool) {
 	a.steps++

@@ -26,8 +26,9 @@ type StructureResult struct {
 	// them leaves one connected component). The paper's Figures 4-5 argue
 	// this is the dominant failure mode at r_90.
 	IsolatedOnlyFraction float64
-	// MeanDiameter and MeanHops describe shortest paths within the largest
-	// component (snapshot averages).
+	// MeanDiameter and MeanHops are snapshot averages of the hop diameter and
+	// the mean shortest-path length, both taken over every connected ordered
+	// pair of nodes in every component (graph.HopStats).
 	MeanDiameter float64
 	MeanHops     float64
 	// MeanArticulation is the average number of cut vertices per snapshot.
@@ -37,20 +38,6 @@ type StructureResult struct {
 	BiconnectedFraction float64
 	// Snapshots is the number of evaluated snapshots.
 	Snapshots int
-}
-
-// structSnap is the per-snapshot result slot of EvaluateStructure: every
-// structural metric of one snapshot's communication graph, computed on a pool
-// worker and folded into the iteration accumulator in step order.
-type structSnap struct {
-	degMean      float64
-	isolated     int
-	disconnected bool
-	isolatedOnly bool
-	diameter     int
-	meanHops     float64
-	articulation int
-	biconnected  bool
 }
 
 // iterAcc folds one iteration's snapshot metrics.
@@ -112,53 +99,27 @@ func EvaluateStructure(ctx context.Context, net Network, cfg RunConfig, radius f
 	accs, err := runIterations(ctx, cfg, iterAccCodec, func(ctx context.Context, it iteration) (iterAcc, error) {
 		var acc iterAcc
 		err := runTrajectory(ctx, it, net,
-			func() *structSnap { return &structSnap{} },
-			func(_ int, pts []geom.Point, moved []int32, ws *graph.Workspace, out *structSnap) {
-				g := ws.PointGraphKinetic(pts, net.Region.Dim, radius, moved)
-				ds := g.DegreeStats()
-				out.degMean = ds.Mean
-				out.isolated = ds.Isolated
-				out.disconnected = false
-				out.isolatedOnly = false
-				_, sizes := g.Components()
-				if len(sizes) > 1 {
-					out.disconnected = true
-					// Disconnection is "isolated-only" when every component
-					// but the largest is a singleton.
-					largest, nonSingleton := 0, 0
-					for _, s := range sizes {
-						if s > largest {
-							largest = s
-						}
-						if s > 1 {
-							nonSingleton++
-						}
-					}
-					out.isolatedOnly = nonSingleton <= 1
-				}
-				hs := g.HopStats()
-				out.diameter = hs.Diameter
-				out.meanHops = hs.MeanHops
-				out.articulation = len(g.ArticulationPoints())
-				out.biconnected = g.IsBiconnected()
+			func() *graph.Structure { return &graph.Structure{} },
+			func(_ int, pts []geom.Point, moved []int32, ws *graph.Workspace, out *graph.Structure) {
+				*out = ws.Structure(ws.PointGraphKinetic(pts, net.Region.Dim, radius, moved))
 			},
-			func(_ int, out *structSnap) {
+			func(_ int, out *graph.Structure) {
 				// Accumulator addition order is the float-summation order;
 				// merging in step order keeps results bit-identical across
 				// worker counts.
 				acc.snapshots++
-				acc.degree.Add(out.degMean)
-				acc.isolated.Add(float64(out.isolated))
-				if out.disconnected {
+				acc.degree.Add(out.Degree.Mean)
+				acc.isolated.Add(float64(out.Degree.Isolated))
+				if out.Components > 1 {
 					acc.disconnected++
-					if out.isolatedOnly {
+					if out.IsolatedOnly {
 						acc.isolatedOnly++
 					}
 				}
-				acc.diameter.Add(float64(out.diameter))
-				acc.hops.Add(out.meanHops)
-				acc.articulation.Add(float64(out.articulation))
-				if out.biconnected {
+				acc.diameter.Add(float64(out.Hops.Diameter))
+				acc.hops.Add(out.Hops.MeanHops)
+				acc.articulation.Add(float64(out.Articulation))
+				if out.Biconnected {
 					acc.biconnected++
 				}
 			})

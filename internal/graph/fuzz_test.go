@@ -1,11 +1,122 @@
 package graph
 
 import (
+	"encoding/binary"
 	"slices"
 	"testing"
 
 	"adhocnet/internal/geomtest"
 )
+
+// fuzzGraphSizes are the node counts FuzzHopStatsMatchesBFS draws from: the
+// empty and single-node graphs, both sides of a 64-source word boundary, both
+// sides of a 512-source block boundary, and three blocks with a partial last
+// one.
+var fuzzGraphSizes = [...]int{0, 1, 63, 64, 65, 511, 512, 513, 1100}
+
+// decodeFuzzGraph maps fuzz bytes to an edge list: data[0] picks the node
+// count from fuzzGraphSizes, data[1] a backbone (none, a path through all
+// nodes, a path through the even nodes), and every further four bytes one
+// edge whose little-endian uint16 endpoints are reduced modulo n, so
+// self-loops, duplicate edges and disconnected graphs all occur.
+func decodeFuzzGraph(data []byte) (int, []Edge) {
+	if len(data) < 2 {
+		return 0, nil
+	}
+	n := fuzzGraphSizes[int(data[0])%len(fuzzGraphSizes)]
+	if n == 0 {
+		return 0, nil
+	}
+	var edges []Edge
+	switch data[1] % 3 {
+	case 1:
+		for i := 0; i+1 < n; i++ {
+			edges = append(edges, Edge{I: int32(i), J: int32(i + 1)})
+		}
+	case 2:
+		for i := 0; i+2 < n; i += 2 {
+			edges = append(edges, Edge{I: int32(i), J: int32(i + 2)})
+		}
+	}
+	for rest := data[2:]; len(rest) >= 4; rest = rest[4:] {
+		i := int(binary.LittleEndian.Uint16(rest)) % n
+		j := int(binary.LittleEndian.Uint16(rest[2:])) % n
+		edges = append(edges, Edge{I: int32(i), J: int32(j)})
+	}
+	return n, edges
+}
+
+// hopStatsBFS is the reference for HopStats: one BFS per source.
+func hopStatsBFS(a *Adjacency) HopStats {
+	var hs HopStats
+	total := 0
+	for s := 0; s < a.N; s++ {
+		for _, d := range a.BFSDistances(s) {
+			if d <= 0 { // unreachable or self
+				continue
+			}
+			hs.Pairs++
+			total += int(d)
+			hs.Diameter = max(hs.Diameter, int(d))
+		}
+	}
+	if hs.Pairs > 0 {
+		hs.MeanHops = float64(total) / float64(hs.Pairs)
+	}
+	return hs
+}
+
+// FuzzHopStatsMatchesBFS checks the bit-parallel all-sources BFS against one
+// BFS per source, bit for bit, across word and block boundaries, and checks
+// every field of the workspace structure pass, run on scratch left dirty by
+// a larger graph, against the component sizes and the Adjacency methods.
+func FuzzHopStatsMatchesBFS(f *testing.F) {
+	for size := range fuzzGraphSizes {
+		for backbone := byte(0); backbone < 3; backbone++ {
+			f.Add([]byte{byte(size), backbone, 7, 0, 200, 1, 3, 0, 3, 0, 9, 4, 1, 0})
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, edges := decodeFuzzGraph(data)
+		a := AdjacencyFromEdges(n, edges)
+		want := hopStatsBFS(a)
+		if got := a.HopStats(); got != want {
+			t.Fatalf("n=%d m=%d: HopStats = %+v, per-source BFS = %+v", n, len(edges), got, want)
+		}
+
+		ws := NewWorkspace()
+		ws.Structure(pathGraph(n + 70))
+		s := ws.Structure(a)
+		_, sizes := a.Components()
+		nonSingleton := 0
+		for _, size := range sizes {
+			if size > 1 {
+				nonSingleton++
+			}
+		}
+		cuts := len(a.ArticulationPoints())
+		if n <= 65 {
+			if brute := bruteForceArticulation(a, edges); len(brute) != cuts {
+				t.Fatalf("n=%d: %d cut vertices, brute force finds %v", n, cuts, brute)
+			}
+		}
+		wantBi := a.Connected() && (n <= 2 || cuts == 0)
+		switch {
+		case s.Hops != want:
+			t.Fatalf("n=%d: Structure.Hops = %+v, per-source BFS = %+v", n, s.Hops, want)
+		case s.Degree != a.DegreeStats():
+			t.Fatalf("n=%d: Structure.Degree = %+v, DegreeStats = %+v", n, s.Degree, a.DegreeStats())
+		case s.Components != len(sizes) || s.Largest != a.LargestComponentSize():
+			t.Fatalf("n=%d: Structure components %d/%d, Components sizes %v", n, s.Components, s.Largest, sizes)
+		case s.IsolatedOnly != (nonSingleton <= 1):
+			t.Fatalf("n=%d: IsolatedOnly = %v with %d non-singleton components", n, s.IsolatedOnly, nonSingleton)
+		case s.Articulation != cuts:
+			t.Fatalf("n=%d: Structure.Articulation = %d, ArticulationPoints has %d", n, s.Articulation, cuts)
+		case s.Biconnected != wantBi || a.IsBiconnected() != wantBi:
+			t.Fatalf("n=%d: Biconnected = %v, IsBiconnected = %v, want %v", n, s.Biconnected, a.IsBiconnected(), wantBi)
+		}
+	})
+}
 
 // FuzzGeoMSTMatchesDensePrim checks the grid-accelerated filtered Kruskal
 // against the dense Prim on arbitrary point sets: both must produce spanning

@@ -39,6 +39,7 @@ func candLess(a, b candidate) bool {
 
 // sortCandidates sorts the batch by candLess: insertion sort for short runs,
 // median-of-three quicksort recursing on the smaller partition otherwise.
+//
 //adhoc:hotpath
 func sortCandidates(s []candidate) {
 	for len(s) > 16 {
@@ -60,6 +61,7 @@ func sortCandidates(s []candidate) {
 
 // partitionCandidates partitions s around a median-of-three pivot and
 // returns the pivot's final index.
+//
 //adhoc:hotpath
 func partitionCandidates(s []candidate) int {
 	hi := len(s) - 1
@@ -122,10 +124,10 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 		return nil
 	}
 	if n <= geoMSTDenseCutoff {
-		ws.inTree = growBool(ws.inTree, n)
-		ws.bestDist = growFloat64(ws.bestDist, n)
-		ws.bestFrom = growInt32(ws.bestFrom, n)
-		ws.dist2 = growFloat64(ws.dist2, n)
+		ws.inTree = grow(ws.inTree, n)
+		ws.bestDist = grow(ws.bestDist, n)
+		ws.bestFrom = grow(ws.bestFrom, n)
+		ws.dist2 = grow(ws.dist2, n)
 		ws.edges = primMSTInto(pts, ws.inTree, ws.bestDist, ws.bestFrom, ws.dist2, ws.edges)
 		return ws.edges
 	}
@@ -190,7 +192,7 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 		ws.cand = ws.cand[:0]
 		ws.batchPrevR2 = prevR2
 		if useTree {
-			ws.labels = growInt32(ws.labels, n)
+			ws.labels = grow(ws.labels, n)
 			for i := range ws.labels {
 				ws.labels[i] = ws.uf.Find(int32(i))
 			}
@@ -215,12 +217,4 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 		r *= 2
 	}
 	return ws.edges
-}
-
-// growBool resizes s to length n, reusing capacity.
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
 }

@@ -67,6 +67,7 @@ func (uf *UnionFind) Reset(n int) {
 }
 
 // Find returns the representative of x's set.
+//
 //adhoc:hotpath
 func (uf *UnionFind) Find(x int32) int32 {
 	root := x
@@ -81,6 +82,7 @@ func (uf *UnionFind) Find(x int32) int32 {
 
 // Union merges the sets containing a and b and reports whether a merge
 // actually happened (false if they were already together).
+//
 //adhoc:hotpath
 func (uf *UnionFind) Union(a, b int32) bool {
 	ra, rb := uf.Find(a), uf.Find(b)
@@ -183,35 +185,52 @@ func (a *Adjacency) IsolatedCount() int {
 }
 
 // Components labels each node with a component id in [0, k) and returns the
-// labels together with the size of each component, via iterative BFS.
+// labels together with the size of each component. Ids are assigned in order
+// of each component's smallest node.
 func (a *Adjacency) Components() (labels []int32, sizes []int) {
 	labels = make([]int32, a.N)
+	k, _ := labelComponents(a, labels, make([]int32, a.N))
+	sizes = make([]int, k)
+	for _, id := range labels {
+		sizes[id]++
+	}
+	return labels, sizes
+}
+
+// labelComponents writes each node's component id in [0, k) into labels and
+// returns k and the size of the largest component (0 for the empty graph),
+// via iterative graph search. labels and stack are caller-provided scratch
+// of length a.N.
+//
+//adhoc:hotpath
+func labelComponents(a *Adjacency, labels, stack []int32) (components, largest int) {
 	for i := range labels {
 		labels[i] = -1
 	}
-	var queue []int32
-	for start := 0; start < a.N; start++ {
+	for start := range labels {
 		if labels[start] != -1 {
 			continue
 		}
-		id := int32(len(sizes))
+		id := int32(components)
+		components++
 		labels[start] = id
-		size := 1
-		queue = append(queue[:0], int32(start))
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
+		stack[0] = int32(start)
+		size, top := 1, 1
+		for top > 0 {
+			top--
+			u := stack[top]
 			for _, v := range a.Neighbors(int(u)) {
 				if labels[v] == -1 {
 					labels[v] = id
 					size++
-					queue = append(queue, v)
+					stack[top] = v
+					top++
 				}
 			}
 		}
-		sizes = append(sizes, size)
+		largest = max(largest, size)
 	}
-	return labels, sizes
+	return components, largest
 }
 
 // Connected reports whether the graph is connected. Following the paper's
@@ -278,6 +297,7 @@ func PrimMST(pts []geom.Point) []Edge {
 // primMSTInto is PrimMST over caller-provided scratch: inTree, bestDist,
 // bestFrom and dist2 must have length n and edges zero length; the tree edges
 // are appended to edges and returned.
+//
 //adhoc:hotpath
 func primMSTInto(pts []geom.Point, inTree []bool, bestDist []float64, bestFrom []int32, dist2 []float64, edges []Edge) []Edge {
 	n := len(pts)

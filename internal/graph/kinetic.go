@@ -204,7 +204,7 @@ func (ws *Workspace) kineticMST(pts []geom.Point, moved []int32) ([]Edge, bool) 
 	}
 	k := &ws.kin
 	ws.kd.Update(moved)
-	k.mark = growBool(k.mark, n)
+	k.mark = grow(k.mark, n)
 	for _, m := range moved {
 		k.mark[m] = true
 	}
@@ -220,7 +220,7 @@ func (ws *Workspace) kineticMST(pts []geom.Point, moved []int32) ([]Edge, bool) 
 		ws.uf.Union(c.i, c.j)
 		k.mstU = append(k.mstU, c)
 	}
-	k.frag = growInt32(k.frag, n)
+	k.frag = grow(k.frag, n)
 	for i := range k.frag {
 		k.frag[i] = ws.uf.Find(int32(i))
 	}
@@ -244,7 +244,7 @@ func (ws *Workspace) kineticMST(pts []geom.Point, moved []int32) ([]Edge, bool) 
 		// spacing so the doubling still terminates.
 		r0 = extent / math.Pow(float64(n), 1/float64(dims)) / 8
 	}
-	ws.labels = growInt32(ws.labels, n)
+	ws.labels = grow(ws.labels, n)
 	if k.minVisitor == nil {
 		k.minVisitor = func(i, j int, d2 float64) {
 			ws.cand = append(ws.cand, candidate{d2: d2, i: int32(i), j: int32(j)})
@@ -338,7 +338,7 @@ func (ws *Workspace) kineticPointGraph(n int, r float64, moved []int32) *Adjacen
 	} else {
 		ws.ix.Update(moved)
 	}
-	k.mark = growBool(k.mark, n)
+	k.mark = grow(k.mark, n)
 	for _, m := range moved {
 		k.mark[m] = true
 	}

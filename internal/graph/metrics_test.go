@@ -321,6 +321,41 @@ func BenchmarkHopStats128(b *testing.B) {
 	}
 }
 
+// fleetGraph is one snapshot at the structure-fleet benchmark shape: n = 512
+// uniform nodes in a 4096 x 4096 square at transmitting range 400.
+func fleetGraph() *Adjacency {
+	pts := geom.MustRegion(4096, 2).UniformPoints(xrand.New(1), 512)
+	return BuildPointGraph(pts, 2, 400)
+}
+
+func BenchmarkHopStats512(b *testing.B) {
+	a := fleetGraph()
+	b.ReportAllocs()
+	for b.Loop() {
+		a.HopStats()
+	}
+}
+
+func BenchmarkStructurePass512(b *testing.B) {
+	a := fleetGraph()
+	ws := NewWorkspace()
+	b.ReportAllocs()
+	for b.Loop() {
+		ws.Structure(a)
+	}
+}
+
+// TestWorkspaceStructureSteadyStateAllocs pins the zero-allocation contract
+// of the structure pass EvaluateStructure runs once per snapshot.
+func TestWorkspaceStructureSteadyStateAllocs(t *testing.T) {
+	a := fleetGraph()
+	ws := NewWorkspace()
+	ws.Structure(a)
+	if allocs := testing.AllocsPerRun(10, func() { ws.Structure(a) }); allocs != 0 {
+		t.Fatalf("Workspace.Structure allocates %v times per call in steady state", allocs)
+	}
+}
+
 func BenchmarkArticulationPoints128(b *testing.B) {
 	rng := xrand.New(1)
 	reg := geom.MustRegion(16384, 2)

@@ -47,8 +47,13 @@ type Workspace struct {
 	dist2    []float64 // Dist2Batch row scratch
 
 	cursor []int32 // adjacency build scratch
-	labels []int32 // BFS component scratch
+	labels []int32 // component-labeling scratch
 	queue  []int32
+
+	seen, frontier, next []sourceSet // all-sources BFS scratch (hopStatsInto)
+	disc, low            []int32     // cut-vertex scratch (cutVerticesInto)
+	isCut                []bool
+	frames               []dfsFrame
 
 	prof Profile
 	adj  Adjacency
@@ -127,7 +132,7 @@ func (ws *Workspace) Points(n int) []geom.Point {
 func (ws *Workspace) Profile(pts []geom.Point, dim int) *Profile {
 	n := len(pts)
 	if dim == 1 {
-		xs := growFloat64(ws.xs, n)
+		xs := grow(ws.xs, n)
 		ws.xs = xs
 		for i, p := range pts {
 			xs[i] = p.X
@@ -187,7 +192,7 @@ func (ws *Workspace) PointGraph(pts []geom.Point, dim int, r float64) *Adjacency
 func (ws *Workspace) buildAdjacency(n int, edges []Edge) *Adjacency {
 	a := &ws.adj
 	a.N = n
-	a.offsets = growInt32(a.offsets, n+1)
+	a.offsets = grow(a.offsets, n+1)
 	for i := 0; i <= n; i++ {
 		a.offsets[i] = 0
 	}
@@ -201,8 +206,8 @@ func (ws *Workspace) buildAdjacency(n int, edges []Edge) *Adjacency {
 	for i := 0; i < n; i++ {
 		a.offsets[i+1] += a.offsets[i]
 	}
-	a.nbrs = growInt32(a.nbrs, int(a.offsets[n]))
-	ws.cursor = growInt32(ws.cursor, n)
+	a.nbrs = grow(a.nbrs, int(a.offsets[n]))
+	ws.cursor = grow(ws.cursor, n)
 	copy(ws.cursor, a.offsets[:n])
 	for _, e := range edges {
 		if e.I == e.J {
@@ -217,55 +222,19 @@ func (ws *Workspace) buildAdjacency(n int, edges []Edge) *Adjacency {
 }
 
 // ComponentSummary returns the number of connected components and the size
-// of the largest one via iterative BFS over workspace scratch, allocating
-// nothing in steady state. It returns (0, 0) for the empty graph.
+// of the largest one over workspace scratch, allocating nothing in steady
+// state. It returns (0, 0) for the empty graph.
 func (ws *Workspace) ComponentSummary(a *Adjacency) (components, largest int) {
-	n := a.N
-	ws.labels = growInt32(ws.labels, n)
-	ws.queue = growInt32(ws.queue, n)
-	for i := range ws.labels {
-		ws.labels[i] = -1
-	}
-	for start := 0; start < n; start++ {
-		if ws.labels[start] != -1 {
-			continue
-		}
-		components++
-		size := 1
-		ws.labels[start] = 0
-		ws.queue[0] = int32(start)
-		top := 1
-		for top > 0 {
-			top--
-			u := ws.queue[top]
-			for _, v := range a.Neighbors(int(u)) {
-				if ws.labels[v] == -1 {
-					ws.labels[v] = 0
-					size++
-					ws.queue[top] = v
-					top++
-				}
-			}
-		}
-		if size > largest {
-			largest = size
-		}
-	}
-	return components, largest
+	ws.labels = grow(ws.labels, a.N)
+	ws.queue = grow(ws.queue, a.N)
+	return labelComponents(a, ws.labels, ws.queue)
 }
 
-// growInt32 resizes s to length n, reusing capacity.
-func growInt32(s []int32, n int) []int32 {
+// grow resizes s to length n, reusing capacity. The contents are
+// unspecified.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// growFloat64 resizes s to length n, reusing capacity.
-func growFloat64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

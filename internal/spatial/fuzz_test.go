@@ -80,9 +80,9 @@ func FuzzSpatialIndexNeighbors(f *testing.F) {
 // 1D/2D/3D, coincident and tie-heavy point sets.
 func FuzzKDTreeMatchesGrid(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 1, 0, 0, 16, 0, 16, 0}) // zero radius, coincident points
+	f.Add([]byte{0, 0, 1, 0, 0, 16, 0, 16, 0})            // zero radius, coincident points
 	f.Add([]byte{16, 0, 0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0}) // 1D line
-	seed := []byte{64, 1, 1} // r = 356/16, dim 2: clustered-ish quantized cloud
+	seed := []byte{64, 1, 1}                              // r = 356/16, dim 2: clustered-ish quantized cloud
 	for i := 0; i < 80; i++ {
 		x := uint16(i * 40503)
 		seed = append(seed, byte(x), byte(x>>8), byte(x>>7), byte(x>>2))

@@ -227,6 +227,7 @@ func median3(a, b, c float64) float64 {
 // ForEachPairWithin calls visit once per unordered pair (i < j) whose points
 // lie at distance <= r, exactly as Index.ForEachPairWithin — the two visit
 // the same pair set with the same squared distances, in different orders.
+//
 //adhoc:hotpath
 func (t *KDTree) ForEachPairWithin(r float64, visit PairVisitor) {
 	t.ForEachPairInAnnulus(math.Inf(-1), r, visit)
@@ -238,6 +239,7 @@ func (t *KDTree) ForEachPairWithin(r float64, visit PairVisitor) {
 // above the previous round's radius, and the tree prunes whole subtree pairs
 // whose boxes lie entirely below the floor (something the grid cannot do).
 // Pass lo2 < 0 (or -Inf) for a plain within-r query including d2 == 0.
+//
 //adhoc:hotpath
 func (t *KDTree) ForEachPairInAnnulus(lo2, r float64, visit PairVisitor) {
 	t.stats.PairQueries++
@@ -248,6 +250,7 @@ func (t *KDTree) ForEachPairInAnnulus(lo2, r float64, visit PairVisitor) {
 }
 
 // pairsSelf emits qualifying pairs with both endpoints in node a.
+//
 //adhoc:hotpath
 func (t *KDTree) pairsSelf(a int32, lo2, r2 float64, visit PairVisitor) {
 	nd := &t.nodes[a]
@@ -279,6 +282,7 @@ func (t *KDTree) pairsSelf(a int32, lo2, r2 float64, visit PairVisitor) {
 }
 
 // pairsCross emits qualifying pairs with one endpoint in each node.
+//
 //adhoc:hotpath
 func (t *KDTree) pairsCross(a, b int32, lo2, r2 float64, visit PairVisitor) {
 	na, nb := &t.nodes[a], &t.nodes[b]
@@ -316,6 +320,7 @@ func (t *KDTree) pairsCross(a, b int32, lo2, r2 float64, visit PairVisitor) {
 // operation order of geom.Dist2, so by monotonicity of float64 rounding
 // every pair's Dist2 value is >= this bound — pruning on it can never drop
 // a pair the grid or the brute-force reference would emit.
+//
 //adhoc:hotpath
 func boxMinDist2(a, b *kdNode) float64 {
 	dx := axisGap(a.minX, a.maxX, b.minX, b.maxX)
@@ -327,6 +332,7 @@ func boxMinDist2(a, b *kdNode) float64 {
 // boxMaxDist2 returns an upper bound on the squared distance between any
 // point of a's box and any point of b's box, with the same rounding-monotone
 // construction as boxMinDist2 (every pair's Dist2 value is <= this bound).
+//
 //adhoc:hotpath
 func boxMaxDist2(a, b *kdNode) float64 {
 	dx := axisSpan(a.minX, a.maxX, b.minX, b.maxX)
@@ -383,6 +389,7 @@ func (t *KDTree) NearestNeighborDistancesInto(dst []float64, pts []geom.Point) [
 // other than skip, starting from the running best. Children are descended
 // nearer-box first; a child whose box cannot beat best is pruned (its points
 // all have Dist2 >= the box bound >= best, see boxMinDist2).
+//
 //adhoc:hotpath
 func (t *KDTree) nearest(node, skip int32, p geom.Point, best float64) float64 {
 	nd := &t.nodes[node]
@@ -415,6 +422,7 @@ func (t *KDTree) nearest(node, skip int32, p geom.Point, best float64) float64 {
 
 // pointBoxDist2 returns a rounding-monotone lower bound on the squared
 // distance from p to any point of the node's box.
+//
 //adhoc:hotpath
 func (t *KDTree) pointBoxDist2(p geom.Point, node int32) float64 {
 	nd := &t.nodes[node]

@@ -66,12 +66,12 @@ type minPairsScratch struct {
 	labels []int32 // caller's labels, valid during one query
 	pure   []int32 // per node: the single label of its subtree, or kdNoLabel
 
-	keys  []uint64 // open addressing; 0 is empty, stored key is pair+1
-	vals  []int32  // index into best, parallel to keys
-	best  []kdBest
-	mask  uint64
-	lo2   float64
-	r2    float64
+	keys []uint64 // open addressing; 0 is empty, stored key is pair+1
+	vals []int32  // index into best, parallel to keys
+	best []kdBest
+	mask uint64
+	lo2  float64
+	r2   float64
 
 	// One-entry lookup memo: leaf scans meet the same label pair in runs
 	// (a leaf holds points of a few coalescing components), so most probes
@@ -217,6 +217,7 @@ func (s *minPairsScratch) growTable() {
 }
 
 // minSelf handles pairs with both endpoints under node a.
+//
 //adhoc:hotpath
 func (t *KDTree) minSelf(a int32) {
 	s := &t.mp
@@ -253,6 +254,7 @@ func (t *KDTree) minSelf(a int32) {
 }
 
 // minCross handles pairs with one endpoint under a and one under b.
+//
 //adhoc:hotpath
 func (t *KDTree) minCross(a, b int32) {
 	s := &t.mp
@@ -311,6 +313,7 @@ func (t *KDTree) minCross(a, b int32) {
 // pair is dropped once its box bound cannot beat bst (strict >, preserving
 // equal-d2 smaller-(i,j) ties). min2 is boxMinDist2(a, b), already computed
 // by the caller's pruning check.
+//
 //adhoc:hotpath
 func (t *KDTree) minCrossPure(a, b int32, min2 float64, bst *kdBest) {
 	s := &t.mp
@@ -377,6 +380,7 @@ func (t *KDTree) minCrossPure(a, b int32, min2 float64, bst *kdBest) {
 // offerPair tests the concrete pair (i, j) against the annulus and offers it
 // to its label pair's running best. pi is t.pts[i], already loaded by the
 // caller's scan.
+//
 //adhoc:hotpath
 func (t *KDTree) offerPair(i, j int32, pi geom.Point) {
 	s := &t.mp

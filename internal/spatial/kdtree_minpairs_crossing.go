@@ -96,6 +96,7 @@ func (t *KDTree) annotateFrag() {
 }
 
 // minSelfCrossing handles crossing pairs with both endpoints under node a.
+//
 //adhoc:hotpath
 func (t *KDTree) minSelfCrossing(a int32) {
 	s := &t.mp
@@ -136,6 +137,7 @@ func (t *KDTree) minSelfCrossing(a int32) {
 
 // minCrossCrossing handles crossing pairs with one endpoint under a and one
 // under b.
+//
 //adhoc:hotpath
 func (t *KDTree) minCrossCrossing(a, b int32) {
 	s := &t.mp
@@ -196,6 +198,7 @@ func (t *KDTree) minCrossCrossing(a, b int32) {
 // stays a valid lower bound for the crossing subset (it bounds every pair),
 // so the strict > prune never skips the crossing minimum or an
 // (i, j)-smaller tie.
+//
 //adhoc:hotpath
 func (t *KDTree) minCrossPureCrossing(a, b int32, min2 float64, bst *kdBest) {
 	s := &t.mp

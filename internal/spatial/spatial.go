@@ -269,6 +269,7 @@ func (ix *Index) Side() float64 { return ix.side }
 // lie at distance <= r. It requires r <= the index cell side; larger radii
 // would miss pairs, so the call silently widens to a correct (brute-force)
 // scan in that case rather than return wrong results.
+//
 //adhoc:hotpath
 func (ix *Index) ForEachPairWithin(r float64, visit PairVisitor) {
 	ix.stats.PairQueries++
@@ -453,6 +454,7 @@ func NearestNeighborDistances(pts []geom.Point) []float64 {
 // nearest-neighbor scale, each point scans its 3^d cell neighborhood, and
 // the few points whose neighbor lies further than one cell retry on a grid
 // twice as coarse until resolved.
+//
 //adhoc:hotpath
 func NearestNeighborDistancesInto(dst []float64, pts []geom.Point, ix *Index) []float64 {
 	n := len(pts)
@@ -509,6 +511,7 @@ func NearestNeighborDistancesInto(dst []float64, pts []geom.Point, ix *Index) []
 // neighborhood holds no other point). Any point outside the neighborhood is
 // at distance > the cell side, so a result <= side^2 is the true nearest
 // neighbor.
+//
 //adhoc:hotpath
 func nearestInNeighborhood(ix *Index, i int) float64 {
 	p := ix.pts[i]
