@@ -122,6 +122,11 @@ func BenchmarkSnapshotProfileN128(b *testing.B)  { benchSnapshotProfile(b, 128) 
 func BenchmarkSnapshotProfileN512(b *testing.B)  { benchSnapshotProfile(b, 512) }
 func BenchmarkSnapshotProfileN2048(b *testing.B) { benchSnapshotProfile(b, 2048) }
 
+// BenchmarkSnapshotProfileN16384 is the scaling regime of arXiv:0806.2351,
+// where late annulus rounds scan only the points outside the giant
+// component.
+func BenchmarkSnapshotProfileN16384(b *testing.B) { benchSnapshotProfile(b, 16384) }
+
 func benchSnapshotProfile(b *testing.B, n int) {
 	pts := benchPlacement(n)
 	ws := graph.NewWorkspace()

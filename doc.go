@@ -47,9 +47,9 @@
 // bit-identical to the rebuild path by construction.
 // DESIGN.md documents the algorithms, the exactness contract against the
 // dense Prim, the buffer-ring/determinism contract, and the workspace-reuse
-// rules; fixed-seed golden traces, fuzz suites (GeoMST vs dense Prim, grid
-// search vs brute force) and worker-invariance tests enforce them in CI,
-// including a -race job.
+// rules; fixed-seed golden traces, fuzz suites (GeoMST vs dense Prim and vs
+// the strict Kruskal edge sequence, grid search vs brute force) and
+// worker-invariance tests enforce them in CI, including a -race job.
 //
 // Every run can be watched without being perturbed: internal/obs provides
 // atomic counters/gauges/histograms behind a nil-safe Registry threaded

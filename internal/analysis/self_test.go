@@ -81,6 +81,8 @@ func TestHotPathMarksPresent(t *testing.T) {
 		"spatial.ForEachNearInAnnulus",
 		"geom.Dist2Batch",
 		"graph.sortCandidates",
+		"graph.filterKruskal",
+		"graph.outsiderPairs",
 		"graph.primMSTInto",
 		"graph.Find",
 		"graph.Union",

@@ -2,10 +2,14 @@ package graph
 
 import (
 	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 
+	"adhocnet/internal/geom"
 	"adhocnet/internal/geomtest"
+	"adhocnet/internal/spatial"
+	"adhocnet/internal/xrand"
 )
 
 // fuzzGraphSizes are the node counts FuzzHopStatsMatchesBFS draws from: the
@@ -158,5 +162,133 @@ func FuzzGeoMSTMatchesDensePrim(f *testing.F) {
 					i, gw[i], pw[i], len(pts), dim)
 			}
 		}
+	})
+}
+
+// strictReplay is the reference Kruskal replay: the candidates sorted by
+// candLess, then offered in turn to a union-find over n points.
+func strictReplay(n int, cand []candidate) []Edge {
+	cand = slices.Clone(cand)
+	slices.SortFunc(cand, func(a, b candidate) int {
+		switch {
+		case candLess(a, b):
+			return -1
+		case candLess(b, a):
+			return 1
+		}
+		return 0
+	})
+	uf := NewUnionFind(n)
+	var edges []Edge
+	for _, c := range cand {
+		if uf.Union(c.i, c.j) {
+			edges = append(edges, Edge{I: c.i, J: c.j, D: thresholdRadius(c.d2)})
+		}
+	}
+	return edges
+}
+
+// strictKruskal is the reference for GeoMST's edge sequence: every pair,
+// replayed in strict (d2, i, j) order.
+func strictKruskal(pts []geom.Point) []Edge {
+	var cand []candidate
+	for i := range pts {
+		for j := i + 1; j < len(pts); j++ {
+			cand = append(cand, candidate{d2: geom.Dist2(pts[i], pts[j]), i: int32(i), j: int32(j)})
+		}
+	}
+	return strictReplay(len(pts), cand)
+}
+
+// checkStrictSequence asserts that ws.GeoMST returns exactly the strict
+// Kruskal edge sequence, element by element, under each forced backend.
+func checkStrictSequence(t *testing.T, ws *Workspace, pts []geom.Point, dim int) {
+	t.Helper()
+	want := strictKruskal(pts)
+	for _, b := range []spatial.Backend{spatial.BackendGrid, spatial.BackendKDTree} {
+		ws.SetSpatialBackend(b)
+		got := ws.GeoMST(pts, dim)
+		if len(got) != len(want) {
+			t.Fatalf("%v, n=%d dim=%d: %d edges, strict Kruskal has %d", b, len(pts), dim, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("%v, n=%d dim=%d: edge %d is %+v, strict Kruskal has %+v", b, len(pts), dim, k, got[k], want[k])
+			}
+		}
+	}
+}
+
+// encodeFuzzPoints is the inverse of geomtest.DecodeFuzzPoints for points
+// with coordinates in [0, 4096) on its 1/16 lattice.
+func encodeFuzzPoints(pts []geom.Point, dim int) []byte {
+	out := []byte{byte(dim - 1)}
+	for _, p := range pts {
+		for _, c := range []float64{p.X, p.Y, p.Z}[:dim] {
+			v := uint16(c * 16)
+			out = append(out, byte(v), byte(v>>8))
+		}
+	}
+	return out
+}
+
+// strictSeed is one seed input of FuzzGeoMSTMatchesStrictKruskal.
+type strictSeed struct {
+	dim int
+	pts []geom.Point
+}
+
+// strictSeedPlacements are the seed inputs of FuzzGeoMSTMatchesStrictKruskal
+// and TestGeoMSTOutsiderRoundsFire: lattice ties, coincident points,
+// collinear points, a 3-D cloud and clustered islands, all on the fuzz
+// decoder's lattice and large enough for the annulus rounds.
+func strictSeedPlacements() []strictSeed {
+	rng := xrand.New(23)
+	coord := func(lo, hi float64) float64 { return math.Floor(rng.Range(lo, hi)*16) / 16 }
+	var lattice, coincident, collinear, cloud3, islands []geom.Point
+	for x := 0; x < 20; x++ {
+		for y := 0; y < 20; y++ {
+			lattice = append(lattice, geom.Point{X: float64(100 + 7*x), Y: float64(100 + 7*y)})
+		}
+	}
+	for i := 0; i < 90; i++ {
+		p := geom.Point{X: coord(0, 4000), Y: coord(0, 4000)}
+		coincident = append(coincident, p, p, p)
+	}
+	x := 10.0
+	gaps := []float64{1, 3, 1, 7, 0.25, 3, 3, 12, 1}
+	for i := 0; i < 200; i++ {
+		collinear = append(collinear, geom.Point{X: x, Y: 2 * x})
+		x += gaps[i%len(gaps)]
+	}
+	for i := 0; i < 300; i++ {
+		cloud3 = append(cloud3, geom.Point{X: coord(0, 4000), Y: coord(0, 4000), Z: coord(0, 4000)})
+	}
+	for c := 0; c < 8; c++ {
+		cx, cy := coord(100, 3900), coord(100, 3900)
+		for i := 0; i < 45; i++ {
+			islands = append(islands, geom.Point{X: cx + coord(-40, 40), Y: cy + coord(-40, 40)})
+		}
+	}
+	return []strictSeed{{2, lattice}, {2, coincident}, {2, collinear}, {3, cloud3}, {2, islands}}
+}
+
+// FuzzGeoMSTMatchesStrictKruskal checks GeoMST's edge list — not only its
+// weight multiset, as FuzzGeoMSTMatchesDensePrim does — against the strict
+// (d2, i, j) Kruskal over all pairs, element by element, with the grid and
+// the k-d tree each forced. That exact sequence is what the kinetic cache
+// replays, so the outsider rounds and the filter-Kruskal replay must keep it.
+// Inputs at or below geoMSTDenseCutoff take the dense Prim, whose edge order
+// is Prim's, and are skipped.
+func FuzzGeoMSTMatchesStrictKruskal(f *testing.F) {
+	for _, s := range strictSeedPlacements() {
+		f.Add(encodeFuzzPoints(s.pts, s.dim))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pts, dim := geomtest.DecodeFuzzPoints(data, 400)
+		if len(pts) <= geoMSTDenseCutoff {
+			return
+		}
+		checkStrictSequence(t, NewWorkspace(), pts, dim)
 	})
 }

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"adhocnet/internal/geom"
@@ -89,6 +91,87 @@ func partitionCandidates(s []candidate) int {
 	return i
 }
 
+// filterKruskalCutoff is the batch length at or below which filterKruskal
+// stops partitioning and sorts: a partition pass plus a filter pass cost
+// more than the sort they save on short batches.
+const filterKruskalCutoff = 256
+
+// filterKruskal replays a candidate batch through Kruskal's union-find in
+// strict candLess order, appending every accepted edge to ws.edges, and
+// reports whether the forest became a single tree (the replay stops there).
+// It is the filter-Kruskal of Osipov, Sanders and Singler (ALENEX 2009):
+// partition around a pivot, replay the lighter side and then the pivot,
+// drop the heavier candidates whose endpoints are already joined, and go on
+// with the rest. Every candidate it drops is one Kruskal would reject —
+// components only grow — and the sides are replayed in order, so the
+// accepted edges are exactly those of sorting the whole batch first. Past
+// depth partition levels the batch is sorted instead, which bounds the
+// recursion (only the lighter side recurses) at O(log n) frames.
+//
+//adhoc:hotpath
+func (ws *Workspace) filterKruskal(s []candidate, depth int) bool {
+	for len(s) > filterKruskalCutoff && depth > 0 {
+		depth--
+		mid := partitionCandidates(s)
+		if ws.filterKruskal(s[:mid], depth) || ws.accept(s[mid]) {
+			return true
+		}
+		heavy := s[mid+1:]
+		k := 0
+		for _, c := range heavy {
+			if ws.uf.Find(c.i) != ws.uf.Find(c.j) {
+				heavy[k] = c
+				k++
+			}
+		}
+		s = heavy[:k]
+	}
+	sortCandidates(s)
+	for _, c := range s {
+		if ws.accept(c) {
+			return true
+		}
+	}
+	return false
+}
+
+// accept offers one candidate to Kruskal, appending it to the tree when it
+// joins two components, and reports whether the tree is complete.
+func (ws *Workspace) accept(c candidate) bool {
+	if !ws.uf.Union(c.i, c.j) {
+		return false
+	}
+	ws.edges = append(ws.edges, Edge{I: c.i, J: c.j, D: thresholdRadius(c.d2)})
+	return ws.uf.Count() == 1
+}
+
+// labelRoots sets ws.labels[i] to the union-find root of point i for the
+// first n points.
+func (ws *Workspace) labelRoots(n int) {
+	ws.labels = grow(ws.labels, n)
+	for i := range ws.labels {
+		ws.labels[i] = ws.uf.Find(int32(i))
+	}
+}
+
+// outsiderPairs is the grid annulus round once one component holds more
+// than half the points: ws.labels holds every point's root, and only the
+// points outside the largest component are scanned, each over its whole
+// 3^d cell neighborhood. Every pair that can still become a tree edge has
+// an endpoint outside the largest component, and ws.outsiderVisitor keeps
+// the same pairs, (min, max)-ordered, that ForEachPairWithin and
+// ws.batchVisitor keep (see GeoMST).
+//
+//adhoc:hotpath
+func (ws *Workspace) outsiderPairs(r float64) {
+	big := ws.uf.largestRoot
+	for i, l := range ws.labels {
+		if l != big {
+			ws.ix.ForEachNear(int32(i), r, ws.outsiderVisitor)
+		}
+	}
+}
+
 // GeoMST computes the Euclidean minimum spanning tree of the points with a
 // grid-accelerated filtered Kruskal, near-linear in practice for the uniform
 // and mobility-evolved placements the simulator produces, against O(n^2) for
@@ -100,17 +183,23 @@ func partitionCandidates(s []candidate) int {
 // The algorithm expands a search radius from the mean point spacing (the
 // nearest-neighbor scale), doubling it until the tree completes. Round k
 // hashes the points into a cell grid sized to r_k and enumerates only the
-// pairs in the annulus (r_{k-1}, r_k], discarding same-component pairs on
-// the fly; the surviving candidates are sorted and replayed through Kruskal.
-// Annuli are disjoint and processed in increasing order, so the replay sees
-// every relevant pair exactly once, in globally sorted order — an exact
-// Kruskal whose total work is proportional to the pairs within the final
-// radius, not to pairs-times-rounds. For n below geoMSTDenseCutoff it falls
-// back to the dense Prim, which is faster there.
+// pairs in the annulus (r_{k-1}, r_k] whose endpoints lie in different
+// components; the surviving candidates are replayed through a
+// filter-Kruskal in strict (d2, i, j) order. Once one component holds more
+// than half the points, a round scans only the points outside it, since
+// every remaining candidate has such an endpoint. Annuli are disjoint and
+// processed in increasing order, so the replay sees every relevant pair
+// exactly once, in globally sorted order — an exact Kruskal, returning the
+// edges in that order. A late round costs O(n) plus the outsiders'
+// neighborhoods, not the pairs within its radius. For n below
+// geoMSTDenseCutoff it falls back to the dense Prim, which is faster there.
+//
+// GeoMST panics when a point coordinate is NaN or infinite (the bounding
+// extent is then not finite), since no radius can connect such a point.
 func GeoMST(pts []geom.Point, dim int) []Edge {
-	ws := workspacePool.Get().(*Workspace)
+	ws := AcquireWorkspace()
 	edges := slices.Clone(ws.GeoMST(pts, dim))
-	workspacePool.Put(ws)
+	ReleaseWorkspace(ws)
 	return edges
 }
 
@@ -133,6 +222,9 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 	}
 
 	extent, dims := spatial.BoundingExtent(pts)
+	if math.IsNaN(extent) || math.IsInf(extent, 0) {
+		panic(fmt.Sprintf("graph: GeoMST over %d points with a non-finite bounding extent %v (NaN or infinite coordinates)", n, extent))
+	}
 	if extent == 0 {
 		// All points coincident: the MST is a star of zero-weight edges.
 		for i := 1; i < n; i++ {
@@ -157,6 +249,25 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 			}
 			ws.cand = append(ws.cand, candidate{d2: d2, i: a, j: b})
 		}
+		// The directed outsider scan sees a pair of two outsiders from both
+		// ends; only the smaller index's scan keeps it. A pair with one end
+		// in the largest component is seen once, from the outsider.
+		ws.outsiderVisitor = func(i, j int, d2 float64) {
+			if d2 <= ws.batchPrevR2 {
+				return
+			}
+			lj := ws.labels[j]
+			if lj == ws.labels[i] {
+				return
+			}
+			if j < i {
+				if lj != ws.uf.largestRoot {
+					return
+				}
+				i, j = j, i
+			}
+			ws.cand = append(ws.cand, candidate{d2: d2, i: int32(i), j: int32(j)})
+		}
 	}
 
 	// The backend is resolved once per MST at the starting radius. The k-d
@@ -165,7 +276,8 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 	// the annulus, which is exactly the subset of the full enumeration that
 	// Kruskal can ever accept (every other candidate between the same
 	// components sorts after that minimum and finds its endpoints already
-	// united). The grid path keeps the full annulus enumeration. Both feed
+	// united). The grid path enumerates every cross-component annulus pair
+	// (from the outsiders only, once a giant component exists). Both feed
 	// the replay the same accepted-edge sequence, so the backend cannot
 	// change the tree — it removes the clustered placements' quadratic trap,
 	// where bridging rounds between k-point islands enumerate and sort k^2
@@ -191,25 +303,22 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 	for ws.uf.Count() > 1 {
 		ws.cand = ws.cand[:0]
 		ws.batchPrevR2 = prevR2
-		if useTree {
-			ws.labels = grow(ws.labels, n)
-			for i := range ws.labels {
-				ws.labels[i] = ws.uf.Find(int32(i))
-			}
+		switch {
+		case useTree:
+			ws.labelRoots(n)
 			ws.kd.MinPairsByLabel(ws.labels, prevR2, r, ws.batchVisitor)
-		} else {
+		case 2*(n-ws.uf.Largest()) < n:
+			// A full scan visits about half the 3^d stencil per point, an
+			// outsider scan the whole stencil per outsider: the outsiders
+			// win once they are fewer than half the points.
+			ws.ix.Rebuild(pts, dim, r)
+			ws.labelRoots(n)
+			ws.outsiderPairs(r)
+		default:
 			ws.ix.Rebuild(pts, dim, r)
 			ws.ix.ForEachPairWithin(r, ws.batchVisitor)
 		}
-		sortCandidates(ws.cand)
-		for _, c := range ws.cand {
-			if ws.uf.Union(c.i, c.j) {
-				ws.edges = append(ws.edges, Edge{I: c.i, J: c.j, D: thresholdRadius(c.d2)})
-				if ws.uf.Count() == 1 {
-					break
-				}
-			}
-		}
+		ws.filterKruskal(ws.cand, 2*bits.Len(uint(len(ws.cand))))
 		// The annulus filter reuses the exact r*r the grid compared against,
 		// so the next round's exclusion is the precise complement of this
 		// round's inclusion.

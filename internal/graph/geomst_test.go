@@ -1,10 +1,15 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"adhocnet/internal/geom"
+	"adhocnet/internal/spatial"
 	"adhocnet/internal/xrand"
 )
 
@@ -213,6 +218,130 @@ func TestWorkspacePointGraphMatchesBuildPointGraph(t *testing.T) {
 			if largest != wantLargest {
 				t.Fatalf("n=%d r=%v: largest %d, want %d", n, r, largest, wantLargest)
 			}
+		}
+	}
+}
+
+// TestGeoMSTOutsiderRoundsFire pins that the strict-sequence seeds reach the
+// outsider rounds (each outsider scan is one grid near query), so
+// FuzzGeoMSTMatchesStrictKruskal's corpus exercises them on every run.
+func TestGeoMSTOutsiderRoundsFire(t *testing.T) {
+	ws := NewWorkspace()
+	ws.SetSpatialBackend(spatial.BackendGrid)
+	near := uint64(0)
+	for _, s := range strictSeedPlacements() {
+		ws.GeoMST(s.pts, s.dim)
+		near += ws.TakeStats().Grid.NearQueries
+	}
+	if near == 0 {
+		t.Fatal("no seed placement reached an outsider round")
+	}
+}
+
+// TestGeoMSTMatchesStrictKruskalLarger checks the exact edge sequence at
+// sizes where the first rounds' batches pass several filter-Kruskal levels
+// and the late rounds scan only outsiders.
+func TestGeoMSTMatchesStrictKruskalLarger(t *testing.T) {
+	rng := xrand.New(29)
+	ws := NewWorkspace()
+	reg := geom.MustRegion(1000, 2)
+	checkStrictSequence(t, ws, reg.UniformPoints(rng, 1500), 2)
+	var islands []geom.Point
+	for c := 0; c < 6; c++ {
+		cx, cy := rng.Range(0, 1000), rng.Range(0, 1000)
+		for i := 0; i < 200; i++ {
+			islands = append(islands, geom.Point{X: cx + rng.Range(-10, 10), Y: cy + rng.Range(-10, 10)})
+		}
+	}
+	checkStrictSequence(t, ws, islands, 2)
+}
+
+// TestFilterKruskalMatchesSortedReplay checks the filter-Kruskal replay
+// against sorting the whole batch and replaying it, at every depth budget
+// (0 sorts at once), on a batch of distinct pairs with many tied distances.
+func TestFilterKruskalMatchesSortedReplay(t *testing.T) {
+	rng := xrand.New(31)
+	const n = 300
+	seen := make(map[[2]int32]bool)
+	var batch []candidate
+	for len(batch) < 3000 {
+		i, j := int32(rng.Intn(n)), int32(rng.Intn(n))
+		i, j = min(i, j), max(i, j)
+		if i == j || seen[[2]int32{i, j}] {
+			continue
+		}
+		seen[[2]int32{i, j}] = true
+		batch = append(batch, candidate{d2: float64(rng.Intn(40)), i: i, j: j})
+	}
+	want := strictReplay(n, batch)
+	ws := NewWorkspace()
+	for _, depth := range []int{0, 1, 3, 64} {
+		ws.uf.Reset(n)
+		ws.edges = ws.edges[:0]
+		done := ws.filterKruskal(slices.Clone(batch), depth)
+		if done != (len(want) == n-1) || !slices.Equal(ws.edges, want) {
+			t.Fatalf("depth %d: done=%v, %d edges differ from the sorted replay's %d", depth, done, len(ws.edges), len(want))
+		}
+	}
+}
+
+// expectNonFinitePanic runs call on its own goroutine and fails unless it
+// panics with GeoMST's non-finite-extent message within 5s: the bug it
+// guards against is a radius-doubling loop that never returns.
+func expectNonFinitePanic(t *testing.T, what string, call func()) {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		call()
+	}()
+	select {
+	case p := <-done:
+		if msg, _ := p.(string); !strings.Contains(msg, "non-finite") {
+			t.Errorf("%s: recovered %v, want a non-finite-extent panic", what, p)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: did not return within 5s", what)
+	}
+}
+
+// TestGeoMSTNonFiniteCoordinatesPanic checks that a NaN or infinite
+// coordinate makes GeoMST panic with a descriptive message instead of
+// doubling its radius forever, wherever the bad point sits (index 0 seeds
+// the bounding box), and that the spatial entry points it rests on return.
+func TestGeoMSTNonFiniteCoordinatesPanic(t *testing.T) {
+	reg := geom.MustRegion(1000, 2)
+	for _, tc := range []struct {
+		at int
+		v  float64
+	}{{0, math.NaN()}, {57, math.NaN()}, {57, math.Inf(1)}, {0, math.Inf(-1)}} {
+		pts := reg.UniformPoints(xrand.New(37), 200)
+		pts[tc.at].X = tc.v
+		expectNonFinitePanic(t, fmt.Sprintf("X[%d] = %v", tc.at, tc.v), func() {
+			spatial.ChooseBackend(pts, 2, 10)
+			spatial.NewIndex(pts, 2, 10)
+			spatial.NearestNeighborDistances(pts)
+			NewWorkspace().GeoMST(pts, 2)
+		})
+	}
+}
+
+// TestOneShotHelpersLeaveNoPooledCounters checks that the package-level
+// helpers drain their pooled workspace's counters, so an acquirer (the
+// scheduler's pooled evaluators) never flushes another caller's work.
+func TestOneShotHelpersLeaveNoPooledCounters(t *testing.T) {
+	pts := geom.MustRegion(1000, 2).UniformPoints(xrand.New(41), 200)
+	for name, call := range map[string]func(){
+		"GeoMST":        func() { GeoMST(pts, 2) },
+		"NewProfile":    func() { NewProfile(pts) },
+		"MSTBottleneck": func() { MSTBottleneck(pts) },
+	} {
+		call()
+		ws := AcquireWorkspace()
+		got := ws.TakeStats()
+		ReleaseWorkspace(ws)
+		if got != (WorkspaceStats{}) {
+			t.Errorf("after %s: the next acquirer sees counters %+v, want zero", name, got)
 		}
 	}
 }

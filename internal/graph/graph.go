@@ -34,8 +34,9 @@ type UnionFind struct {
 	parent []int32
 	size   []int32
 
-	count   int // number of disjoint sets
-	largest int // size of the largest set
+	count       int   // number of disjoint sets
+	largest     int   // size of the largest set
+	largestRoot int32 // root of a set of size largest
 }
 
 // NewUnionFind returns a union-find structure over n singleton elements.
@@ -57,6 +58,7 @@ func (uf *UnionFind) Reset(n int) {
 	uf.size = uf.size[:n]
 	uf.count = n
 	uf.largest = 0
+	uf.largestRoot = 0
 	if n > 0 {
 		uf.largest = 1
 	}
@@ -95,8 +97,11 @@ func (uf *UnionFind) Union(a, b int32) bool {
 	uf.parent[rb] = ra
 	uf.size[ra] += uf.size[rb]
 	uf.count--
+	// A merge involving the largest set always exceeds the old maximum, so
+	// largestRoot follows it without a search.
 	if int(uf.size[ra]) > uf.largest {
 		uf.largest = int(uf.size[ra])
+		uf.largestRoot = ra
 	}
 	return true
 }
@@ -341,14 +346,14 @@ func primMSTInto(pts []geom.Point, inTree []bool, bestDist []float64, bestFrom [
 // transmitting range of the placement: the minimum r for which the point
 // graph is connected. It returns 0 for fewer than two points.
 func MSTBottleneck(pts []geom.Point) float64 {
-	ws := workspacePool.Get().(*Workspace)
+	ws := AcquireWorkspace()
 	max := 0.0
 	for _, e := range ws.GeoMST(pts, 3) {
 		if e.D > max {
 			max = e.D
 		}
 	}
-	workspacePool.Put(ws)
+	ReleaseWorkspace(ws)
 	return max
 }
 
@@ -372,9 +377,9 @@ type Profile struct {
 // and scratch; simulation loops use graph.Workspace.Profile instead, which
 // reuses all storage across snapshots.
 func NewProfile(pts []geom.Point) *Profile {
-	ws := workspacePool.Get().(*Workspace)
+	ws := AcquireWorkspace()
 	p := ws.replayProfile(len(pts), ws.GeoMST(pts, 3)).Clone()
-	workspacePool.Put(ws)
+	ReleaseWorkspace(ws)
 	return p
 }
 

@@ -39,6 +39,23 @@ func TestUnionFindBasics(t *testing.T) {
 	}
 }
 
+// TestUnionFindLargestRoot checks that the tracked largest root stays the
+// root of a largest set through random unions, ties included, and resets.
+func TestUnionFindLargestRoot(t *testing.T) {
+	rng := xrand.New(43)
+	uf := NewUnionFind(0)
+	for _, n := range []int{1, 2, 9, 200} {
+		uf.Reset(n)
+		for k := 0; k < 2*n; k++ {
+			uf.Union(int32(rng.Intn(n)), int32(rng.Intn(n)))
+			if root := uf.largestRoot; uf.Find(root) != root || uf.SizeOf(root) != uf.Largest() {
+				t.Fatalf("n=%d after %d unions: largestRoot %d has set size %d, largest is %d",
+					n, k+1, root, uf.SizeOf(root), uf.Largest())
+			}
+		}
+	}
+}
+
 func TestUnionFindZeroNodes(t *testing.T) {
 	uf := NewUnionFind(0)
 	if uf.Count() != 0 || uf.Largest() != 0 {

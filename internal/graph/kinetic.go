@@ -199,8 +199,11 @@ func (ws *Workspace) ProfileKinetic(pts []geom.Point, dim int, moved []int32) *P
 func (ws *Workspace) kineticMST(pts []geom.Point, moved []int32) ([]Edge, bool) {
 	n := len(pts)
 	extent, dims := spatial.BoundingExtent(pts)
-	if extent == 0 {
-		return nil, false // degenerate placement: plain path handles it
+	if !(extent > 0) || math.IsInf(extent, 1) {
+		// Degenerate placement, or a NaN/infinite coordinate that no ring
+		// would ever admit: the plain path handles both (GeoMST panics on
+		// the latter).
+		return nil, false
 	}
 	k := &ws.kin
 	ws.kd.Update(moved)
@@ -244,7 +247,6 @@ func (ws *Workspace) kineticMST(pts []geom.Point, moved []int32) ([]Edge, bool) 
 		// spacing so the doubling still terminates.
 		r0 = extent / math.Pow(float64(n), 1/float64(dims)) / 8
 	}
-	ws.labels = grow(ws.labels, n)
 	if k.minVisitor == nil {
 		k.minVisitor = func(i, j int, d2 float64) {
 			ws.cand = append(ws.cand, candidate{d2: d2, i: int32(i), j: int32(j)})
@@ -266,9 +268,7 @@ func (ws *Workspace) kineticMST(pts []geom.Point, moved []int32) ([]Edge, bool) 
 				ws.cand = append(ws.cand, c)
 			}
 		}
-		for i := range ws.labels {
-			ws.labels[i] = ws.uf.Find(int32(i))
-		}
+		ws.labelRoots(n)
 		ws.kd.MinPairsByLabelCrossing(ws.labels, k.frag, prevR2, r, k.minVisitor)
 		ws.stats.MSTRounds++
 		ws.stats.MSTCandidates += uint64(len(ws.cand))

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -230,4 +231,16 @@ func TestKineticPointGraphMatchesRebuild(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestProfileKineticNonFinitePanics checks that a moved point turning NaN
+// makes the warm repair path fall back to GeoMST's non-finite panic instead
+// of growing its rings forever.
+func TestProfileKineticNonFinitePanics(t *testing.T) {
+	w := newKineticWalk(xrand.New(3), 400, 2, false, 0.02, 0.01)
+	ws := NewWorkspace()
+	ws.SetKinetic(true)
+	ws.ProfileKinetic(w.pts, 2, nil)
+	w.pts[57].X = math.NaN()
+	expectNonFinitePanic(t, "ProfileKinetic", func() { ws.ProfileKinetic(w.pts, 2, []int32{57}) })
 }

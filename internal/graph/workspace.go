@@ -60,9 +60,10 @@ type Workspace struct {
 
 	// Pre-bound visitors, created lazily so repeated grid scans do not
 	// allocate a closure per call.
-	batchVisitor spatial.PairVisitor
-	batchPrevR2  float64
-	edgeVisitor  spatial.PairVisitor
+	batchVisitor    spatial.PairVisitor
+	outsiderVisitor spatial.PairVisitor
+	batchPrevR2     float64
+	edgeVisitor     spatial.PairVisitor
 
 	kin kinetic // incremental-update state (kinetic.go); inert until SetKinetic(true)
 

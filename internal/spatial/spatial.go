@@ -132,12 +132,17 @@ func (ix *Index) rebuildCSR() {
 // over the bounding box [minP, maxP] of n points would use at the requested
 // side: the side is doubled until the grid fits the O(n) cell budget.
 // Doubling terminates quickly — once the side exceeds every extent the grid
-// is 1-2 cells per axis. This is the single source of truth for the grid
+// is 1-2 cells per axis. A non-finite side or extent (NaN or infinite
+// coordinates) would never fit, so it yields the single-cell grid (side 0),
+// which is still exact. This is the single source of truth for the grid
 // geometry; Rebuild and the backend-selection heuristic (select.go) share it
 // so the heuristic reasons about exactly the grid Rebuild would build.
 func gridShape(minP, maxP geom.Point, n int, side float64) (s float64, nx, ny, nz int32) {
 	budget := maxCellBudget(n)
 	ex, ey, ez := maxP.X-minP.X, maxP.Y-minP.Y, maxP.Z-minP.Z
+	if !isFinite(side) || !isFinite(ex) || !isFinite(ey) || !isFinite(ez) {
+		return 0, 1, 1, 1
+	}
 	for {
 		nx = cellsForExtent(ex, side)
 		ny = cellsForExtent(ey, side)
@@ -163,6 +168,9 @@ func (ix *Index) degenerateBuild() {
 	}
 }
 
+// isFinite reports whether v is neither NaN nor infinite.
+func isFinite(v float64) bool { return v-v == 0 }
+
 func minMax(lo, hi, v float64) (float64, float64) {
 	if v < lo {
 		lo = v
@@ -186,13 +194,24 @@ func bounds(pts []geom.Point) (minP, maxP geom.Point) {
 
 // BoundingExtent returns the largest axis extent of a point set and the
 // number of axes with positive extent. A zero extent means every point
-// coincides (including the empty and singleton sets).
+// coincides (including the empty and singleton sets). When a coordinate is
+// NaN or infinite the extent is NaN or +Inf, and dims is unspecified.
 func BoundingExtent(pts []geom.Point) (extent float64, dims int) {
 	if len(pts) == 0 {
 		return 0, 0
 	}
+	// Every comparison with NaN is false, so bounds skips a NaN coordinate
+	// past the first point; look for one here.
+	for _, p := range pts {
+		if p.X != p.X || p.Y != p.Y || p.Z != p.Z {
+			return math.NaN(), 0
+		}
+	}
 	minP, maxP := bounds(pts)
 	for _, e := range [3]float64{maxP.X - minP.X, maxP.Y - minP.Y, maxP.Z - minP.Z} {
+		if !isFinite(e) {
+			return e, dims
+		}
 		if e > 0 {
 			dims++
 			if e > extent {
@@ -487,13 +506,14 @@ func NearestNeighborDistancesInto(dst []float64, pts []geom.Point, ix *Index) []
 		ix.Rebuild(pts, 3, side)
 		side = ix.Side() // the cell budget may have coarsened the grid
 		// The full 3^d neighborhood covers the whole grid when every axis
-		// has at most two cells; then the scan below is exhaustive and any
-		// found neighbor is the true nearest.
+		// has at most two cells; then the scan below is exhaustive and its
+		// result is final: the true nearest, or +Inf when no distance to
+		// the point is finite (a NaN or infinite coordinate).
 		exhaustive := ix.nx <= 2 && ix.ny <= 2 && ix.nz <= 2
 		kept := unresolved[:0]
 		for _, i := range unresolved {
 			best := nearestInNeighborhood(ix, int(i))
-			if best <= side*side || (exhaustive && !math.IsInf(best, 1)) {
+			if best <= side*side || exhaustive {
 				dst[i] = math.Sqrt(best)
 			} else {
 				kept = append(kept, i)
