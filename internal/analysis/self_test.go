@@ -73,9 +73,8 @@ func TestHotPathMarksPresent(t *testing.T) {
 		"spatial.pairsCross",
 		"spatial.minSelf",
 		"spatial.minCross",
-		"spatial.minSelfCrossing",
-		"spatial.minCrossCrossing",
-		"spatial.minCrossPureCrossing",
+		"spatial.minCrossPair",
+		"spatial.minCrossPure",
 		"spatial.offerPair",
 		"spatial.ForEachNear",
 		"spatial.ForEachNearInAnnulus",

@@ -82,7 +82,6 @@ type spatialCounters struct {
 	pairQueries    *obs.Counter
 	nearQueries    *obs.Counter
 	minPairsRounds *obs.Counter
-	nnQueries      *obs.Counter
 }
 
 func newSpatialCounters(r *obs.Registry, backend string) spatialCounters {
@@ -96,7 +95,6 @@ func newSpatialCounters(r *obs.Registry, backend string) spatialCounters {
 		pairQueries:    r.Counter(name("pair_queries")),
 		nearQueries:    r.Counter(name("near_queries")),
 		minPairsRounds: r.Counter(name("minpairs_rounds")),
-		nnQueries:      r.Counter(name("nn_queries")),
 	}
 }
 
@@ -107,7 +105,6 @@ func (sc *spatialCounters) flush(s spatial.Stats) {
 	sc.pairQueries.Add(s.PairQueries)
 	sc.nearQueries.Add(s.NearQueries)
 	sc.minPairsRounds.Add(s.MinPairsRounds)
-	sc.nnQueries.Add(s.NNQueries)
 }
 
 // newRunMetrics resolves cfg.Obs into a handle bundle; nil registry yields a

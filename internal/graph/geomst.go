@@ -154,6 +154,19 @@ func (ws *Workspace) labelRoots(n int) {
 	}
 }
 
+// minPairs appends to ws.cand the k-d tree's per-label-pair minima over the
+// annulus (lo2, r] among pairs whose endpoints differ in frag, with
+// ws.labels (set by labelRoots) as the labels. The query itself enforces
+// the annulus and the distinct labels, so its visitor only appends.
+func (ws *Workspace) minPairs(frag []int32, lo2, r float64) {
+	if ws.minVisitor == nil {
+		ws.minVisitor = func(i, j int, d2 float64) {
+			ws.cand = append(ws.cand, candidate{d2: d2, i: int32(i), j: int32(j)})
+		}
+	}
+	ws.kd.MinPairsByLabel(ws.labels, frag, lo2, r, ws.minVisitor)
+}
+
 // outsiderPairs is the grid annulus round once one component holds more
 // than half the points: ws.labels holds every point's root, and only the
 // points outside the largest component are scanned, each over its whole
@@ -306,7 +319,7 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 		switch {
 		case useTree:
 			ws.labelRoots(n)
-			ws.kd.MinPairsByLabel(ws.labels, prevR2, r, ws.batchVisitor)
+			ws.minPairs(ws.labels, prevR2, r)
 		case 2*(n-ws.uf.Largest()) < n:
 			// A full scan visits about half the 3^d stencil per point, an
 			// outsider scan the whole stencil per outsider: the outsiders

@@ -81,9 +81,9 @@ type kinetic struct {
 	// partition of the MST repair's candidate queries.
 	frag []int32
 
-	// Pre-bound visitors so the per-step queries allocate no closures.
-	minVisitor  spatial.PairVisitor // MST annulus minima collector (phases 2 and 3)
-	nearVisitor spatial.PairVisitor // point-graph moved-star collector
+	// Pre-bound point-graph moved-star collector, so the per-step queries
+	// allocate no closure.
+	nearVisitor spatial.PairVisitor
 }
 
 // SetKinetic arms (or disarms) kinetic evaluation on this workspace and
@@ -186,13 +186,13 @@ func (ws *Workspace) ProfileKinetic(pts []geom.Point, dim int, moved []int32) *P
 //     provably contains the new MST: the kept edges stream in sorted order
 //     (they are a sorted subsequence of the cached tree), and each annulus
 //     round adds the per-component-pair MINIMA among fragment-crossing pairs
-//     (MinPairsByLabelCrossing, labels = the round-start components). A
-//     crossing pair that is not its component pair's ring minimum is
-//     replayed after that minimum and finds its endpoints already connected,
-//     so it can never be accepted — the same redundancy argument
-//     MinPairsByLabel rests on, and the reason a moved point inside a dense
-//     cluster costs one candidate per neighbouring component instead of one
-//     per neighbouring point. Kruskal with the strict (d2, i, j) order over
+//     (MinPairsByLabel with frag = the kept forest, labels = the round-start
+//     components). A crossing pair that is not its component pair's ring
+//     minimum is replayed after that minimum and finds its endpoints already
+//     connected, so it can never be accepted — the same redundancy argument
+//     GeoMST's tree rounds rest on, and the reason a moved point inside a
+//     dense cluster costs one candidate per neighbouring component instead
+//     of one per neighbouring point. Kruskal with the strict (d2, i, j) order over
 //     a superset of the MST accepts exactly the MST, in sorted order — the
 //     same edges in the same order as a from-scratch GeoMST, which is what
 //     makes the replayed profile bitwise identical.
@@ -247,11 +247,6 @@ func (ws *Workspace) kineticMST(pts []geom.Point, moved []int32) ([]Edge, bool) 
 		// spacing so the doubling still terminates.
 		r0 = extent / math.Pow(float64(n), 1/float64(dims)) / 8
 	}
-	if k.minVisitor == nil {
-		k.minVisitor = func(i, j int, d2 float64) {
-			ws.cand = append(ws.cand, candidate{d2: d2, i: int32(i), j: int32(j)})
-		}
-	}
 	ws.uf.Reset(n)
 	ws.edges = ws.edges[:0]
 	k.treeNext = k.treeNext[:0]
@@ -269,7 +264,7 @@ func (ws *Workspace) kineticMST(pts []geom.Point, moved []int32) ([]Edge, bool) 
 			}
 		}
 		ws.labelRoots(n)
-		ws.kd.MinPairsByLabelCrossing(ws.labels, k.frag, prevR2, r, k.minVisitor)
+		ws.minPairs(k.frag, prevR2, r)
 		ws.stats.MSTRounds++
 		ws.stats.MSTCandidates += uint64(len(ws.cand))
 		sortCandidates(ws.cand)

@@ -7,10 +7,7 @@ package graph
 // require multiple hops"), and articulation points are the single points of
 // failure a dependability evaluation cares about.
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Structure holds the structural metrics of one communication graph, as
 // computed in a single pass by Workspace.Structure.
@@ -287,83 +284,6 @@ func cutVerticesInto(a *Adjacency, disc, low []int32, isCut []bool, stack []dfsF
 	return cuts
 }
 
-// Bridges returns the cut edges of the graph: edges whose removal increases
-// the number of connected components. Together with articulation points they
-// locate the fragile links of a topology. Each bridge is reported once with
-// I < J. The implementation reuses the iterative lowlink computation of
-// ArticulationPoints.
-func (a *Adjacency) Bridges() []Edge {
-	n := a.N
-	disc := make([]int32, n)
-	low := make([]int32, n)
-	parent := make([]int32, n)
-	// parentEdgeUsed marks that one copy of the tree edge to the parent has
-	// been consumed, so parallel edges are not both skipped.
-	parentEdgeUsed := make([]bool, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	timer := int32(0)
-
-	type frame struct {
-		node    int32
-		nextIdx int32
-	}
-	stack := make([]frame, 0, n)
-	var bridges []Edge
-
-	for root := 0; root < n; root++ {
-		if disc[root] != 0 {
-			continue
-		}
-		timer++
-		disc[root] = timer
-		low[root] = timer
-		stack = append(stack[:0], frame{node: int32(root)})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			nbrs := a.Neighbors(int(f.node))
-			if int(f.nextIdx) < len(nbrs) {
-				v := nbrs[f.nextIdx]
-				f.nextIdx++
-				switch {
-				case disc[v] == 0:
-					parent[v] = f.node
-					timer++
-					disc[v] = timer
-					low[v] = timer
-					stack = append(stack, frame{node: v})
-				case v == parent[f.node] && !parentEdgeUsed[f.node]:
-					// First sighting of the tree edge back to the parent:
-					// not a back edge.
-					parentEdgeUsed[f.node] = true
-				default:
-					if disc[v] < low[f.node] {
-						low[f.node] = disc[v]
-					}
-				}
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			u := f.node
-			p := parent[u]
-			if p >= 0 {
-				if low[u] < low[p] {
-					low[p] = low[u]
-				}
-				if low[u] > disc[p] {
-					i, j := p, u
-					if i > j {
-						i, j = j, i
-					}
-					bridges = append(bridges, Edge{I: i, J: j})
-				}
-			}
-		}
-	}
-	return bridges
-}
-
 // IsBiconnected reports whether the graph is connected and free of
 // articulation points (2-connected for n >= 3): it survives any single node
 // failure. Graphs with fewer than 3 nodes follow the usual convention:
@@ -378,27 +298,4 @@ func (a *Adjacency) IsBiconnected() bool {
 // the small-graph convention.
 func biconnected(components, cuts int) bool {
 	return components <= 1 && cuts == 0
-}
-
-// EdgeLengthStats summarizes the Euclidean lengths of a set of edges (for
-// example a spanning tree): total weight, longest edge, mean edge.
-type EdgeLengthStats struct {
-	Total, Max, Mean float64
-}
-
-// LengthStats computes edge-length statistics over the slice.
-func LengthStats(edges []Edge) EdgeLengthStats {
-	var s EdgeLengthStats
-	if len(edges) == 0 {
-		return s
-	}
-	s.Max = math.Inf(-1)
-	for _, e := range edges {
-		s.Total += e.D
-		if e.D > s.Max {
-			s.Max = e.D
-		}
-	}
-	s.Mean = s.Total / float64(len(edges))
-	return s
 }

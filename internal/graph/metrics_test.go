@@ -187,86 +187,6 @@ func TestArticulationPointsAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestBridgesPath(t *testing.T) {
-	// Every edge of a path is a bridge.
-	bridges := pathGraph(4).Bridges()
-	if len(bridges) != 3 {
-		t.Fatalf("path bridges = %v", bridges)
-	}
-	for _, b := range bridges {
-		if b.I >= b.J {
-			t.Fatalf("bridge %v not ordered", b)
-		}
-	}
-}
-
-func TestBridgesCycle(t *testing.T) {
-	if bridges := cycleGraph(5).Bridges(); len(bridges) != 0 {
-		t.Fatalf("cycle has bridges: %v", bridges)
-	}
-}
-
-func TestBridgesBarbell(t *testing.T) {
-	// Two triangles joined by one edge: only the joining edge is a bridge.
-	edges := []Edge{
-		{0, 1, 1}, {1, 2, 1}, {2, 0, 1},
-		{3, 4, 1}, {4, 5, 1}, {5, 3, 1},
-		{2, 3, 1},
-	}
-	bridges := AdjacencyFromEdges(6, edges).Bridges()
-	if len(bridges) != 1 || bridges[0].I != 2 || bridges[0].J != 3 {
-		t.Fatalf("barbell bridges = %v, want [(2,3)]", bridges)
-	}
-}
-
-func TestBridgesParallelEdges(t *testing.T) {
-	// A doubled edge is not a bridge (removing one copy leaves the other).
-	edges := []Edge{{0, 1, 1}, {0, 1, 1}, {1, 2, 1}}
-	bridges := AdjacencyFromEdges(3, edges).Bridges()
-	if len(bridges) != 1 || bridges[0].I != 1 || bridges[0].J != 2 {
-		t.Fatalf("bridges = %v, want only (1,2)", bridges)
-	}
-}
-
-// bruteForceBridges removes each edge and counts components.
-func bruteForceBridges(n int, edges []Edge) int {
-	_, baseSizes := AdjacencyFromEdges(n, edges).Components()
-	count := 0
-	for skip := range edges {
-		kept := make([]Edge, 0, len(edges)-1)
-		kept = append(kept, edges[:skip]...)
-		kept = append(kept, edges[skip+1:]...)
-		_, sizes := AdjacencyFromEdges(n, kept).Components()
-		if len(sizes) > len(baseSizes) {
-			count++
-		}
-	}
-	return count
-}
-
-func TestBridgesAgainstBruteForce(t *testing.T) {
-	rng := xrand.New(55)
-	for trial := 0; trial < 30; trial++ {
-		n := 4 + rng.Intn(10)
-		seen := map[[2]int32]bool{}
-		var edges []Edge
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Bool(0.3) {
-					edges = append(edges, Edge{int32(i), int32(j), 1})
-					seen[[2]int32{int32(i), int32(j)}] = true
-				}
-			}
-		}
-		got := len(AdjacencyFromEdges(n, edges).Bridges())
-		want := bruteForceBridges(n, edges)
-		if got != want {
-			t.Fatalf("trial %d (n=%d m=%d): %d bridges, brute force %d",
-				trial, n, len(edges), got, want)
-		}
-	}
-}
-
 func TestIsBiconnected(t *testing.T) {
 	if pathGraph(4).IsBiconnected() {
 		t.Error("path should not be biconnected")
@@ -282,31 +202,6 @@ func TestIsBiconnected(t *testing.T) {
 	}
 	if !AdjacencyFromEdges(1, nil).IsBiconnected() {
 		t.Error("a single node counts as biconnected by convention")
-	}
-}
-
-func TestLengthStats(t *testing.T) {
-	edges := []Edge{{0, 1, 3}, {1, 2, 5}, {2, 3, 1}}
-	s := LengthStats(edges)
-	if s.Total != 9 || s.Max != 5 || s.Mean != 3 {
-		t.Fatalf("LengthStats = %+v", s)
-	}
-	if got := LengthStats(nil); got != (EdgeLengthStats{}) {
-		t.Fatalf("empty LengthStats = %+v", got)
-	}
-}
-
-func TestMSTLengthStatsOnPoints(t *testing.T) {
-	rng := xrand.New(44)
-	reg := geom.MustRegion(100, 2)
-	pts := reg.UniformPoints(rng, 30)
-	mst := PrimMST(pts)
-	s := LengthStats(mst)
-	if math.Abs(s.Max-MSTBottleneck(pts)) > 1e-12 {
-		t.Fatalf("LengthStats.Max %v != bottleneck %v", s.Max, MSTBottleneck(pts))
-	}
-	if s.Mean <= 0 || s.Total < s.Max {
-		t.Fatalf("implausible stats %+v", s)
 	}
 }
 

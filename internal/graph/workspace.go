@@ -64,6 +64,7 @@ type Workspace struct {
 	outsiderVisitor spatial.PairVisitor
 	batchPrevR2     float64
 	edgeVisitor     spatial.PairVisitor
+	minVisitor      spatial.PairVisitor // k-d tree minima collector (minPairs)
 
 	kin kinetic // incremental-update state (kinetic.go); inert until SetKinetic(true)
 

@@ -75,9 +75,10 @@ func FuzzSpatialIndexNeighbors(f *testing.F) {
 // FuzzKDTreeMatchesGrid checks the k-d tree against both the grid and the
 // brute-force reference on the full backend surface: pairs-within, the
 // annulus query (floor derived from the radius so coincident-distance edge
-// cases land exactly on the boundary), and nearest-neighbor distances, which
-// must be bitwise identical across backends. The shared decoder produces
-// 1D/2D/3D, coincident and tie-heavy point sets.
+// cases land exactly on the boundary), nearest-neighbor distances, which
+// must be bitwise identical across backends, and the minimum-pair query in
+// both of its forms. The shared decoder produces 1D/2D/3D, coincident and
+// tie-heavy point sets.
 func FuzzKDTreeMatchesGrid(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 0, 16, 0, 16, 0})            // zero radius, coincident points
@@ -140,58 +141,28 @@ func FuzzKDTreeMatchesGrid(f *testing.F) {
 					i, nnTree[i], nnGrid[i], len(pts), dim)
 			}
 		}
-		// MinPairsByLabel (the MST rounds' query) against its brute
-		// reference: the minimal annulus candidate per label pair, nothing
-		// more. The label modulus comes from the radius byte so the fuzzer
-		// explores singleton labels (k large) through all-same (k == 1).
+		// MinPairsByLabel against its brute reference, twice on one tree:
+		// unrestricted (frag = labels, GeoMST's rounds), then restricted to
+		// a frag partition of blocks plus singleton "movers" (the kinetic
+		// repair's rounds). Labels are runs of blk points modulo k, both
+		// from the low radius byte, so the fuzzer explores singleton through
+		// all-same labels and spatially coherent label blocks; the frag
+		// block size fb comes from the high radius byte.
 		if len(pts) > 0 {
-			k := int32(1 + int(data[0])%5)
+			k := 1 + int(data[0])%5
+			blk := 1 + int(data[0]/5)%8
+			fb := 1 + int(data[1])%16
 			labels := make([]int32, len(pts))
+			frag := make([]int32, len(pts))
 			for i := range labels {
-				labels[i] = int32(i) % k
-			}
-			type minRec struct {
-				i, j int
-				d2   float64
-			}
-			want := map[[2]int32]minRec{}
-			for _, p := range fromBrute {
-				if p.d2 <= lo2 || labels[p.i] == labels[p.j] {
-					continue
-				}
-				la, lb := labels[p.i], labels[p.j]
-				if la > lb {
-					la, lb = lb, la
-				}
-				key := [2]int32{la, lb}
-				cand := minRec{p.i, p.j, p.d2}
-				cur, ok := want[key]
-				if !ok || cand.d2 < cur.d2 ||
-					(cand.d2 == cur.d2 && (cand.i < cur.i || (cand.i == cur.i && cand.j < cur.j))) {
-					want[key] = cand
+				labels[i] = int32(i / blk % k)
+				frag[i] = int32(i / fb)
+				if (i+int(data[1]))%23 == 0 {
+					frag[i] = int32(len(pts) + i)
 				}
 			}
-			got := map[[2]int32]minRec{}
-			tree.MinPairsByLabel(labels, lo2, r, func(i, j int, d2 float64) {
-				la, lb := labels[i], labels[j]
-				if la > lb {
-					la, lb = lb, la
-				}
-				key := [2]int32{la, lb}
-				if _, dup := got[key]; dup {
-					t.Fatalf("label pair %v visited twice (n=%d, k=%d)", key, len(pts), k)
-				}
-				got[key] = minRec{i, j, d2}
-			})
-			if len(got) != len(want) {
-				t.Fatalf("min pairs: %d label pairs, want %d (n=%d, k=%d, r=%v)",
-					len(got), len(want), len(pts), k, r)
-			}
-			for key, w := range want {
-				if g, ok := got[key]; !ok || g != w {
-					t.Fatalf("min pair %v: got %+v, want %+v (n=%d, k=%d)", key, got[key], w, len(pts), k)
-				}
-			}
+			checkMinPairs(t, "frag=labels", tree, pts, labels, labels, lo2, r)
+			checkMinPairs(t, "frag", tree, pts, labels, frag, lo2, r)
 		}
 	})
 }

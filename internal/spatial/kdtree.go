@@ -10,15 +10,16 @@ package spatial
 // follows the local density, whatever the placement looks like.
 //
 // The tree serves the same query surface as the grid (ForEachPairWithin,
-// NearestNeighborDistancesInto) plus the annulus form the filtered-Kruskal
-// MST wants (ForEachPairInAnnulus: the grid can only widen its cells to the
-// query radius, so pairs far below the current annulus get re-enumerated
-// every round; the tree prunes whole subtree pairs whose boxes are closer
-// than the annulus floor). Results are bit-identical to the grid and the
-// brute-force reference: pair inclusion uses the same geom.Dist2 values and
-// the same `d2 <= r*r` comparison, and the box distance bounds are computed
-// with the operation order of geom.Dist2, so floating-point rounding is
-// monotone and pruning can never drop a qualifying pair (see boxMinDist2).
+// NearestNeighborDistancesInto) plus an annulus form (ForEachPairInAnnulus:
+// the grid can only widen its cells to the query radius, while the tree
+// prunes whole subtree pairs whose boxes are closer than the annulus
+// floor). The filtered-Kruskal MST's annulus rounds use neither: they run
+// the per-label-pair minimum query MinPairsByLabel (kdtree_minpairs.go).
+// Results are bit-identical to the grid and the brute-force reference: pair
+// inclusion uses the same geom.Dist2 values and the same `d2 <= r*r`
+// comparison, and the box distance bounds are computed with the operation
+// order of geom.Dist2, so floating-point rounding is monotone and pruning
+// can never drop a qualifying pair (see boxMinDist2).
 //
 // Like the Index, a KDTree is reusable storage: Rebuild re-indexes a new
 // point set into the existing backing arrays, so steady-state rebuilds
@@ -369,7 +370,6 @@ func axisSpan(amin, amax, bmin, bmax float64) float64 {
 // The tree is rebuilt over pts; distances are bit-identical to the grid
 // path, since both take the exact minimum of the same geom.Dist2 values.
 func (t *KDTree) NearestNeighborDistancesInto(dst []float64, pts []geom.Point) []float64 {
-	t.stats.NNQueries++
 	n := len(pts)
 	dst = dst[:n]
 	if n < 2 {

@@ -9,22 +9,32 @@ package spatial
 // enumerating it is pure waste — and on islands placements that waste is the
 // whole bill: a bridging round between two 256-point clusters enumerates and
 // sorts 65k cross pairs to keep one. This query returns exactly the per-
-// label-pair minima inside the annulus, and prunes with three facts the flat
-// pair enumeration cannot use:
+// label-pair minima inside the annulus, restricted to pairs whose endpoints
+// lie in different parts of a second partition (frag), and prunes with four
+// facts the flat pair enumeration cannot use:
 //
 //   - a subtree whose points all share one label contains no cross-label
 //     pairs (kills intra-island work at any radius);
+//   - a subtree whose points all share one frag value contains no crossing
+//     pairs, and two such subtrees sharing the same value have none between
+//     them either;
 //   - a pair of single-label subtrees needs no descent once its box distance
 //     exceeds the pair's current best (turns the 65k-pair island-vs-island
 //     scan into a bichromatic closest-pair search);
 //   - the annulus and box bounds of the plain queries still apply.
 //
-// The returned minima are exact per-pair minima over the full annulus pair
-// set (pruning uses strict > against rounding-monotone lower bounds, so a
-// box that could hold the minimum — or an (i, j)-smaller tie — is never
-// skipped). Feeding them to the same sort + replay therefore unions the
-// exact edge sequence the full candidate enumeration would, which is what
-// keeps the tree and grid MST paths bit-identical.
+// GeoMST passes its labels as frag, which makes the restriction vacuous.
+// The kinetic MST repair (graph.Workspace) passes the kept-forest fragments:
+// every new tree edge must cross between them, since a pair inside one kept
+// fragment still has its old tree path intact, and that path certifies it
+// non-minimal.
+//
+// The returned minima are exact per-pair minima over the full crossing
+// annulus pair set (pruning uses strict > against rounding-monotone lower
+// bounds, so a box that could hold the minimum — or an (i, j)-smaller tie —
+// is never skipped). Feeding them to the same sort + replay therefore unions
+// the exact edge sequence the full candidate enumeration would, which is
+// what keeps the tree and grid MST paths bit-identical.
 
 import (
 	"math"
@@ -32,13 +42,9 @@ import (
 	"adhocnet/internal/geom"
 )
 
-const (
-	kdNoLabel = -1
-	// kdAllExcluded marks a subtree containing no labeled points at all
-	// (every point carries a negative caller label); such subtrees hold no
-	// emittable pairs and are skipped outright.
-	kdAllExcluded = -2
-)
+// kdMixed marks a subtree whose points carry more than one value of the
+// annotated partition (labels or frag, both non-negative).
+const kdMixed = -1
 
 // kdBest is the current minimal candidate for one label pair.
 type kdBest struct {
@@ -60,11 +66,17 @@ func bestLess(a, b kdBest) bool {
 }
 
 // minPairsScratch is the per-query state of MinPairsByLabel, owned by the
-// tree so repeated rounds allocate nothing: the per-node pure-label
-// annotation and an open-addressed (label pair) -> best-candidate table.
+// tree so repeated rounds allocate nothing: the per-node purity annotations
+// and an open-addressed (label pair) -> best-candidate table.
 type minPairsScratch struct {
-	labels []int32 // caller's labels, valid during one query
-	pure   []int32 // per node: the single label of its subtree, or kdNoLabel
+	labels, frag []int32 // caller's partitions, valid during one query
+
+	// Per node: the single label (pure) or frag value (pureF) of its
+	// subtree, or kdMixed. pureF aliases pure when frag is labels;
+	// otherwise it is fragPure, which is never pure's buffer — sharing it
+	// would let a crossing query overwrite the label annotation.
+	pure, pureF []int32
+	fragPure    []int32
 
 	keys []uint64 // open addressing; 0 is empty, stored key is pair+1
 	vals []int32  // index into best, parallel to keys
@@ -79,34 +91,31 @@ type minPairsScratch struct {
 	// be reallocated by an intervening insert.
 	lastKey uint64
 	lastIdx int32
-
-	// Crossing-restricted query state (MinPairsByLabelCrossing): the
-	// caller's static partition and the per-node single-frag annotation
-	// (kdNoLabel when the subtree spans several frag values).
-	frag  []int32
-	pureF []int32
 }
 
 // MinPairsByLabel visits, for every unordered pair of distinct labels with
-// at least one point pair in the annulus lo2 < d2 <= r*r, the minimal such
-// pair in the strict (d2, i, j) order — and nothing else. labels must have
-// one entry per indexed point; non-negative label values are opaque. A
-// NEGATIVE label excludes its point entirely: it is never paired, never
-// emitted, and — unlike a distinct positive label — does not break the
-// pure-subtree pruning around it. The kinetic MST repair leans on this to
-// fence off the moved points while keeping the giant unmoved component's
-// subtrees prunable. Visit order is unspecified (callers sort, as they do
-// for the flat enumeration).
-func (t *KDTree) MinPairsByLabel(labels []int32, lo2, r float64, visit PairVisitor) {
+// at least one annulus pair (lo2 < d2 <= r*r) whose endpoints carry
+// different frag values, the minimal such pair in the strict (d2, i, j)
+// order — and nothing else. labels and frag must have one entry per indexed
+// point; their values must be non-negative and are opaque (only ==/!=
+// matters). Passing labels as frag drops the restriction. Visit order is
+// unspecified (callers sort, as they do for the flat enumeration).
+func (t *KDTree) MinPairsByLabel(labels, frag []int32, lo2, r float64, visit PairVisitor) {
 	t.stats.MinPairsRounds++
 	if r < 0 || t.root < 0 || len(t.pts) < 2 {
 		return
 	}
 	s := &t.mp
-	s.labels = labels
+	s.labels, s.frag = labels, frag
 	s.lo2 = lo2
 	s.r2 = r * r
-	t.annotatePure()
+	s.pure = t.annotate(labels, s.pure)
+	if &frag[0] == &labels[0] {
+		s.pureF = s.pure
+	} else {
+		s.fragPure = t.annotate(frag, s.fragPure)
+		s.pureF = s.fragPure
+	}
 	if len(s.keys) == 0 {
 		s.keys = make([]uint64, 1024)
 		s.vals = make([]int32, 1024)
@@ -121,48 +130,38 @@ func (t *KDTree) MinPairsByLabel(labels []int32, lo2, r float64, visit PairVisit
 			emitOrdered(int(b.i), int(b.j), b.d2, visit)
 		}
 	}
-	s.labels = nil
+	s.labels, s.frag = nil, nil
 }
 
-// annotatePure fills pure[] with each subtree's single label among its
-// labeled (non-excluded) points: kdNoLabel when the subtree spans several,
-// kdAllExcluded when every point is excluded. Children are appended after
-// their parent during build, so one reverse pass visits children first.
-func (t *KDTree) annotatePure() {
-	s := &t.mp
-	if cap(s.pure) < len(t.nodes) {
-		s.pure = make([]int32, len(t.nodes))
+// annotate returns out, resized to the node count, holding each subtree's
+// single value of vals, or kdMixed when it spans several. Children are
+// appended after their parent during build, so one reverse pass visits
+// children first.
+func (t *KDTree) annotate(vals, out []int32) []int32 {
+	if cap(out) < len(t.nodes) {
+		out = make([]int32, len(t.nodes))
 	}
-	s.pure = s.pure[:len(t.nodes)]
+	out = out[:len(t.nodes)]
 	for id := len(t.nodes) - 1; id >= 0; id-- {
 		nd := &t.nodes[id]
 		if nd.left >= 0 {
-			l, r := s.pure[nd.left], s.pure[nd.right]
-			switch {
-			case l == kdAllExcluded:
-				s.pure[id] = r
-			case r == kdAllExcluded || l == r:
-				s.pure[id] = l
-			default:
-				s.pure[id] = kdNoLabel
+			if l, r := out[nd.left], out[nd.right]; l == r {
+				out[id] = l
+			} else {
+				out[id] = kdMixed
 			}
 			continue
 		}
-		lab := int32(kdAllExcluded)
-		for x := nd.lo; x < nd.hi; x++ {
-			l := s.labels[t.idx[x]]
-			if l < 0 {
-				continue
-			}
-			if lab == kdAllExcluded {
-				lab = l
-			} else if lab != l {
-				lab = kdNoLabel
+		v := vals[t.idx[nd.lo]]
+		for x := nd.lo + 1; x < nd.hi; x++ {
+			if vals[t.idx[x]] != v {
+				v = kdMixed
 				break
 			}
 		}
-		s.pure[id] = lab
+		out[id] = v
 	}
+	return out
 }
 
 // bestFor returns the table slot's candidate for the label pair (la, lb) and
@@ -216,13 +215,13 @@ func (s *minPairsScratch) growTable() {
 	}
 }
 
-// minSelf handles pairs with both endpoints under node a.
+// minSelf handles crossing pairs with both endpoints under node a.
 //
 //adhoc:hotpath
 func (t *KDTree) minSelf(a int32) {
 	s := &t.mp
-	if s.pure[a] != kdNoLabel {
-		return // single label (or all excluded): no cross-label pairs inside
+	if s.pureF[a] != kdMixed || s.pure[a] != kdMixed {
+		return // one frag (no crossing pairs) or one label (no cross-label pairs)
 	}
 	nd := &t.nodes[a]
 	dx := nd.maxX - nd.minX
@@ -234,13 +233,10 @@ func (t *KDTree) minSelf(a int32) {
 	if nd.left < 0 {
 		for x := nd.lo; x < nd.hi; x++ {
 			i := t.idx[x]
-			pi, li := t.pts[i], s.labels[i]
-			if li < 0 {
-				continue
-			}
+			pi, li, fi := t.pts[i], s.labels[i], s.frag[i]
 			for y := x + 1; y < nd.hi; y++ {
 				j := t.idx[y]
-				if lj := s.labels[j]; lj < 0 || lj == li {
+				if s.frag[j] == fi || s.labels[j] == li {
 					continue
 				}
 				t.offerPair(i, j, pi)
@@ -253,42 +249,40 @@ func (t *KDTree) minSelf(a int32) {
 	t.minCross(nd.left, nd.right)
 }
 
-// minCross handles pairs with one endpoint under a and one under b.
+// minCross handles crossing pairs with one endpoint under a and one under b.
 //
 //adhoc:hotpath
 func (t *KDTree) minCross(a, b int32) {
 	s := &t.mp
-	na, nb := &t.nodes[a], &t.nodes[b]
-	pa, pb := s.pure[a], s.pure[b]
-	if pa == kdAllExcluded || pb == kdAllExcluded {
-		return // one side has no labeled points at all
+	fa, fb := s.pureF[a], s.pureF[b]
+	if fa != kdMixed && fa == fb {
+		return // both subtrees are one and the same frag: nothing crosses
 	}
-	if pa != kdNoLabel && pa == pb {
+	pa, pb := s.pure[a], s.pure[b]
+	if pa != kdMixed && pa == pb {
 		return // both subtrees are the same single label
 	}
+	na, nb := &t.nodes[a], &t.nodes[b]
 	min2 := boxMinDist2(na, nb)
 	if min2 > s.r2 || boxMaxDist2(na, nb) <= s.lo2 {
 		return
 	}
-	if pa != kdNoLabel && pb != kdNoLabel {
+	if pa != kdMixed && pb != kdMixed {
 		// Exactly one label pair below here (purity is inherited by every
 		// descendant), so the whole sub-recursion is a bichromatic
 		// closest-pair search for that pair: hand it the table entry once
 		// and search best-first, instead of re-probing the table per pair.
-		t.minCrossPure(a, b, min2, s.bestFor(pa, pb))
+		t.minCrossPair(a, b, min2, s.bestFor(pa, pb))
 		return
 	}
 	aLeaf, bLeaf := na.left < 0, nb.left < 0
 	if aLeaf && bLeaf {
 		for x := na.lo; x < na.hi; x++ {
 			i := t.idx[x]
-			pi, li := t.pts[i], s.labels[i]
-			if li < 0 {
-				continue
-			}
+			pi, li, fi := t.pts[i], s.labels[i], s.frag[i]
 			for y := nb.lo; y < nb.hi; y++ {
 				j := t.idx[y]
-				if lj := s.labels[j]; lj < 0 || lj == li {
+				if s.frag[j] == fi || s.labels[j] == li {
 					continue
 				}
 				t.offerPair(i, j, pi)
@@ -305,23 +299,95 @@ func (t *KDTree) minCross(a, b int32) {
 	}
 }
 
-// minCrossPure minimizes over pairs with one endpoint under a and one under
-// b, all belonging to one pair of labels, directly into that pair's table
-// entry bst (no appends happen below here, so the pointer stays valid). The
-// nearer child pair is searched first so bst tightens before the farther
-// one is considered — the standard dual-tree closest-pair order; a subtree
-// pair is dropped once its box bound cannot beat bst (strict >, preserving
-// equal-d2 smaller-(i,j) ties). min2 is boxMinDist2(a, b), already computed
+// minCrossPair minimizes over crossing pairs with one endpoint under a and
+// one under b, all belonging to one pair of labels, directly into that
+// pair's table entry bst (no appends happen below here, so the pointer
+// stays valid). The nearer child pair is searched first so bst tightens
+// before the farther one is considered — the standard dual-tree
+// closest-pair order; a subtree pair is dropped once its box bound cannot
+// beat bst (strict >, preserving equal-d2 smaller-(i,j) ties). The box
+// bound bounds every pair, so it stays a valid bound for the crossing
+// subset. Same-frag subtree pairs are dropped outright, and frag-pure pairs
+// with different values go to the unrestricted minCrossPure, since every
+// pair between them crosses. min2 is boxMinDist2(a, b), already computed
 // by the caller's pruning check.
+//
+//adhoc:hotpath
+func (t *KDTree) minCrossPair(a, b int32, min2 float64, bst *kdBest) {
+	s := &t.mp
+	fa, fb := s.pureF[a], s.pureF[b]
+	if fa != kdMixed {
+		if fa == fb {
+			return
+		}
+		if fb != kdMixed {
+			t.minCrossPure(a, b, min2, bst)
+			return
+		}
+	}
+	if min2 > s.r2 || min2 > bst.d2 {
+		return
+	}
+	na, nb := &t.nodes[a], &t.nodes[b]
+	if boxMaxDist2(na, nb) <= s.lo2 {
+		return
+	}
+	aLeaf, bLeaf := na.left < 0, nb.left < 0
+	if aLeaf && bLeaf {
+		for x := na.lo; x < na.hi; x++ {
+			i := t.idx[x]
+			pi, fi := t.pts[i], s.frag[i]
+			for y := nb.lo; y < nb.hi; y++ {
+				j := t.idx[y]
+				if s.frag[j] == fi {
+					continue
+				}
+				d2 := geom.Dist2(pi, t.pts[j])
+				if d2 > s.r2 || d2 <= s.lo2 {
+					continue
+				}
+				lo, hi := i, j
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				if cand := (kdBest{d2: d2, i: lo, j: hi}); bestLess(cand, *bst) {
+					*bst = cand
+				}
+			}
+		}
+		return
+	}
+	var c1, c2 int32
+	if bLeaf || (!aLeaf && na.hi-na.lo >= nb.hi-nb.lo) {
+		c1, c2 = na.left, na.right
+		d1 := boxMinDist2(&t.nodes[c1], nb)
+		d2 := boxMinDist2(&t.nodes[c2], nb)
+		if d2 < d1 {
+			c1, c2, d1, d2 = c2, c1, d2, d1
+		}
+		t.minCrossPair(c1, b, d1, bst)
+		t.minCrossPair(c2, b, d2, bst)
+	} else {
+		c1, c2 = nb.left, nb.right
+		d1 := boxMinDist2(na, &t.nodes[c1])
+		d2 := boxMinDist2(na, &t.nodes[c2])
+		if d2 < d1 {
+			c1, c2, d1, d2 = c2, c1, d2, d1
+		}
+		t.minCrossPair(a, c1, d1, bst)
+		t.minCrossPair(a, c2, d2, bst)
+	}
+}
+
+// minCrossPure is minCrossPair without the frag restriction, for subtree
+// pairs whose every pair crosses: the same best-first bichromatic descent
+// into bst.
 //
 //adhoc:hotpath
 func (t *KDTree) minCrossPure(a, b int32, min2 float64, bst *kdBest) {
 	s := &t.mp
 	if min2 > s.r2 || min2 > bst.d2 {
 		return
-	}
-	if s.pure[a] == kdAllExcluded || s.pure[b] == kdAllExcluded {
-		return // descendants of a pure node can still be all-excluded
 	}
 	na, nb := &t.nodes[a], &t.nodes[b]
 	if boxMaxDist2(na, nb) <= s.lo2 {
@@ -332,14 +398,8 @@ func (t *KDTree) minCrossPure(a, b int32, min2 float64, bst *kdBest) {
 		for x := na.lo; x < na.hi; x++ {
 			i := t.idx[x]
 			pi := t.pts[i]
-			if s.labels[i] < 0 {
-				continue
-			}
 			for y := nb.lo; y < nb.hi; y++ {
 				j := t.idx[y]
-				if s.labels[j] < 0 {
-					continue
-				}
 				d2 := geom.Dist2(pi, t.pts[j])
 				if d2 > s.r2 || d2 <= s.lo2 {
 					continue

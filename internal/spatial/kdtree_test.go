@@ -184,12 +184,12 @@ func TestKDTreeBalancedOnDuplicateCoordinates(t *testing.T) {
 }
 
 // bruteMinPairsByLabel is the reference for MinPairsByLabel: all annulus
-// pairs with distinct labels, reduced to the (d2, i, j)-minimal candidate
-// per unordered label pair.
-func bruteMinPairsByLabel(pts []geom.Point, labels []int32, lo2, r float64) map[[2]int32][3]float64 {
+// pairs with distinct labels and distinct frag values, reduced to the
+// (d2, i, j)-minimal candidate per unordered label pair.
+func bruteMinPairsByLabel(pts []geom.Point, labels, frag []int32, lo2, r float64) map[[2]int32][3]float64 {
 	want := map[[2]int32][3]float64{}
 	BruteForcePairsWithin(pts, r, func(i, j int, d2 float64) {
-		if d2 <= lo2 || labels[i] == labels[j] {
+		if d2 <= lo2 || labels[i] == labels[j] || frag[i] == frag[j] {
 			return
 		}
 		la, lb := labels[i], labels[j]
@@ -216,14 +216,20 @@ func candBefore(a, b [3]float64) bool {
 	return a[2] < b[2]
 }
 
-func checkMinPairs(t *testing.T, name string, tree *KDTree, pts []geom.Point, labels []int32, lo2, r float64) {
+// checkMinPairs runs MinPairsByLabel on tree and compares every emitted
+// minimum with bruteMinPairsByLabel, failing on a missing, extra, wrong or
+// repeated label pair.
+func checkMinPairs(t *testing.T, name string, tree *KDTree, pts []geom.Point, labels, frag []int32, lo2, r float64) {
 	t.Helper()
-	want := bruteMinPairsByLabel(pts, labels, lo2, r)
+	want := bruteMinPairsByLabel(pts, labels, frag, lo2, r)
 	got := map[[2]int32][3]float64{}
-	tree.MinPairsByLabel(labels, lo2, r, func(i, j int, d2 float64) {
+	tree.MinPairsByLabel(labels, frag, lo2, r, func(i, j int, d2 float64) {
 		la, lb := labels[i], labels[j]
 		if la == lb {
 			t.Fatalf("%s: pair (%d,%d) has equal labels", name, i, j)
+		}
+		if frag[i] == frag[j] {
+			t.Fatalf("%s: same-frag pair (%d,%d) emitted", name, i, j)
 		}
 		if la > lb {
 			la, lb = lb, la
@@ -279,7 +285,7 @@ func TestKDTreeMinPairsByLabel(t *testing.T) {
 			labels := mk(len(pts))
 			for _, band := range [][2]float64{{-1, 10}, {100, 400}, {160000, 4000}} {
 				name := fmt.Sprintf("%s/%s/(%v,%v]", ptsName, labName, band[0], band[1])
-				checkMinPairs(t, name, tree, pts, labels, band[0], band[1])
+				checkMinPairs(t, name, tree, pts, labels, labels, band[0], band[1])
 			}
 		}
 	}

@@ -11,9 +11,9 @@ import (
 // This file cross-validates the kinetic repair surface of both backends —
 // Index.Update/ForEachNear and KDTree.Update/ForEachNearInAnnulus — against
 // fresh rebuilds and brute force across a random-walk trajectory, plus the
-// exclusion and crossing semantics of the MinPairsByLabel family. These are
-// the primitives the graph-layer repair composes; each must be exact on its
-// own for the pipeline's bit-identity to be provable layer by layer.
+// crossing semantics of MinPairsByLabel. These are the primitives the
+// graph-layer repair composes; each must be exact on its own for the
+// pipeline's bit-identity to be provable layer by layer.
 
 // walkStep displaces ~frac of the points by up to step per axis (2-D) and
 // returns the moved set in the Update contract: strictly ascending, only
@@ -188,66 +188,12 @@ func TestKDTreeForEachNearInAnnulus(t *testing.T) {
 	}
 }
 
-// TestKDTreeMinPairsByLabelExclusion pins the exclusion contract: a point
-// with a negative label participates in no pair at all, as if removed from
-// the index.
-func TestKDTreeMinPairsByLabelExclusion(t *testing.T) {
-	rng := xrand.New(408)
-	reg := geom.MustRegion(2000, 2)
-	pts := clusteredPoints(rng, reg, 6, 40, 8)
-	tree := NewKDTree(pts, 2)
-	labels := make([]int32, len(pts))
-	for i := range labels {
-		switch {
-		case i%5 == 0:
-			labels[i] = -1 // excluded
-		default:
-			labels[i] = int32(i % 7)
-		}
-	}
-	for _, band := range [][2]float64{{-1, 50}, {400, 2000}} {
-		lo2, r := band[0], band[1]
-		want := map[[2]int32][3]float64{}
-		BruteForcePairsWithin(pts, r, func(i, j int, d2 float64) {
-			la, lb := labels[i], labels[j]
-			if d2 <= lo2 || la < 0 || lb < 0 || la == lb {
-				return
-			}
-			if la > lb {
-				la, lb = lb, la
-			}
-			key := [2]int32{la, lb}
-			cand := [3]float64{d2, float64(i), float64(j)}
-			if cur, ok := want[key]; !ok || candBefore(cand, cur) {
-				want[key] = cand
-			}
-		})
-		got := map[[2]int32][3]float64{}
-		tree.MinPairsByLabel(labels, lo2, r, func(i, j int, d2 float64) {
-			if labels[i] < 0 || labels[j] < 0 {
-				t.Fatalf("band (%v,%v]: excluded point in emitted pair (%d,%d)", lo2, r, i, j)
-			}
-			la, lb := labels[i], labels[j]
-			if la > lb {
-				la, lb = lb, la
-			}
-			got[[2]int32{la, lb}] = [3]float64{d2, float64(i), float64(j)}
-		})
-		if len(got) != len(want) {
-			t.Fatalf("band (%v,%v]: %d label pairs, want %d", lo2, r, len(got), len(want))
-		}
-		for key, w := range want {
-			if g, ok := got[key]; !ok || g != w {
-				t.Fatalf("band (%v,%v]: label pair %v: got %v, want %v", lo2, r, key, got[key], w)
-			}
-		}
-	}
-}
-
 // TestKDTreeMinPairsByLabelCrossing cross-validates the crossing-restricted
 // minima against flat enumeration: per label pair, the (d2, i, j)-minimal
 // annulus pair whose endpoints differ in frag — and nothing when no such
-// pair exists, even if same-frag pairs with those labels do.
+// pair exists, even if same-frag pairs with those labels do. Each band
+// alternates the unrestricted form (frag = labels) and the crossing form on
+// one tree, so neither can leave the other a stale annotation.
 func TestKDTreeMinPairsByLabelCrossing(t *testing.T) {
 	rng := xrand.New(409)
 	reg := geom.MustRegion(2000, 2)
@@ -258,62 +204,27 @@ func TestKDTreeMinPairsByLabelCrossing(t *testing.T) {
 		tree := NewKDTree(pts, 2)
 		n := len(pts)
 		// Mirror the kinetic repair's shapes: frag blocks of kept-forest
-		// fragments with a sprinkle of singleton "movers", labels the coarser
-		// merging partition (plus a few exclusions).
-		frag := make([]int32, n)
-		labels := make([]int32, n)
-		for i := range frag {
-			frag[i] = int32(i / 10)
-			if i%17 == 0 {
-				frag[i] = int32(1000 + i) // singleton fragment, a "mover"
+		// fragments with a sprinkle of singleton "movers", against labels
+		// that are coarser, finer or unaligned. Blocks of 40 follow the
+		// clustered placement's islands, so subtrees turn label- and
+		// frag-pure and every pruning branch runs; blocks of 10 and 25 cut
+		// across the leaves.
+		for _, shape := range []struct{ fragBlock, labelBlock int }{{40, 80}, {80, 40}, {10, 25}} {
+			frag := make([]int32, n)
+			labels := make([]int32, n)
+			for i := range frag {
+				frag[i] = int32(i / shape.fragBlock)
+				if i%17 == 0 {
+					frag[i] = int32(1000 + i) // singleton fragment, a "mover"
+				}
+				labels[i] = int32(i / shape.labelBlock)
 			}
-			labels[i] = int32(i / 25)
-			if i%31 == 0 {
-				labels[i] = -1 // excluded
-			}
-		}
-		for _, band := range [][2]float64{{-1, 60}, {100, 900}, {250000, 4000}} {
-			lo2, r := band[0], band[1]
-			want := map[[2]int32][3]float64{}
-			BruteForcePairsWithin(pts, r, func(i, j int, d2 float64) {
-				la, lb := labels[i], labels[j]
-				if d2 <= lo2 || la < 0 || lb < 0 || la == lb || frag[i] == frag[j] {
-					return
-				}
-				if la > lb {
-					la, lb = lb, la
-				}
-				key := [2]int32{la, lb}
-				cand := [3]float64{d2, float64(i), float64(j)}
-				if cur, ok := want[key]; !ok || candBefore(cand, cur) {
-					want[key] = cand
-				}
-			})
-			got := map[[2]int32][3]float64{}
-			tree.MinPairsByLabelCrossing(labels, frag, lo2, r, func(i, j int, d2 float64) {
-				if frag[i] == frag[j] {
-					t.Fatalf("%s band (%v,%v]: same-frag pair (%d,%d) emitted", ptsName, lo2, r, i, j)
-				}
-				if labels[i] < 0 || labels[j] < 0 {
-					t.Fatalf("%s band (%v,%v]: excluded point in pair (%d,%d)", ptsName, lo2, r, i, j)
-				}
-				la, lb := labels[i], labels[j]
-				if la > lb {
-					la, lb = lb, la
-				}
-				key := [2]int32{la, lb}
-				if _, dup := got[key]; dup {
-					t.Fatalf("%s band (%v,%v]: label pair %v visited twice", ptsName, lo2, r, key)
-				}
-				got[key] = [3]float64{d2, float64(i), float64(j)}
-			})
-			if len(got) != len(want) {
-				t.Fatalf("%s band (%v,%v]: %d label pairs, want %d", ptsName, lo2, r, len(got), len(want))
-			}
-			for key, w := range want {
-				if g, ok := got[key]; !ok || g != w {
-					t.Fatalf("%s band (%v,%v]: label pair %v: got %v, want %v", ptsName, lo2, r, key, got[key], w)
-				}
+			for _, band := range [][2]float64{{-1, 60}, {100, 900}, {250000, 4000}} {
+				lo2, r := band[0], band[1]
+				name := fmt.Sprintf("%s frag/%d labels/%d band (%v,%v]",
+					ptsName, shape.fragBlock, shape.labelBlock, lo2, r)
+				checkMinPairs(t, name+" frag=labels", tree, pts, labels, labels, lo2, r)
+				checkMinPairs(t, name, tree, pts, labels, frag, lo2, r)
 			}
 		}
 	}

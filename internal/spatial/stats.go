@@ -20,13 +20,12 @@ type Stats struct {
 	// form) — one per MST round or point-graph build, not per pair.
 	PairQueries uint64
 	// NearQueries counts directed single-point queries (ForEachNear /
-	// ForEachNearInAnnulus), one per moved point in the kinetic repair.
+	// ForEachNearInAnnulus): one per moved point in the kinetic point-graph
+	// repair, and one per outsider in GeoMST's grid outsider rounds.
 	NearQueries uint64
-	// MinPairsRounds counts dual-tree minimum-pair rounds (MinPairsByLabel
-	// and the fragment-crossing form), the k-d tree MST's annulus rounds.
+	// MinPairsRounds counts MinPairsByLabel calls: the k-d tree annulus
+	// rounds of GeoMST and of the kinetic MST repair.
 	MinPairsRounds uint64
-	// NNQueries counts NearestNeighborDistancesInto calls.
-	NNQueries uint64
 }
 
 // Add folds o into s (the workspace aggregation step).
@@ -37,7 +36,6 @@ func (s *Stats) Add(o Stats) {
 	s.PairQueries += o.PairQueries
 	s.NearQueries += o.NearQueries
 	s.MinPairsRounds += o.MinPairsRounds
-	s.NNQueries += o.NNQueries
 }
 
 // TakeStats returns the grid's counters since the last call and resets them.
