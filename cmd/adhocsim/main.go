@@ -124,7 +124,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 		seed         = fs.Uint64("seed", 1, "random seed")
 		workers      = fs.Int("workers", 0, "total simulation parallelism, split across iterations and snapshots (0 = all CPUs)")
 		spatialName  = fs.String("spatial", "auto", "spatial index backend: auto (per-snapshot heuristic), grid, kdtree — performance only, results are identical")
-		kineticName  = fs.String("kinetic", "auto", "trajectory evaluation: auto (kinetic when each iteration has one evaluator), on, off — performance only, results are identical")
+		kineticName  = fs.String("kinetic", "auto", "trajectory evaluation: auto (kinetic when each iteration has one evaluator), on (kinetic everywhere; a snapshot pool repairs within blocks of steps), off — performance only, results are identical")
 		model        = fs.String("model", "waypoint",
 			"mobility model: "+strings.Join(registry.MobilityKinds(), ", "))
 		placement = fs.String("placement", "uniform",

@@ -87,7 +87,9 @@ type RunConfig struct {
 	// Kinetic selects between rebuild-per-snapshot and incremental (kinetic)
 	// trajectory evaluation: the zero value (KineticAuto) repairs across
 	// mobility steps whenever each iteration is evaluated by a single
-	// worker, KineticOn/KineticOff force one path. Like Workers and Spatial
+	// worker, KineticOn/KineticOff force one path. KineticOn keeps the
+	// snapshot pool: its evaluators repair within blocks of consecutive
+	// steps. Like Workers and Spatial
 	// this is a pure performance knob — both paths produce bit-identical
 	// results (cross-validated in the tests), so it is excluded from
 	// workload identity.

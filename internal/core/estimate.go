@@ -142,21 +142,29 @@ func EstimateRanges(ctx context.Context, net Network, cfg RunConfig, targets Ran
 
 	width := targets.RowWidth()
 	rows, err := runIterations(ctx, cfg, floatsCodec(width), func(ctx context.Context, it iteration) ([]float64, error) {
-		profiles := make([]*graph.Profile, 0, cfg.Steps)
+		// The component-fraction inversion below needs every snapshot's
+		// profile at once, so with component targets the transient profile
+		// is cloned (the one retained per-snapshot allocation of this path);
+		// time targets need only the critical radius.
+		keep := len(targets.ComponentFractions) > 0
+		var profiles []*graph.Profile
+		if keep {
+			profiles = make([]*graph.Profile, 0, cfg.Steps)
+		}
 		criticals := make([]float64, 0, cfg.Steps)
 		err := runTrajectory(ctx, it, net,
 			func() *estimateSnap { return &estimateSnap{} },
 			func(_ int, pts []geom.Point, moved []int32, ws *graph.Workspace, out *estimateSnap) {
 				p := ws.ProfileKinetic(pts, net.Region.Dim, moved)
 				out.critical = p.Critical()
-				// The component-fraction inversion below needs every
-				// snapshot's profile at once, so the transient profile is
-				// cloned (the one retained per-snapshot allocation of this
-				// path).
-				out.prof = p.Clone()
+				if keep {
+					out.prof = p.Clone()
+				}
 			},
 			func(_ int, out *estimateSnap) {
-				profiles = append(profiles, out.prof)
+				if keep {
+					profiles = append(profiles, out.prof)
+				}
 				criticals = append(criticals, out.critical)
 			})
 		if err != nil {
@@ -208,7 +216,8 @@ func floatsCodec(width int) rowCodec[[]float64] {
 }
 
 // estimateSnap is the per-snapshot result slot of EstimateRanges: the
-// snapshot's critical radius and a retained clone of its profile.
+// snapshot's critical radius and, when component targets need it, a
+// retained clone of its profile.
 type estimateSnap struct {
 	critical float64
 	prof     *graph.Profile

@@ -4,27 +4,31 @@ import "fmt"
 
 // KineticMode selects how the scheduler evaluates the snapshots of one
 // trajectory: by rebuilding every spatial structure per snapshot (the
-// historical path), or kinetically — each iteration is owned by one worker
-// that processes its trajectory steps sequentially with a persistent
-// workspace, repairing the spatial index, the MST and the communication
-// graph from the previous step's state instead of rebuilding them
-// (graph.Workspace.ProfileKinetic / PointGraphKinetic).
+// historical path), or kinetically — each evaluator walks a run of
+// consecutive trajectory steps with a persistent workspace, repairing the
+// spatial index, the MST and the communication graph from the previous
+// step's state instead of rebuilding them (graph.Workspace.ProfileKinetic /
+// PointGraphKinetic). A sequential iteration is one such run; the snapshot
+// pool splits the trajectory into blocks of consecutive steps, each
+// evaluated as a run that starts from a rebuild (see runSnapshotPool).
 //
 // Like RunConfig.Workers and RunConfig.Spatial this is a pure performance
 // knob: the kinetic path is bit-identical to the rebuild path (pinned by
-// TestCoreResultsIdenticalAcrossKineticModes and the package fuzz targets),
+// TestCoreResultsIdenticalAcrossKineticModes and its block-pool sibling
+// TestCoreResultsIdenticalOnKineticPool, and by the package fuzz targets),
 // so it is excluded from workload identity.
 type KineticMode int
 
 const (
-	// KineticAuto (the default) uses the kinetic path whenever it can help:
-	// multi-step trajectories whose scheduler split gives each iteration a
-	// single evaluator (inner == 1). When the split parallelizes snapshots
-	// within an iteration (few iterations, many workers) the snapshot pool
-	// keeps the cores busier than a single kinetic evaluator would be fast.
+	// KineticAuto (the default) uses the kinetic path for multi-step
+	// trajectories whose scheduler split gives each iteration a single
+	// evaluator (inner == 1). With inner > 1 it keeps the rebuild path: the
+	// pooled regime's typical workload moves every node every step, where
+	// arming would add a tree-cache prime to each dirty step and repair
+	// nothing. Both paths use every evaluator of the split.
 	KineticAuto KineticMode = iota
 	// KineticOn forces kinetic evaluation for every multi-step trajectory,
-	// even when that forgoes inner snapshot parallelism. Single-snapshot
+	// on the sequential loop and in the snapshot pool alike. Single-snapshot
 	// runs (Steps == 1) have nothing to update and always rebuild.
 	KineticOn
 	// KineticOff forces the rebuild-per-snapshot path everywhere.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -97,6 +98,97 @@ func TestCoreResultsIdenticalAcrossKineticModes(t *testing.T) {
 					if !sameResult(structure, wantStruct) {
 						t.Fatalf("%s workers=%d: EvaluateStructure differs from rebuild baseline", name, workers)
 					}
+				}
+			}
+		}
+	}
+}
+
+// allMoversNet is the kinetic pipeline's worst case: a drunkard crowd in
+// which every node moves every step, so each step is dirtier than the repair
+// threshold and, in the snapshot pool, each block's delta log fills after one
+// step.
+func allMoversNet(t *testing.T, n int) Network {
+	t.Helper()
+	net := schedulerTestNet(t, n)
+	net.Model = mobility.Drunkard{PStationary: 0, PPause: 0, M: 2}
+	return net
+}
+
+// TestCoreResultsIdenticalOnKineticPool is the block-pool leg of the
+// kinetic matrix: one iteration with Workers >= 2 runs the snapshot pool,
+// whose kinetic tasks are blocks of consecutive steps re-primed at every
+// block start. 70 steps is not a multiple of kineticBlockLen, so the last
+// block is short, and the all-movers trajectory cuts every block after one
+// delta step (the delta-log bound). Every entry point must match the
+// rebuild baseline at Workers = 1 bit for bit.
+func TestCoreResultsIdenticalOnKineticPool(t *testing.T) {
+	leakCheck(t)
+	ctx := context.Background()
+	nets := map[string]Network{
+		"drift":      driftNet(t, 128),
+		"clustered":  clusteredNet(t, 160, 4),
+		"uniform":    schedulerTestNet(t, 96),
+		"all-movers": allMoversNet(t, 96),
+	}
+	targets := PaperTargets()
+	backends := []spatial.Backend{spatial.BackendAuto, spatial.BackendGrid, spatial.BackendKDTree}
+	for netName, net := range nets {
+		base := RunConfig{Iterations: 1, Steps: 70, Seed: 43, Workers: 1,
+			Spatial: spatial.BackendGrid, Kinetic: KineticOff}
+
+		wantEst, err := EstimateRanges(ctx, net, base, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFixed, err := EvaluateFixedRanges(ctx, net, base, []float64{120, 700})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDirect, err := DirectFixedRange(ctx, net, base, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStruct, err := EvaluateStructure(ctx, net, base, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for _, backend := range backends {
+			for _, workers := range []int{2, 3, 4} {
+				cfg := base
+				cfg.Kinetic = KineticOn
+				cfg.Spatial = backend
+				cfg.Workers = workers
+				name := fmt.Sprintf("%s/%s/workers=%d", netName, backend, workers)
+
+				est, err := EstimateRanges(ctx, net, cfg, targets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameResult(est, wantEst) {
+					t.Fatalf("%s: EstimateRanges differs from rebuild baseline", name)
+				}
+				fixed, err := EvaluateFixedRanges(ctx, net, cfg, []float64{120, 700})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameResult(fixed, wantFixed) {
+					t.Fatalf("%s: EvaluateFixedRanges differs from rebuild baseline", name)
+				}
+				direct, err := DirectFixedRange(ctx, net, cfg, 400)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameResult(direct, wantDirect) {
+					t.Fatalf("%s: DirectFixedRange differs from rebuild baseline", name)
+				}
+				structure, err := EvaluateStructure(ctx, net, cfg, 400)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameResult(structure, wantStruct) {
+					t.Fatalf("%s: EvaluateStructure differs from rebuild baseline", name)
 				}
 			}
 		}

@@ -105,9 +105,9 @@ type IterationSink interface {
 // becomes a *PanicError carrying (iter, step). The fault-injection point
 // fires inside the guard, so injected evaluator panics follow exactly the
 // real recovery path. moved carries the step's displacement set on the
-// kinetic path and nil everywhere else (snapshot-pool evaluation, the first
-// snapshot of a trajectory); nil tells the workspace's kinetic entry points
-// to evaluate from scratch.
+// kinetic path and nil everywhere else (the rebuild path, the first snapshot
+// of a trajectory or of a snapshot-pool block); nil tells the workspace's
+// kinetic entry points to evaluate from scratch.
 func guardedEval[R any](iter, step int, pts []geom.Point, moved []int32, ws *graph.Workspace, out R,
 	eval func(step int, pts []geom.Point, moved []int32, ws *graph.Workspace, out R),
 ) (err error) {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,6 +188,125 @@ func TestPanicProvenancePooledProducer(t *testing.T) {
 	}
 	if pe.Iteration != 0 || pe.Step != 5 {
 		t.Errorf("provenance (iter %d, step %d), want (0, 5)", pe.Iteration, pe.Step)
+	}
+}
+
+// blockPoolConfig runs one kinetic iteration on the snapshot pool, whose
+// tasks are then blocks of up to kineticBlockLen consecutive steps.
+func blockPoolConfig(steps int, seed uint64) RunConfig {
+	return RunConfig{Iterations: 1, Steps: steps, Seed: seed,
+		Workers: max(2, runtime.GOMAXPROCS(0)), Kinetic: KineticOn}
+}
+
+// TestBlockPoolPanicProvenance injects an evaluator panic in the middle of
+// a kinetic block (blocks start at steps 0, 32, 64, ... on a drift
+// trajectory): the error must name that exact step, not the block's first.
+func TestBlockPoolPanicProvenance(t *testing.T) {
+	leakCheck(t)
+	const step = kineticBlockLen + 9
+	defer faultinject.Activate(faultinject.NewPlan(
+		faultinject.PanicAt(faultinject.EvalSnapshot, 0, step)))()
+	net := driftNet(t, 128)
+	_, err := EstimateRanges(context.Background(), net, blockPoolConfig(70, 5),
+		RangeTargets{TimeFractions: []float64{1}})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("got %v, want *PanicError", err)
+	}
+	if pe.Iteration != 0 || pe.Step != step {
+		t.Errorf("provenance (iter %d, step %d), want (0, %d)", pe.Iteration, pe.Step, step)
+	}
+}
+
+// TestBlockPoolProducerPanic panics the producer while it fills a block:
+// the pool must stop (no snapshot past the panic is ever evaluated), join
+// every goroutine and surface the producer's step.
+func TestBlockPoolProducerPanic(t *testing.T) {
+	leakCheck(t)
+	const step = kineticBlockLen + 13
+	evals := faultinject.At(faultinject.EvalSnapshot, faultinject.Any, faultinject.Any, nil)
+	defer faultinject.Activate(faultinject.NewPlan(
+		faultinject.PanicAt(faultinject.ProducerStep, 0, step), evals))()
+	net := driftNet(t, 128)
+	_, err := DirectFixedRange(context.Background(), net, blockPoolConfig(400, 6), 100)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("got %v, want *PanicError", err)
+	}
+	if pe.Iteration != 0 || pe.Step != step {
+		t.Errorf("provenance (iter %d, step %d), want (0, %d)", pe.Iteration, pe.Step, step)
+	}
+	if n := evals.Fired(); n > step {
+		t.Errorf("%d snapshots evaluated, want at most the %d produced before the panic", n, step)
+	}
+}
+
+// TestBlockPoolCancellationLatency is TestCancellationLatency on the kinetic
+// block pool: evaluators check the context between the snapshots of a
+// block, so a cancel mid-block must return within about one snapshot, not
+// after the rest of a 32-step block on every evaluator. The first half pins
+// that exactly: after a cancel issued from inside step 41's evaluation,
+// every other evaluator may start at most the one snapshot it had already
+// committed to.
+func TestBlockPoolCancellationLatency(t *testing.T) {
+	leakCheck(t)
+	const step = kineticBlockLen + 9
+	cfg := blockPoolConfig(400, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	var canceled atomic.Bool
+	var after atomic.Int64
+	deactivate := faultinject.Activate(faultinject.NewPlan(
+		faultinject.At(faultinject.EvalSnapshot, 0, step, func(faultinject.Info) {
+			cancel()
+			canceled.Store(true)
+		}),
+		faultinject.At(faultinject.EvalSnapshot, faultinject.Any, faultinject.Any, func(in faultinject.Info) {
+			if canceled.Load() && in.Step != step {
+				after.Add(1)
+			}
+		})))
+	_, err := DirectFixedRange(ctx, driftNet(t, 128), cfg, 100)
+	deactivate()
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled run returned %v, want ErrCanceled", err)
+	}
+	if n := after.Load(); n >= int64(cfg.Workers) {
+		t.Errorf("%d snapshots started after a mid-block cancel, want < %d (one per other evaluator)", n, cfg.Workers)
+	}
+
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	net := driftNet(t, 4096)
+
+	// A rebuild bounds the cost of any kinetic snapshot (a block start is
+	// one, a repair is cheaper).
+	start := time.Now()
+	if _, err := EvaluateFixedRange(context.Background(), net,
+		RunConfig{Iterations: 1, Steps: 4, Seed: 3, Workers: 1, Kinetic: KineticOff}, 30); err != nil {
+		t.Fatal(err)
+	}
+	perSnap := time.Since(start) / 4
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := EvaluateFixedRange(ctx, net, blockPoolConfig(4000, 3), 30)
+		errCh <- err
+	}()
+	time.Sleep(100 * time.Millisecond)
+	cancel()
+	canceledAt := time.Now()
+	runErr := <-errCh
+	latency := time.Since(canceledAt)
+	if !errors.Is(runErr, ErrCanceled) {
+		t.Fatalf("canceled run returned %v, want ErrCanceled", runErr)
+	}
+	bound := 25*perSnap + time.Second
+	t.Logf("per-snapshot %v, cancellation latency %v (bound %v)", perSnap, latency, bound)
+	if latency > bound {
+		t.Errorf("cancellation took %v, want <= %v (per-snapshot %v)", latency, bound, perSnap)
 	}
 }
 

@@ -99,6 +99,52 @@ func TestObsCountersTrackKineticPipeline(t *testing.T) {
 	}
 }
 
+// TestObsCountersTrackKineticBlocks accounts for the kinetic snapshot pool's
+// choices: every snapshot is either repaired or rebuilt, the only rebuilds
+// on a drift trajectory are the block starts' re-primes (one per block, and
+// one ring-occupancy sample per block hand-off), and the trajectory counts
+// as pooled. On the all-movers trajectory the delta-log bound ends every
+// block after one delta step, and every snapshot rebuilds.
+func TestObsCountersTrackKineticBlocks(t *testing.T) {
+	leakCheck(t)
+	const steps = 100
+	const fullBlocks = (steps + kineticBlockLen - 1) / kineticBlockLen
+	for _, c := range []struct {
+		name             string
+		net              Network
+		blocks, rebuilds uint64
+	}{
+		{"drift", driftNet(t, 256), fullBlocks, fullBlocks},
+		{"all-movers", allMoversNet(t, 256), steps / 2, steps},
+	} {
+		reg := obs.NewRegistry()
+		cfg := RunConfig{Iterations: 1, Steps: steps, Seed: 5, Workers: 2,
+			Kinetic: KineticOn, Obs: reg}
+		if _, err := EstimateRanges(context.Background(), c.net, cfg,
+			RangeTargets{TimeFractions: []float64{1}}); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		repairs := snap.Counters["adhocnet_kinetic_mst_repairs_total"]
+		rebuilds := snap.Counters["adhocnet_kinetic_mst_rebuilds_total"]
+		if repairs+rebuilds != steps {
+			t.Errorf("%s: MST repairs %d + rebuilds %d != %d snapshots", c.name, repairs, rebuilds, steps)
+		}
+		if rebuilds != c.rebuilds {
+			t.Errorf("%s: MST rebuilds = %d, want %d", c.name, rebuilds, c.rebuilds)
+		}
+		if got := snap.Histograms["adhocnet_scheduler_ring_occupancy"].Count; got != c.blocks {
+			t.Errorf("%s: %d blocks handed off, want %d", c.name, got, c.blocks)
+		}
+		if got := snap.Counters["adhocnet_scheduler_pooled_trajectories_total"]; got != 1 {
+			t.Errorf("%s: pooled trajectories = %d, want 1", c.name, got)
+		}
+		if got := snap.Counters["adhocnet_scheduler_sequential_trajectories_total"]; got != 0 {
+			t.Errorf("%s: sequential trajectories = %d, want 0", c.name, got)
+		}
+	}
+}
+
 // TestObsCountersTrackSnapshotPool pins the pooled path's counters: with one
 // iteration and many workers the inner level engages, so the pooled
 // trajectory counter and the ring-occupancy histogram must fill.

@@ -192,8 +192,8 @@ func (rm *runMetrics) producerStalled(start time.Time) {
 	}
 }
 
-// observeRing samples the ring occupancy (snapshots in flight) at a task
-// hand-off.
+// observeRing samples the ring occupancy (blocks in flight; on the rebuild
+// path every block is one snapshot) at a task hand-off.
 func (rm *runMetrics) observeRing(occupied int) {
 	if rm == nil {
 		return
@@ -202,7 +202,7 @@ func (rm *runMetrics) observeRing(occupied int) {
 }
 
 // observeLag records how far ahead of the merge frontier a completed step
-// landed (0 = arrived in order; bounded by the ring size).
+// landed (0 = arrived in order; bounded by the pool's result window).
 func (rm *runMetrics) observeLag(lag int) {
 	if rm == nil {
 		return

@@ -71,7 +71,8 @@ func (c RunConfig) Levels() (outer, inner, spare int) {
 		inner = 1
 	}
 	// An iteration of S snapshots can never use more than S evaluators
-	// (runSnapshotPool caps its pool the same way), so don't advertise them.
+	// (runSnapshotPool runs at most one per block, and a block holds at
+	// least one snapshot), so don't advertise them.
 	if c.Steps > 0 && inner > c.Steps {
 		inner = c.Steps
 	}
@@ -290,15 +291,15 @@ func runIteration[A any](ctx context.Context, it iteration,
 // pooled path against. Both paths honor ctx between snapshots and convert
 // panics in eval/merge/Step into *PanicError values carrying (iter, step).
 //
-// The kinetic mode restructures the same loop instead of replacing it: when
-// it.kinetic.enabled says so, the iteration is pinned to this worker's
-// sequential branch (forgoing the snapshot pool), the workspace is armed for
-// incremental repair, and eval receives each step's moved set from the
-// mobility model — a native Mover, or any State adapted through TrackMoves.
-// Snapshot 0 passes moved = nil (the initial placement is not a
-// displacement), which is also what primes the workspace caches. The pooled
-// path always passes nil: its evaluators see snapshots out of order from
-// rotating ring buffers, so there is nothing coherent to repair from.
+// The kinetic mode restructures the same loops instead of replacing them:
+// when it.kinetic.enabled says so, the mobility state is stepped through a
+// Mover (a native one, or any State adapted through TrackMoves), the
+// evaluating workspaces are armed for incremental repair, and eval receives
+// each step's moved set. A moved = nil call (the initial placement, which is
+// not a displacement) evaluates from scratch and primes the workspace
+// caches. The sequential loop passes nil only at snapshot 0; the snapshot
+// pool hands out blocks of consecutive steps and passes nil at every block
+// start (see runSnapshotPool).
 func runTrajectory[R any](ctx context.Context, it iteration, net Network,
 	newSlot func() R,
 	eval func(step int, pts []geom.Point, moved []int32, ws *graph.Workspace, out R),
@@ -309,110 +310,182 @@ func runTrajectory[R any](ctx context.Context, it iteration, net Network,
 	if err != nil {
 		return err
 	}
-	kinetic := it.kinetic.enabled(steps, inner)
-	if inner <= 1 || steps < 2 || kinetic {
-		rm.sequentialTrajectory()
-		ws.SetKinetic(kinetic)
-		var mover mobility.Mover
-		if kinetic {
-			// Step through the Mover so displacement tracking runs even for
-			// third-party states (TrackMoves returns native Movers unchanged).
-			mover = mobility.TrackMoves(state)
-			state = mover
+	var mover mobility.Mover
+	if it.kinetic.enabled(steps, inner) {
+		// Step through the Mover so displacement tracking runs even for
+		// third-party states (TrackMoves returns native Movers unchanged).
+		mover = mobility.TrackMoves(state)
+		state = mover
+	}
+	if inner > 1 && steps > 1 {
+		rm.pooledTrajectory()
+		return runSnapshotPool(ctx, iter, state, mover, net.Nodes, steps, inner, ws.SpatialBackend(), rm, newSlot, eval, merge)
+	}
+	rm.sequentialTrajectory()
+	ws.SetKinetic(mover != nil)
+	out := newSlot()
+	for t := 0; t < steps; t++ {
+		if ctx.Err() != nil {
+			return ctxError(ctx)
 		}
-		out := newSlot()
-		for t := 0; t < steps; t++ {
-			if ctx.Err() != nil {
-				return ctxError(ctx)
-			}
-			var moved []int32
-			if t > 0 {
-				start := rm.timerStart()
-				if err := guardedStep(iter, t, state); err != nil {
-					return err
-				}
-				rm.observeProduce(start)
-				if kinetic {
-					moved = mover.Moved()
-				}
-			}
+		var moved []int32
+		if t > 0 {
 			start := rm.timerStart()
-			if err := guardedEval(iter, t, state.Positions(), moved, ws, out, eval); err != nil {
+			if err := guardedStep(iter, t, state); err != nil {
 				return err
 			}
-			rm.observeEval(start)
-			start = rm.timerStart()
-			if err := guardedMerge(iter, t, out, merge); err != nil {
-				return err
+			rm.observeProduce(start)
+			if mover != nil {
+				moved = mover.Moved()
 			}
-			rm.observeMerge(start)
 		}
-		return nil
-	}
-	rm.pooledTrajectory()
-	return runSnapshotPool(ctx, iter, state, net.Nodes, steps, inner, ws.SpatialBackend(), rm, newSlot, eval, merge)
-}
-
-// posRings pools position-buffer rings across pooled-trajectory iterations,
-// so the mixed regime (several concurrent iterations, each with an inner
-// pool) does not reallocate ring storage per iteration. Buffer contents are
-// fully overwritten by the producer before every use, so pooling cannot leak
-// state between iterations — which also makes the ring safe to repool after
-// a panic (unlike a graph.Workspace, whose internal invariants a panic may
-// have broken mid-update).
-var posRings = sync.Pool{New: func() any { return &posRing{} }}
-
-type posRing struct {
-	bufs [][]geom.Point
-}
-
-// resize returns the ring's buffers sized to ring x nodes, reusing capacity.
-func (r *posRing) resize(ring, nodes int) [][]geom.Point {
-	if cap(r.bufs) < ring {
-		r.bufs = make([][]geom.Point, ring)
-	}
-	r.bufs = r.bufs[:ring]
-	for i := range r.bufs {
-		if cap(r.bufs[i]) < nodes {
-			r.bufs[i] = make([]geom.Point, nodes)
+		start := rm.timerStart()
+		if err := guardedEval(iter, t, state.Positions(), moved, ws, out, eval); err != nil {
+			return err
 		}
-		r.bufs[i] = r.bufs[i][:nodes]
+		rm.observeEval(start)
+		start = rm.timerStart()
+		if err := guardedMerge(iter, t, out, merge); err != nil {
+			return err
+		}
+		rm.observeMerge(start)
 	}
-	return r.bufs
+	return nil
 }
 
-// runSnapshotPool is the pipelined inner level of runTrajectory.
+// kineticBlockLen is the most consecutive steps one ring entry carries on
+// the kinetic pool. Every block start re-primes the evaluator's caches (a
+// rebuild, about 1.3x a repair), so 32 steps keep that overhead near 1% of a
+// repair-dominated trajectory while a 512-step run still splits into 16
+// blocks to balance across evaluators.
+const kineticBlockLen = 32
+
+// snapBlock is one ring entry of the snapshot pool: the consecutive
+// snapshots first .. first+steps-1. pts holds the positions at step first;
+// step first+k (k >= 1) is a delta log entry, the nodes moved[ends[k-1]:
+// ends[k]] now at at[ends[k-1]:ends[k]], which the evaluator applies to pts
+// in place. The producer ends a block before its delta log would exceed one
+// entry per node, so an entry never holds more than two full position sets.
+// On the rebuild path every block is a single snapshot with no deltas.
+type snapBlock struct {
+	first, steps int
+	pts          []geom.Point
+	ends         []int
+	moved        []int32
+	at           []geom.Point
+}
+
+// start makes the block begin at step t with a full copy of pos.
+func (b *snapBlock) start(t int, pos []geom.Point) {
+	b.first, b.steps = t, 1
+	copy(b.pts, pos)
+	b.ends = append(b.ends[:0], 0)
+	b.moved, b.at = b.moved[:0], b.at[:0]
+}
+
+// push appends the next step as the moved nodes' new positions in pos.
+func (b *snapBlock) push(moved []int32, pos []geom.Point) {
+	b.moved = append(b.moved, moved...)
+	for _, m := range moved {
+		b.at = append(b.at, pos[m])
+	}
+	b.ends = append(b.ends, len(b.moved))
+	b.steps++
+}
+
+// advance applies step first+k's deltas (k >= 1) to pts and returns the
+// step's moved set, never nil (nil would tell the workspace to rebuild).
+func (b *snapBlock) advance(k int) []int32 {
+	lo, hi := b.ends[k-1], b.ends[k]
+	moved := b.moved[lo:hi:hi]
+	for i, m := range moved {
+		b.pts[m] = b.at[lo+i]
+	}
+	return moved
+}
+
+// blockRings pools ring storage across pooled-trajectory iterations, so the
+// mixed regime (several concurrent iterations, each with an inner pool) does
+// not reallocate it per iteration. The producer overwrites a block's
+// contents before every use, so pooling cannot leak state between
+// iterations — which also makes the ring safe to repool after a panic
+// (unlike a graph.Workspace, whose internal invariants a panic may have
+// broken mid-update).
+var blockRings = sync.Pool{New: func() any { return &blockRing{} }}
+
+type blockRing struct {
+	blocks []snapBlock
+}
+
+// resize returns ring blocks of nodes positions each, with a delta log of
+// capacity nodes when deltas is set, reusing capacity.
+func (r *blockRing) resize(ring, nodes int, deltas bool) []snapBlock {
+	if cap(r.blocks) < ring {
+		r.blocks = make([]snapBlock, ring)
+	}
+	r.blocks = r.blocks[:ring]
+	for i := range r.blocks {
+		b := &r.blocks[i]
+		if cap(b.pts) < nodes {
+			b.pts = make([]geom.Point, nodes)
+		}
+		b.pts = b.pts[:nodes]
+		if deltas && cap(b.moved) < nodes {
+			b.moved = make([]int32, 0, nodes)
+			b.at = make([]geom.Point, 0, nodes)
+		}
+	}
+	return r.blocks
+}
+
+// runSnapshotPool is the pipelined inner level of runTrajectory. Its tasks
+// are blocks of consecutive snapshots (snapBlock). Without a mover every
+// block is one snapshot, evaluated from scratch. With one (the kinetic
+// path) a block runs up to kineticBlockLen steps: its evaluator calls eval
+// with moved = nil at the block's first step, which rebuilds and primes the
+// workspace caches, then applies each later step's deltas to the same
+// buffer in place and calls eval with that step's moved set, which repairs.
+// The caches bind to the buffer by identity and every block start
+// re-primes, so a ring entry's reuse by a later block is safe; results are
+// bit-identical to the rebuild path by the workspace's kinetic contract.
 //
-// Buffer-ring contract: the ring holds 2*inner position buffers and result
-// slots. The producer may generate snapshot t only after snapshot t-ring has
-// been merged (the credit channel), so at most ring snapshots are in flight
-// past the merge frontier, buffer/slot t%ring is never written before its
-// previous tenant was consumed, and the reducer's reorder window is bounded
-// by the ring. All hand-offs are channel sends, so every access is ordered by
-// a happens-before edge (the -race CI job runs this path).
+// Buffer-ring contract: the ring holds 2*inner blocks (fewer when the
+// trajectory has fewer full blocks) and window = ring*blockLen result slots. The producer may
+// start a block only after the block that last used its ring entry has been
+// fully merged (the credit channel), so at most ring blocks — window steps —
+// are in flight past the merge frontier, and slot and done-flag t%window
+// are never rewritten before their previous tenant was consumed. All
+// hand-offs are channel sends, so every access is ordered by a
+// happens-before edge (the -race CI job runs this path).
 //
 // Shutdown protocol: poolCtx is canceled by the caller's ctx, by a panic in
 // any worker (recorded first, so the panic error — not a bare cancellation —
-// is what surfaces), or not at all. Because every channel holds at most ring
-// in-flight entries, no send can block past cancellation: the producer's
-// only blocking wait (credits) selects on Done, evaluators drain the closed
-// task channel without evaluating, and the reducer stops merging. The pool
-// always joins every goroutine before returning — no leaks on any path.
-// An evaluator that panicked abandons its pooled workspace instead of
-// releasing it (the panic may have left the workspace mid-update).
-func runSnapshotPool[R any](ctx context.Context, iter int, state mobility.State, nodes, steps, inner int,
-	backend spatial.Backend, rm *runMetrics,
+// is what surfaces), or not at all. Because every channel holds at most its
+// ring's or window's in-flight entries, no send can block past
+// cancellation: the producer checks Done between steps and while waiting for
+// credits, evaluators check it between snapshots and drain the closed task
+// channel without evaluating, and the reducer stops merging. The pool always
+// joins every goroutine before returning — no leaks on any path. An
+// evaluator that panicked abandons its pooled workspace instead of releasing
+// it (the panic may have left the workspace mid-update).
+func runSnapshotPool[R any](ctx context.Context, iter int, state mobility.State, mover mobility.Mover,
+	nodes, steps, inner int, backend spatial.Backend, rm *runMetrics,
 	newSlot func() R,
 	eval func(step int, pts []geom.Point, moved []int32, ws *graph.Workspace, out R),
 	merge func(step int, out R),
 ) error {
+	blockLen := 1
+	if mover != nil {
+		blockLen = kineticBlockLen
+	}
 	ring := 2 * inner
-	if ring > steps {
-		ring = steps
+	if maxBlocks := (steps + blockLen - 1) / blockLen; ring > maxBlocks {
+		ring = maxBlocks
 	}
 	if inner > ring {
-		inner = ring // more evaluators than in-flight snapshots can't help
+		inner = ring // more evaluators than in-flight blocks can't help
 	}
+	window := min(ring*blockLen, steps)
 	poolCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	done := poolCtx.Done()
@@ -427,10 +500,10 @@ func runSnapshotPool[R any](ctx context.Context, iter int, state mobility.State,
 		cancel(err)
 	}
 
-	pr := posRings.Get().(*posRing)
-	defer posRings.Put(pr)
-	bufs := pr.resize(ring, nodes)
-	slots := make([]R, ring)
+	br := blockRings.Get().(*blockRing)
+	defer blockRings.Put(br)
+	blocks := br.resize(ring, nodes, mover != nil)
+	slots := make([]R, window)
 	for i := range slots {
 		slots[i] = newSlot()
 	}
@@ -438,8 +511,8 @@ func runSnapshotPool[R any](ctx context.Context, iter int, state mobility.State,
 	for i := 0; i < ring; i++ {
 		credits <- struct{}{}
 	}
-	tasks := make(chan int, ring)   // step indices ready for evaluation
-	results := make(chan int, ring) // step indices with a filled slot
+	tasks := make(chan int, ring)     // ring entries holding a complete block
+	results := make(chan int, window) // step indices with a filled slot
 
 	// Producer: the only goroutine that touches the mobility state. It
 	// performs exactly the Step() sequence of the sequential path. Deferred
@@ -454,32 +527,59 @@ func runSnapshotPool[R any](ctx context.Context, iter int, state mobility.State,
 				fail(newPanicError(iter, t, r))
 			}
 		}()
+		e, open := 0, false // ring entry being filled, and whether it holds a block
+		send := func() {
+			rm.observeRing(ring - len(credits))
+			tasks <- e
+			e, open = (e+1)%ring, false
+		}
 		for ; t < steps; t++ {
-			select {
-			case <-credits:
-			default:
-				// No free ring entry: the producer is ahead of the merge
-				// frontier and stalls on backpressure. The extra non-blocking
-				// attempt above keeps the uncontended path select-free.
-				stallStart := rm.timerStart()
-				select {
-				case <-credits:
-					rm.producerStalled(stallStart)
-				case <-done:
+			var moved []int32
+			if t > 0 {
+				if poolCtx.Err() != nil {
 					return
 				}
-			}
-			if t > 0 {
 				start := rm.timerStart()
 				if err := guardedStep(iter, t, state); err != nil {
 					fail(err)
 					return
 				}
 				rm.observeProduce(start)
+				if mover != nil {
+					moved = mover.Moved()
+				}
 			}
-			copy(bufs[t%ring], state.Positions())
-			rm.observeRing(ring - len(credits))
-			tasks <- t
+			if open && len(blocks[e].moved)+len(moved) > nodes {
+				send() // the delta log is full: this step starts the next block
+			}
+			b := &blocks[e]
+			if open {
+				b.push(moved, state.Positions())
+			} else {
+				select {
+				case <-credits:
+				default:
+					// No free ring entry: the producer is ahead of the merge
+					// frontier and stalls on backpressure. The extra
+					// non-blocking attempt above keeps the uncontended path
+					// select-free.
+					stallStart := rm.timerStart()
+					select {
+					case <-credits:
+						rm.producerStalled(stallStart)
+					case <-done:
+						return
+					}
+				}
+				b.start(t, state.Positions())
+				open = true
+			}
+			if b.steps == blockLen {
+				send()
+			}
+		}
+		if open {
+			send()
 		}
 	}()
 
@@ -493,6 +593,7 @@ func runSnapshotPool[R any](ctx context.Context, iter int, state mobility.State,
 			// backend cannot affect results (see RunConfig.Spatial), so the
 			// pool's ordered-reduction determinism is untouched.
 			ws.SetSpatialBackend(backend)
+			ws.SetKinetic(mover != nil)
 			healthy := true
 			defer func() {
 				if healthy {
@@ -500,26 +601,39 @@ func runSnapshotPool[R any](ctx context.Context, iter int, state mobility.State,
 					graph.ReleaseWorkspace(ws)
 				}
 			}()
-			for t := range tasks {
-				if poolCtx.Err() != nil {
-					continue // canceled: drain the ring without evaluating
+			for e := range tasks {
+				// Once the block's last result is sent the reducer may hand
+				// the entry back to the producer, so read its extent first.
+				b := &blocks[e]
+				first, n := b.first, b.steps
+				for k := 0; k < n && healthy; k++ {
+					if poolCtx.Err() != nil {
+						break // canceled: drain the ring without evaluating
+					}
+					var moved []int32
+					if k > 0 {
+						moved = b.advance(k)
+					}
+					t := first + k
+					start := rm.timerStart()
+					if err := guardedEval(iter, t, b.pts, moved, ws, slots[t%window], eval); err != nil {
+						healthy = false // the workspace may be mid-update: abandon it
+						fail(err)
+						break
+					}
+					rm.observeEval(start)
+					results <- t
 				}
-				start := rm.timerStart()
-				if err := guardedEval(iter, t, bufs[t%ring], nil, ws, slots[t%ring], eval); err != nil {
-					healthy = false // the workspace may be mid-update: abandon it
-					fail(err)
-					continue
-				}
-				rm.observeEval(start)
-				results <- t
 			}
 		}()
 	}
 
 	// Ordered reduction on the caller's goroutine: workers finish in any
 	// order; merge fires strictly in step order. In-flight steps all lie in
-	// [next, next+ring), so the done window cannot alias two steps.
-	filled := make([]bool, ring)
+	// [next, next+window), so the done window cannot alias two steps. A
+	// block's ring entry is credited back once its last step is merged.
+	filled := make([]bool, window)
+	blk := 0 // ring entry of the block holding step next
 reduce:
 	for next := 0; next < steps; {
 		var t int
@@ -529,17 +643,20 @@ reduce:
 			break reduce
 		}
 		rm.observeLag(t - next)
-		filled[t%ring] = true
-		for next < steps && filled[next%ring] {
-			filled[next%ring] = false
+		filled[t%window] = true
+		for next < steps && filled[next%window] {
+			filled[next%window] = false
 			start := rm.timerStart()
-			if err := guardedMerge(iter, next, slots[next%ring], merge); err != nil {
+			if err := guardedMerge(iter, next, slots[next%window], merge); err != nil {
 				fail(err)
 				break reduce
 			}
 			rm.observeMerge(start)
-			credits <- struct{}{}
 			next++
+			if b := &blocks[blk]; next == b.first+b.steps {
+				credits <- struct{}{}
+				blk = (blk + 1) % ring
+			}
 		}
 	}
 	wg.Wait()

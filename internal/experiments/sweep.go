@@ -50,9 +50,9 @@ func extSweepExperiment() Experiment {
 					if iters > p.Iterations {
 						continue
 					}
-					// The single-iteration rung is the kinetic regime (one
-					// evaluator owns the whole trajectory), so it doubles as
-					// the kinetic-vs-rebuild comparison row.
+					// The single-iteration rung is the long-trajectory
+					// regime the kinetic path targets, so it doubles as the
+					// kinetic-vs-rebuild comparison row.
 					modes := []core.KineticMode{p.Kinetic}
 					if iters == 1 {
 						modes = []core.KineticMode{core.KineticOn, core.KineticOff}
