@@ -137,8 +137,8 @@ func newRunMetrics(r *obs.Registry) *runMetrics {
 		mstRebuilds:   r.Counter("adhocnet_kinetic_mst_rebuilds_total"),
 		mstDirty:      r.Counter("adhocnet_kinetic_mst_dirty_fallbacks_total"),
 		mstFragments:  r.Counter("adhocnet_kinetic_mst_fragments_total"),
-		mstRounds:     r.Counter("adhocnet_kinetic_mst_rounds_total"),
-		mstCandidates: r.Counter("adhocnet_kinetic_mst_candidates_total"),
+		mstRounds:     r.Counter("adhocnet_mst_rounds_total"),
+		mstCandidates: r.Counter("adhocnet_mst_candidates_total"),
 		mstKept:       r.Counter("adhocnet_kinetic_mst_kept_edges_total"),
 		graphRepairs:  r.Counter("adhocnet_kinetic_graph_repairs_total"),
 		graphRebuilds: r.Counter("adhocnet_kinetic_graph_rebuilds_total"),

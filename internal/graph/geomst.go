@@ -135,9 +135,31 @@ func (ws *Workspace) filterKruskal(s []candidate, depth int) bool {
 	return false
 }
 
-// accept offers one candidate to Kruskal, appending it to the tree when it
-// joins two components, and reports whether the tree is complete.
+// accept offers one candidate to Kruskal after joining the kept edges that
+// sort before it, and reports whether the tree is complete.
 func (ws *Workspace) accept(c candidate) bool {
+	if len(ws.kept) > 0 && ws.mergeKept(c) {
+		return true
+	}
+	return ws.join(c)
+}
+
+// mergeKept joins, in order, the edges of the sorted kept stream (ws.kept)
+// that sort before c, and reports whether the tree completed.
+func (ws *Workspace) mergeKept(c candidate) bool {
+	for len(ws.kept) > 0 && candLess(ws.kept[0], c) {
+		e := ws.kept[0]
+		ws.kept = ws.kept[1:]
+		if ws.join(e) {
+			return true
+		}
+	}
+	return false
+}
+
+// join unites the endpoints of one edge, appending it to the tree when they
+// were in different components, and reports whether the tree is complete.
+func (ws *Workspace) join(c candidate) bool {
 	if !ws.uf.Union(c.i, c.j) {
 		return false
 	}
@@ -193,19 +215,11 @@ func (ws *Workspace) outsiderPairs(r float64) {
 // spanning tree is unique, so the connectivity profile derived from either
 // tree is identical (cross-validated in the tests).
 //
-// The algorithm expands a search radius from the mean point spacing (the
-// nearest-neighbor scale), doubling it until the tree completes. Round k
-// hashes the points into a cell grid sized to r_k and enumerates only the
-// pairs in the annulus (r_{k-1}, r_k] whose endpoints lie in different
-// components; the surviving candidates are replayed through a
-// filter-Kruskal in strict (d2, i, j) order. Once one component holds more
-// than half the points, a round scans only the points outside it, since
-// every remaining candidate has such an endpoint. Annuli are disjoint and
-// processed in increasing order, so the replay sees every relevant pair
-// exactly once, in globally sorted order — an exact Kruskal, returning the
-// edges in that order. A late round costs O(n) plus the outsiders'
-// neighborhoods, not the pairs within its radius. For n below
-// geoMSTDenseCutoff it falls back to the dense Prim, which is faster there.
+// The annulus rounds (mstRounds) start at the mean point spacing (the
+// nearest-neighbor scale) and double the radius until the tree completes;
+// the result is an exact strict-(d2, i, j)-order Kruskal, returning the
+// edges in that order. For n below geoMSTDenseCutoff it falls back to the
+// dense Prim, which is faster there.
 //
 // GeoMST panics when a point coordinate is NaN or infinite (the bounding
 // extent is then not finite), since no radius can connect such a point.
@@ -250,7 +264,54 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 	// annuli already resolve the bulk of the tree.
 	r := extent / math.Pow(float64(n), 1/float64(dims))
 
+	// The backend is resolved once per MST at the starting radius. The k-d
+	// tree is radius-free — built once here — and its rounds use
+	// MinPairsByLabel: only the minimal candidate per component pair inside
+	// the annulus, which is exactly the subset of the full enumeration that
+	// Kruskal can ever accept (every other candidate between the same
+	// components sorts after that minimum and finds its endpoints already
+	// united). The grid path enumerates every cross-component annulus pair
+	// (from the outsiders only, once a giant component exists). Both feed
+	// the replay the same accepted-edge sequence, so the backend cannot
+	// change the tree — it removes the clustered placements' quadratic trap,
+	// where bridging rounds between k-point islands enumerate and sort k^2
+	// cross pairs to use one.
+	useTree := ws.resolveBackend(pts, dim, r) == spatial.BackendKDTree
+	if useTree {
+		ws.kd.Rebuild(pts, dim)
+		// Start the rounds well below the global mean spacing: the tree is
+		// picked for placements whose dense regions sit far above the global
+		// density, and rounds only dedup candidates between components that
+		// already exist — entering a dense region at its own spacing lets
+		// its components coalesce in cheap small annuli before the annulus
+		// that covers the whole region arrives. Any starting radius is
+		// exact (the annuli stay disjoint and increasing); this one only
+		// adds three near-empty rounds when the placement is uniform after
+		// all. The grid keeps the global scale, where its cells are sized.
+		r /= 8
+	}
+	return ws.mstRounds(pts, dim, r, useTree, nil, nil)
+}
+
+// mstRounds is the annulus Kruskal behind GeoMST and the kinetic repair: it
+// builds the strict-(d2, i, j)-order MST of pts into ws.edges, in that
+// order. Round k offers the candidates in the annulus (r_{k-1}, r_k], r_0 =
+// r, doubling until the tree completes: with useTree the k-d tree's
+// per-label-pair minima among pairs whose endpoints differ in frag (nil:
+// the round-start labels; ws.kd must be current), otherwise the grid's
+// cross-component pairs, from the outsiders only once a giant component
+// exists (dim is read only there). kept is a sorted stream of edges trusted
+// without a query (the repair's kept forest; none for GeoMST). It never
+// enters the batch: accept merges it ahead of each candidate, and each
+// round drains it up to r_k^2, without which a round whose query emits
+// nothing would never progress. Annuli are disjoint and increasing, so
+// Kruskal sees every candidate once, in globally sorted order, from any
+// starting radius.
+func (ws *Workspace) mstRounds(pts []geom.Point, dim int, r float64, useTree bool, kept []candidate, frag []int32) []Edge {
+	n := len(pts)
 	ws.uf.Reset(n)
+	ws.edges = ws.edges[:0]
+	ws.kept = kept
 	if ws.batchVisitor == nil {
 		ws.batchVisitor = func(i, j int, d2 float64) {
 			if d2 <= ws.batchPrevR2 {
@@ -283,33 +344,6 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 		}
 	}
 
-	// The backend is resolved once per MST at the starting radius. The k-d
-	// tree is radius-free — built once here — and its rounds use
-	// MinPairsByLabel: only the minimal candidate per component pair inside
-	// the annulus, which is exactly the subset of the full enumeration that
-	// Kruskal can ever accept (every other candidate between the same
-	// components sorts after that minimum and finds its endpoints already
-	// united). The grid path enumerates every cross-component annulus pair
-	// (from the outsiders only, once a giant component exists). Both feed
-	// the replay the same accepted-edge sequence, so the backend cannot
-	// change the tree — it removes the clustered placements' quadratic trap,
-	// where bridging rounds between k-point islands enumerate and sort k^2
-	// cross pairs to use one.
-	useTree := ws.resolveBackend(pts, dim, r) == spatial.BackendKDTree
-	if useTree {
-		ws.kd.Rebuild(pts, dim)
-		// Start the rounds well below the global mean spacing: the tree is
-		// picked for placements whose dense regions sit far above the global
-		// density, and rounds only dedup candidates between components that
-		// already exist — entering a dense region at its own spacing lets
-		// its components coalesce in cheap small annuli before the annulus
-		// that covers the whole region arrives. Any starting radius is
-		// exact (the annuli stay disjoint and increasing); this one only
-		// adds three near-empty rounds when the placement is uniform after
-		// all. The grid keeps the global scale, where its cells are sized.
-		r /= 8
-	}
-
 	// The first round must admit d2 == 0 (coincident points), so the
 	// initial exclusion bound sits below every squared distance.
 	prevR2 := -1.0
@@ -319,7 +353,11 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 		switch {
 		case useTree:
 			ws.labelRoots(n)
-			ws.minPairs(ws.labels, prevR2, r)
+			f := frag
+			if f == nil {
+				f = ws.labels
+			}
+			ws.minPairs(f, prevR2, r)
 		case 2*(n-ws.uf.Largest()) < n:
 			// A full scan visits about half the 3^d stencil per point, an
 			// outsider scan the whole stencil per outsider: the outsiders
@@ -331,11 +369,17 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 			ws.ix.Rebuild(pts, dim, r)
 			ws.ix.ForEachPairWithin(r, ws.batchVisitor)
 		}
-		ws.filterKruskal(ws.cand, 2*bits.Len(uint(len(ws.cand))))
-		// The annulus filter reuses the exact r*r the grid compared against,
-		// so the next round's exclusion is the precise complement of this
-		// round's inclusion.
-		prevR2 = r * r
+		ws.stats.MSTRounds++
+		ws.stats.MSTCandidates += uint64(len(ws.cand))
+		// The annulus filter reuses the exact r*r the queries compared
+		// against, so the next round's exclusion is the precise complement
+		// of this round's inclusion.
+		r2 := r * r
+		if !ws.filterKruskal(ws.cand, 2*bits.Len(uint(len(ws.cand)))) {
+			// Every kept edge at or below r2 sorts before this bound.
+			ws.mergeKept(candidate{d2: r2, i: math.MaxInt32, j: math.MaxInt32})
+		}
+		prevR2 = r2
 		r *= 2
 	}
 	return ws.edges

@@ -238,6 +238,23 @@ func TestGeoMSTOutsiderRoundsFire(t *testing.T) {
 	}
 }
 
+// TestGeoMSTCountsRounds checks that the plain MST path reports its annulus
+// work on both backends: every tree edge is an accepted candidate, so the
+// candidate count is at least n-1.
+func TestGeoMSTCountsRounds(t *testing.T) {
+	const n = 4096
+	pts := geom.MustRegion(1000, 2).UniformPoints(xrand.New(17), n)
+	for _, b := range []spatial.Backend{spatial.BackendGrid, spatial.BackendKDTree} {
+		ws := NewWorkspace()
+		ws.SetSpatialBackend(b)
+		ws.GeoMST(pts, 2)
+		st := ws.TakeStats()
+		if st.MSTRounds < 1 || st.MSTCandidates < n-1 {
+			t.Errorf("%v: MSTRounds %d, MSTCandidates %d; want >= 1 and >= %d", b, st.MSTRounds, st.MSTCandidates, n-1)
+		}
+	}
+}
+
 // TestGeoMSTMatchesStrictKruskalLarger checks the exact edge sequence at
 // sizes where the first rounds' batches pass several filter-Kruskal levels
 // and the late rounds scan only outsiders.

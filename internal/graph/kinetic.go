@@ -19,11 +19,13 @@ import (
 // Results are bit-identical to the rebuild path by construction, not by
 // tolerance:
 //
-//   - ProfileKinetic re-derives the exact strict-order MST. Kruskal with the
-//     (d2, i, j) total order has a unique answer, and the kinetic candidate
-//     set provably contains it (see kineticMST), so the repaired tree is the
-//     same edge list in the same order as GeoMST's, and the replayed profile
-//     is bitwise identical.
+//   - ProfileKinetic re-derives the exact strict-order MST by running
+//     GeoMST's own annulus Kruskal (mstRounds) with the previous tree's
+//     surviving edges as a kept stream. Kruskal with the (d2, i, j) total
+//     order has a unique answer, and the kinetic candidate set provably
+//     contains it (see kineticMST), so the repaired tree is the same edge
+//     list in the same order as GeoMST's, and the replayed profile is
+//     bitwise identical.
 //   - PointGraphKinetic re-derives the exact edge SET of the communication
 //     graph (kept unmoved-unmoved edges are unchanged by definition; edges
 //     incident to moved points are re-enumerated from the spatial index with
@@ -39,8 +41,8 @@ import (
 
 // kineticDirtyFraction is the moved fraction beyond which repairing costs
 // more than rebuilding: the MST repair work scales with the moved count
-// (star queries, box-loosened pruning), and past ~a fifth of the points the
-// annulus rounds re-enumerate most of what a fresh build would.
+// (fragments to bridge, box-loosened pruning), and past ~a fifth of the
+// points the annulus rounds re-enumerate most of what a fresh build would.
 const kineticDirtyFraction = 0.2
 
 // kinetic is the workspace's incremental-update state: the previous step's
@@ -57,10 +59,9 @@ type kinetic struct {
 
 	// MST cache: the previous step's tree as (d2, i, j) candidates in
 	// strict sorted order (which is GeoMST's acceptance order).
-	treeOK   bool
-	tree     []candidate
-	treeNext []candidate
-	mstU     []candidate // MST over the unmoved points, phase-2 scratch
+	treeOK bool
+	tree   []candidate
+	kept   []candidate // the repair's kept forest, sorted (kineticMST)
 
 	// Point-graph cache: the previous step's edge list at radius graphR,
 	// discovered through graphBackend (resolved once at prime time and kept
@@ -153,12 +154,7 @@ func (ws *Workspace) ProfileKinetic(pts []geom.Point, dim int, moved []int32) *P
 	k.treeOK = false
 	if extent, _ := spatial.BoundingExtent(pts); n > geoMSTDenseCutoff && extent > 0 {
 		k.rebind(pts)
-		k.tree = k.tree[:0]
-		for _, e := range edges {
-			// Edge weights are threshold radii; the repair orders by squared
-			// distance, so recover each edge's exact d2 from the coordinates.
-			k.tree = append(k.tree, candidate{d2: geom.Dist2(pts[e.I], pts[e.J]), i: e.I, j: e.J})
-		}
+		k.keepTree(pts, edges)
 		// The repair queries the k-d tree regardless of the workspace's
 		// spatial policy (the grid is rebuilt per radius, so it has nothing
 		// to repair); build it once here, Update keeps it current.
@@ -166,6 +162,17 @@ func (ws *Workspace) ProfileKinetic(pts []geom.Point, dim int, moved []int32) *P
 		k.treeOK = true
 	}
 	return ws.replayProfile(n, edges)
+}
+
+// keepTree caches edges, a strict-order MST over pts, as the tree the next
+// repair continues from. Edge weights are threshold radii and the repair
+// orders by squared distance, so each edge's exact d2 is recovered from the
+// coordinates (the same geom.Dist2 value the queries computed).
+func (k *kinetic) keepTree(pts []geom.Point, edges []Edge) {
+	k.tree = k.tree[:0]
+	for _, e := range edges {
+		k.tree = append(k.tree, candidate{d2: geom.Dist2(pts[e.I], pts[e.J]), i: e.I, j: e.J})
+	}
 }
 
 // kineticMST repairs the cached strict-order MST after the listed points
@@ -182,20 +189,13 @@ func (ws *Workspace) ProfileKinetic(pts []geom.Point, dim int, moved []int32) *P
 //     edge strictly smaller — so the cycle property certifies it non-minimal
 //     in the new configuration too.
 //
-//  2. Re-run Kruskal over the full point set on a candidate set that
-//     provably contains the new MST: the kept edges stream in sorted order
-//     (they are a sorted subsequence of the cached tree), and each annulus
-//     round adds the per-component-pair MINIMA among fragment-crossing pairs
-//     (MinPairsByLabel with frag = the kept forest, labels = the round-start
-//     components). A crossing pair that is not its component pair's ring
-//     minimum is replayed after that minimum and finds its endpoints already
-//     connected, so it can never be accepted — the same redundancy argument
-//     GeoMST's tree rounds rest on, and the reason a moved point inside a
-//     dense cluster costs one candidate per neighbouring component instead
-//     of one per neighbouring point. Kruskal with the strict (d2, i, j) order over
-//     a superset of the MST accepts exactly the MST, in sorted order — the
-//     same edges in the same order as a from-scratch GeoMST, which is what
-//     makes the replayed profile bitwise identical.
+//  2. Run GeoMST's annulus Kruskal (mstRounds) on the k-d tree with the
+//     kept forest as its kept stream and frag as the crossing partition:
+//     each round adds the per-component-pair minima among fragment-crossing
+//     pairs, which is all Kruskal can accept (see GeoMST). Kruskal with the
+//     strict (d2, i, j) order over a superset of the MST accepts exactly
+//     the MST, in sorted order — the same edges in the same order as a
+//     from-scratch GeoMST, so the replayed profile is bitwise identical.
 func (ws *Workspace) kineticMST(pts []geom.Point, moved []int32) ([]Edge, bool) {
 	n := len(pts)
 	extent, dims := spatial.BoundingExtent(pts)
@@ -215,76 +215,38 @@ func (ws *Workspace) kineticMST(pts []geom.Point, moved []int32) ([]Edge, bool) 
 	// Phase 1: keep the still-valid tree edges (in sorted order, as a
 	// subsequence of the sorted cached tree) and derive the frag partition.
 	ws.uf.Reset(n)
-	k.mstU = k.mstU[:0]
+	k.kept = k.kept[:0]
 	for _, c := range k.tree {
 		if k.mark[c.i] || k.mark[c.j] {
 			continue
 		}
 		ws.uf.Union(c.i, c.j)
-		k.mstU = append(k.mstU, c)
+		k.kept = append(k.kept, c)
 	}
 	k.frag = grow(k.frag, n)
 	for i := range k.frag {
 		k.frag[i] = ws.uf.Find(int32(i))
 	}
-	ws.stats.MSTKeptEdges += uint64(len(k.mstU))
+	ws.stats.MSTKeptEdges += uint64(len(k.kept))
 	ws.stats.MSTFragments += uint64(ws.uf.Count())
+	for _, m := range moved {
+		k.mark[m] = false
+	}
 
-	// Phase 2: exact Kruskal over the kept stream plus the per-round
-	// crossing minima, by expanding annuli so the candidate stream arrives
-	// in sorted order. Any ring schedule is exact (the annuli stay disjoint
-	// and increasing), so the schedule is a pure performance choice, and the
-	// cached tree knows the right one: its median edge length is the scale
-	// where tree edges actually live. Starting the first ring there makes
-	// round one coalesce half the structure at once — on clustered
-	// placements the median is the tiny intra-cluster spacing, so dense
-	// regions still merge before a ring wide enough to flood them with
-	// cross pairs arrives, while on uniform placements it skips the
-	// sub-spacing rounds that traverse the whole tree to emit nothing.
+	// Phase 2, starting at the cached tree's median edge length, the scale
+	// where tree edges live: round one coalesces half the structure; on
+	// clustered placements dense regions still merge before a ring wide
+	// enough to flood them with cross pairs arrives, and on uniform ones
+	// the sub-spacing rounds that would emit nothing are skipped.
 	r0 := math.Sqrt(k.tree[len(k.tree)/2].d2)
 	if r0 == 0 {
 		// Degenerate cache (coincident points): fall back to the mean
 		// spacing so the doubling still terminates.
 		r0 = extent / math.Pow(float64(n), 1/float64(dims)) / 8
 	}
-	ws.uf.Reset(n)
-	ws.edges = ws.edges[:0]
-	k.treeNext = k.treeNext[:0]
-	cursor := 0
-	prevR2 := -1.0 // admit d2 == 0 in the first round
-	r := r0
-	for ws.uf.Count() > 1 {
-		r2 := r * r
-		ws.cand = ws.cand[:0]
-		for cursor < len(k.mstU) && k.mstU[cursor].d2 <= r2 {
-			c := k.mstU[cursor]
-			cursor++
-			if ws.uf.Find(c.i) != ws.uf.Find(c.j) {
-				ws.cand = append(ws.cand, c)
-			}
-		}
-		ws.labelRoots(n)
-		ws.minPairs(k.frag, prevR2, r)
-		ws.stats.MSTRounds++
-		ws.stats.MSTCandidates += uint64(len(ws.cand))
-		sortCandidates(ws.cand)
-		for _, c := range ws.cand {
-			if ws.uf.Union(c.i, c.j) {
-				ws.edges = append(ws.edges, Edge{I: c.i, J: c.j, D: thresholdRadius(c.d2)})
-				k.treeNext = append(k.treeNext, c)
-				if ws.uf.Count() == 1 {
-					break
-				}
-			}
-		}
-		prevR2 = r2
-		r *= 2
-	}
-	k.tree, k.treeNext = k.treeNext, k.tree
-	for _, m := range moved {
-		k.mark[m] = false
-	}
-	return ws.edges, true
+	edges := ws.mstRounds(pts, 0, r0, true, k.kept, k.frag)
+	k.keepTree(pts, edges)
+	return edges, true
 }
 
 // PointGraphKinetic is PointGraph with incremental repair across mobility

@@ -91,20 +91,48 @@ func (w *kineticWalk) step() []int32 {
 	return w.moved
 }
 
+// walkStep, noMoves and moveLeaf are the moved-set sources of
+// TestKineticMSTMatchesGeoMST. noMoves is a non-nil empty moved set: the
+// kept forest is the whole tree, so the repair's k-d tree rounds emit no
+// candidate and every join comes from the kept stream's end-of-round drain.
+// moveLeaf displaces one leaf of the cached tree, which leaves the kept
+// forest one edge short of spanning.
+func walkStep(w *kineticWalk, _ []candidate) []int32 { return w.step() }
+
+func noMoves(*kineticWalk, []candidate) []int32 { return []int32{} }
+
+func moveLeaf(w *kineticWalk, tree []candidate) []int32 {
+	deg := make([]int, len(w.pts))
+	for _, c := range tree {
+		deg[c.i]++
+		deg[c.j]++
+	}
+	leaf := int32(slices.Index(deg, 1))
+	p := &w.pts[leaf]
+	p.X = clamp01(p.X + w.rng.Range(-w.stepLen, w.stepLen))
+	p.Y = clamp01(p.Y + w.rng.Range(-w.stepLen, w.stepLen))
+	return []int32{leaf}
+}
+
 // TestKineticMSTMatchesGeoMST pins the strongest kinetic invariant: the
 // repaired MST is the IDENTICAL edge list in the IDENTICAL order as a
 // from-scratch GeoMST, bitwise — both are the unique strict-(d2, i, j)-order
-// Kruskal tree emitted in sorted order.
+// Kruskal tree emitted in sorted order. Each step goes through
+// ProfileKinetic's repair path and compares the tree it caches.
 func TestKineticMSTMatchesGeoMST(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		n, dim    int
 		clustered bool
+		moves     func(*kineticWalk, []candidate) []int32
 	}{
-		{"uniform-2d", 300, 2, false},
-		{"uniform-3d", 200, 3, false},
-		{"clustered-2d", 300, 2, true},
-		{"small", 64, 2, false},
+		{"uniform-2d", 300, 2, false, walkStep},
+		{"uniform-3d", 200, 3, false, walkStep},
+		{"clustered-2d", 300, 2, true, walkStep},
+		{"small", 64, 2, false, walkStep},
+		{"no-moves", 300, 2, false, noMoves},
+		{"no-moves-clustered", 300, 2, true, noMoves},
+		{"one-leaf", 300, 2, false, moveLeaf},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := xrand.New(1234)
@@ -117,11 +145,15 @@ func TestKineticMSTMatchesGeoMST(t *testing.T) {
 				t.Fatal("prime left the kinetic tree cache cold")
 			}
 			for step := 0; step < 24; step++ {
-				moved := w.step()
-				want := slices.Clone(wsR.GeoMST(w.pts, tc.dim))
-				got, ok := wsK.kineticMST(w.pts, moved)
-				if !ok {
-					t.Fatalf("step %d: kineticMST refused a non-degenerate placement", step)
+				moved := tc.moves(w, wsK.kin.tree)
+				want := wsR.GeoMST(w.pts, tc.dim)
+				wsK.ProfileKinetic(w.pts, tc.dim, moved)
+				if st := wsK.TakeStats(); st.MSTRepairs != 1 {
+					t.Fatalf("step %d (%d moved): ProfileKinetic did not repair (%+v)", step, len(moved), st)
+				}
+				got := make([]Edge, len(wsK.kin.tree))
+				for x, c := range wsK.kin.tree {
+					got[x] = Edge{I: c.i, J: c.j, D: thresholdRadius(c.d2)}
 				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("step %d (%d moved): kinetic MST differs from rebuild", step, len(moved))

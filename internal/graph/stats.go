@@ -3,8 +3,8 @@ package graph
 import "adhocnet/internal/spatial"
 
 // WorkspaceStats are the workspace's per-iteration operation counters: the
-// kinetic pipeline's repair-vs-rebuild decisions and per-round work, the
-// backend auto-selection outcomes, and the underlying spatial indexes' own
+// kinetic pipeline's repair-vs-rebuild decisions, the annulus MST rounds'
+// work, the backend auto-selection outcomes, and the underlying spatial indexes' own
 // counters. Like spatial.Stats they are plain fields on goroutine-owned
 // state — incremented for free on paths that are hot, drained into registry
 // atomics at iteration boundaries by the scheduler (see core's runMetrics).
@@ -22,8 +22,10 @@ type WorkspaceStats struct {
 	// MSTFragments accumulates the kept-forest fragment count of each repair
 	// (phase 1's partition size — the structural damage the step caused).
 	MSTFragments uint64
-	// MSTRounds counts annulus Kruskal rounds across repairs; MSTCandidates
-	// accumulates the candidate edges those rounds examined.
+	// MSTRounds counts the annulus Kruskal rounds of every MST (GeoMST and
+	// the kinetic repair alike); MSTCandidates accumulates the candidate
+	// edges their annulus queries emitted (kept-forest edges are not
+	// candidates).
 	MSTRounds     uint64
 	MSTCandidates uint64
 	// MSTKeptEdges accumulates phase-1 kept edges across repairs.

@@ -38,6 +38,7 @@ type Workspace struct {
 
 	edges []Edge       // MST / point-graph edge buffer
 	cand  []candidate  // filtered Kruskal: current annulus batch
+	kept  []candidate  // mstRounds: unjoined rest of the sorted kept stream
 	xs    []float64    // 1-D coordinate scratch
 	pts   []geom.Point // placement scratch for samplers
 

@@ -113,23 +113,24 @@ func FuzzKDTreeMatchesGrid(f *testing.F) {
 			t.Fatalf("pair sets differ: tree %d, grid %d, brute %d (n=%d, dim=%d, r=%v)",
 				len(fromTree), len(fromGrid), len(fromBrute), len(pts), dim, r)
 		}
-		// Annulus with the floor at r/2: every pair in (r/2, r] and nothing
-		// below or at the floor.
-		lo2 := (r / 2) * (r / 2)
-		var annulus []pairRec
-		tree.ForEachPairInAnnulus(lo2, r, func(i, j int, d2 float64) {
-			annulus = append(annulus, pairRec{i, j, d2})
+		// The radius-free tree answers a second radius without a rebuild:
+		// at r/2 it must visit exactly the brute-force pairs within r/2.
+		half := r / 2
+		lo2 := half * half // also the MinPairsByLabel annulus floor below
+		var within []pairRec
+		tree.ForEachPairWithin(half, func(i, j int, d2 float64) {
+			within = append(within, pairRec{i, j, d2})
 		})
-		slices.SortFunc(annulus, cmpPairRec)
-		var wantAnnulus []pairRec
+		slices.SortFunc(within, cmpPairRec)
+		var wantWithin []pairRec
 		for _, p := range fromBrute {
-			if p.d2 > lo2 {
-				wantAnnulus = append(wantAnnulus, p)
+			if p.d2 <= lo2 {
+				wantWithin = append(wantWithin, p)
 			}
 		}
-		if !slices.Equal(annulus, wantAnnulus) {
-			t.Fatalf("annulus (%v, %v] differs: tree %d pairs, brute %d pairs (n=%d)",
-				r/2, r, len(annulus), len(wantAnnulus), len(pts))
+		if !slices.Equal(within, wantWithin) {
+			t.Fatalf("pairs within %v differ: tree %d, brute %d (n=%d)",
+				half, len(within), len(wantWithin), len(pts))
 		}
 		// Nearest-neighbor distances must be bitwise identical to the grid
 		// path, +Inf singletons included.

@@ -10,11 +10,11 @@ package spatial
 // follows the local density, whatever the placement looks like.
 //
 // The tree serves the same query surface as the grid (ForEachPairWithin,
-// NearestNeighborDistancesInto) plus an annulus form (ForEachPairInAnnulus:
-// the grid can only widen its cells to the query radius, while the tree
-// prunes whole subtree pairs whose boxes are closer than the annulus
-// floor). The filtered-Kruskal MST's annulus rounds use neither: they run
-// the per-label-pair minimum query MinPairsByLabel (kdtree_minpairs.go).
+// NearestNeighborDistancesInto) plus two annulus queries the grid cannot
+// answer without widening its cells: the single-point ForEachNearInAnnulus
+// (kdtree_update.go) and the filtered-Kruskal MST's per-label-pair minimum
+// query MinPairsByLabel (kdtree_minpairs.go), both of which prune whole
+// subtrees whose boxes lie entirely below the annulus floor.
 // Results are bit-identical to the grid and the brute-force reference: pair
 // inclusion uses the same geom.Dist2 values and the same `d2 <= r*r`
 // comparison, and the box distance bounds are computed with the operation
@@ -231,63 +231,42 @@ func median3(a, b, c float64) float64 {
 //
 //adhoc:hotpath
 func (t *KDTree) ForEachPairWithin(r float64, visit PairVisitor) {
-	t.ForEachPairInAnnulus(math.Inf(-1), r, visit)
-}
-
-// ForEachPairInAnnulus visits every unordered pair (i < j) with
-// lo2 < d2 <= r*r, where d2 is the squared pair distance. It is the query
-// shape of the filtered-Kruskal MST rounds: round k needs only the annulus
-// above the previous round's radius, and the tree prunes whole subtree pairs
-// whose boxes lie entirely below the floor (something the grid cannot do).
-// Pass lo2 < 0 (or -Inf) for a plain within-r query including d2 == 0.
-//
-//adhoc:hotpath
-func (t *KDTree) ForEachPairInAnnulus(lo2, r float64, visit PairVisitor) {
 	t.stats.PairQueries++
 	if r < 0 || t.root < 0 || len(t.pts) < 2 {
 		return
 	}
-	t.pairsSelf(t.root, lo2, r*r, visit)
+	t.pairsSelf(t.root, r*r, visit)
 }
 
 // pairsSelf emits qualifying pairs with both endpoints in node a.
 //
 //adhoc:hotpath
-func (t *KDTree) pairsSelf(a int32, lo2, r2 float64, visit PairVisitor) {
+func (t *KDTree) pairsSelf(a int32, r2 float64, visit PairVisitor) {
 	nd := &t.nodes[a]
-	// Every intra-node pair distance is bounded by the box diagonal; if that
-	// is below the annulus floor the whole subtree is already settled.
-	dx := nd.maxX - nd.minX
-	dy := nd.maxY - nd.minY
-	dz := nd.maxZ - nd.minZ
-	if geom.SumSq(dx, dy, dz) <= lo2 {
-		return
-	}
 	if nd.left < 0 {
 		for x := nd.lo; x < nd.hi; x++ {
 			i := t.idx[x]
 			pi := t.pts[i]
 			for y := x + 1; y < nd.hi; y++ {
 				j := t.idx[y]
-				d2 := geom.Dist2(pi, t.pts[j])
-				if d2 <= r2 && d2 > lo2 {
+				if d2 := geom.Dist2(pi, t.pts[j]); d2 <= r2 {
 					emitOrdered(int(i), int(j), d2, visit)
 				}
 			}
 		}
 		return
 	}
-	t.pairsSelf(nd.left, lo2, r2, visit)
-	t.pairsSelf(nd.right, lo2, r2, visit)
-	t.pairsCross(nd.left, nd.right, lo2, r2, visit)
+	t.pairsSelf(nd.left, r2, visit)
+	t.pairsSelf(nd.right, r2, visit)
+	t.pairsCross(nd.left, nd.right, r2, visit)
 }
 
 // pairsCross emits qualifying pairs with one endpoint in each node.
 //
 //adhoc:hotpath
-func (t *KDTree) pairsCross(a, b int32, lo2, r2 float64, visit PairVisitor) {
+func (t *KDTree) pairsCross(a, b int32, r2 float64, visit PairVisitor) {
 	na, nb := &t.nodes[a], &t.nodes[b]
-	if boxMinDist2(na, nb) > r2 || boxMaxDist2(na, nb) <= lo2 {
+	if boxMinDist2(na, nb) > r2 {
 		return
 	}
 	aLeaf, bLeaf := na.left < 0, nb.left < 0
@@ -297,8 +276,7 @@ func (t *KDTree) pairsCross(a, b int32, lo2, r2 float64, visit PairVisitor) {
 			pi := t.pts[i]
 			for y := nb.lo; y < nb.hi; y++ {
 				j := t.idx[y]
-				d2 := geom.Dist2(pi, t.pts[j])
-				if d2 <= r2 && d2 > lo2 {
+				if d2 := geom.Dist2(pi, t.pts[j]); d2 <= r2 {
 					emitOrdered(int(i), int(j), d2, visit)
 				}
 			}
@@ -307,11 +285,11 @@ func (t *KDTree) pairsCross(a, b int32, lo2, r2 float64, visit PairVisitor) {
 	}
 	// Split the larger node so box bounds tighten as fast as possible.
 	if bLeaf || (!aLeaf && na.hi-na.lo >= nb.hi-nb.lo) {
-		t.pairsCross(na.left, b, lo2, r2, visit)
-		t.pairsCross(na.right, b, lo2, r2, visit)
+		t.pairsCross(na.left, b, r2, visit)
+		t.pairsCross(na.right, b, r2, visit)
 	} else {
-		t.pairsCross(a, nb.left, lo2, r2, visit)
-		t.pairsCross(a, nb.right, lo2, r2, visit)
+		t.pairsCross(a, nb.left, r2, visit)
+		t.pairsCross(a, nb.right, r2, visit)
 	}
 }
 

@@ -76,37 +76,6 @@ func TestKDTreeCoincidentPoints(t *testing.T) {
 	}
 }
 
-func TestKDTreeAnnulusSemantics(t *testing.T) {
-	// ForEachPairInAnnulus must visit exactly lo2 < d2 <= r*r — the visitor
-	// filter the MST rounds currently apply after a full within-r pass.
-	rng := xrand.New(13)
-	reg := geom.MustRegion(100, 2)
-	pts := reg.UniformPoints(rng, 150)
-	tree := NewKDTree(pts, 2)
-	for _, band := range [][2]float64{{0, 5}, {5, 10}, {10, 40}, {40, 200}} {
-		lo, r := band[0], band[1]
-		lo2 := lo * lo
-		got := pairSet(func(v PairVisitor) { tree.ForEachPairInAnnulus(lo2, r, v) })
-		want := pairSet(func(v PairVisitor) {
-			BruteForcePairsWithin(pts, r, func(i, j int, d2 float64) {
-				if d2 > lo2 {
-					v(i, j, d2)
-				}
-			})
-		})
-		if !equalStrings(got, want) {
-			t.Fatalf("annulus (%v, %v]: tree %d pairs, brute %d pairs",
-				lo, r, len(got), len(want))
-		}
-	}
-	// The annulus floor is exclusive: pairs at exactly lo2 are not revisited.
-	pts = []geom.Point{{X: 0}, {X: 3}}
-	tree.Rebuild(pts, 1)
-	tree.ForEachPairInAnnulus(9, 100, func(i, j int, d2 float64) {
-		t.Fatalf("pair (%d,%d) d2=%v visited despite d2 == lo2", i, j, d2)
-	})
-}
-
 func TestKDTreeNearestNeighborMatchesGrid(t *testing.T) {
 	rng := xrand.New(14)
 	var tree KDTree
@@ -152,7 +121,7 @@ func TestKDTreeRebuildZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		tree.Rebuild(pts, 2)
 		tree.ForEachPairWithin(60, visit)
-		tree.ForEachPairInAnnulus(100, 120, visit)
+		tree.ForEachPairWithin(120, visit)
 		nn = tree.NearestNeighborDistancesInto(nn, pts)
 	})
 	if allocs != 0 {

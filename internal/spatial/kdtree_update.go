@@ -10,12 +10,12 @@ import (
 // root-to-leaf path and widens the boxes along it to cover the new position.
 // The repair is expand-only: boxes stay supersets of their subtree, so every
 // bound the queries prune on (boxMinDist2 can only shrink, boxMaxDist2 and
-// pointBoxMaxDist2 can only grow, the pairsSelf diagonal can only grow)
-// remains conservative and no qualifying pair is ever dropped. Looser boxes
-// weaken pruning, never correctness — query results stay bit-identical to a
-// fresh Rebuild, because pair inclusion tests exact geom.Dist2 values either
-// way. The staleness counters below bound how loose the boxes can get before
-// a full Rebuild restores tight fits.
+// pointBoxMaxDist2 can only grow) remains conservative and no qualifying
+// pair is ever dropped. Looser boxes weaken pruning, never correctness —
+// query results stay bit-identical to a fresh Rebuild, because pair
+// inclusion tests exact geom.Dist2 values either way. The staleness
+// counters below bound how loose the boxes can get before a full Rebuild
+// restores tight fits.
 
 // kdStaleRebuildFactor triggers a full Rebuild once the cumulative moved
 // count since the last build exceeds this multiple of n: by then the average
@@ -93,10 +93,9 @@ func (t *KDTree) expandPath(slot int32, p geom.Point) {
 // lo2 < d2 <= r*r, where d2 is the squared distance from point i. Like
 // Index.ForEachNear it is a directed single-point query — visit receives
 // (i, j, d2) with i always the query point, not the i < j pair convention.
-// Pass lo2 < 0 for a plain within-r query including d2 == 0. The kinetic MST
-// repair issues it per moved node and per annulus round, mirroring the
-// subtree pruning of ForEachPairInAnnulus at a single point: subtrees whose
-// box lies entirely beyond r or entirely below the annulus floor are skipped.
+// Pass lo2 < 0 for a plain within-r query including d2 == 0. The kinetic
+// point-graph repair issues it per moved node. Subtrees whose box lies
+// entirely beyond r or entirely below the annulus floor are skipped.
 //
 //adhoc:hotpath
 func (t *KDTree) ForEachNearInAnnulus(i int32, lo2, r float64, visit PairVisitor) {

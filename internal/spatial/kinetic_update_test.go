@@ -142,10 +142,10 @@ func TestKDTreeUpdateMatchesRebuild(t *testing.T) {
 		tree.Update(moved)
 		fresh := NewKDTree(pts, 2)
 		name := fmt.Sprintf("step %d (%d moved)", step, len(moved))
-		for _, band := range [][2]float64{{-1, 40}, {400, 120}} {
-			got := pairMap(func(v PairVisitor) { tree.ForEachPairInAnnulus(band[0], band[1], v) })
-			want := pairMap(func(v PairVisitor) { fresh.ForEachPairInAnnulus(band[0], band[1], v) })
-			samePairs(t, fmt.Sprintf("%s band (%v,%v]", name, band[0], band[1]), got, want)
+		for _, r := range []float64{40, 120} {
+			got := pairMap(func(v PairVisitor) { tree.ForEachPairWithin(r, v) })
+			want := pairMap(func(v PairVisitor) { fresh.ForEachPairWithin(r, v) })
+			samePairs(t, fmt.Sprintf("%s r=%v", name, r), got, want)
 		}
 	}
 }

@@ -16,8 +16,8 @@ type Stats struct {
 	// UpdateRebuilds counts Update calls that abandoned the incremental path
 	// for a full rebuild (dirty fraction exceeded, stale boxes, cold index).
 	UpdateRebuilds uint64
-	// PairQueries counts all-pairs scans (ForEachPairWithin and the annulus
-	// form) — one per MST round or point-graph build, not per pair.
+	// PairQueries counts all-pairs scans (ForEachPairWithin) — one per
+	// full-scan grid MST round or point-graph build, not per pair.
 	PairQueries uint64
 	// NearQueries counts directed single-point queries (ForEachNear /
 	// ForEachNearInAnnulus): one per moved point in the kinetic point-graph
