@@ -21,11 +21,11 @@
 //   - the substrates those need: deterministic splittable PRNG
 //     (internal/xrand), geometry (internal/geom), CSR cell-grid neighbor
 //     search (internal/spatial), graph/MST/connectivity-profile algorithms
-//     (internal/graph), statistics (internal/stats), and mobility traces
-//     (internal/trace);
+//     (internal/graph), and statistics (internal/stats);
 //   - runners regenerating every figure of the paper's evaluation plus
 //     theory-validation experiments (internal/experiments), exposed through
-//     the cmd/repro, cmd/adhocsim, cmd/occutool and cmd/mobgen binaries.
+//     the cmd/repro and cmd/adhocsim binaries, and the cmd/adhocbench
+//     benchmark.
 //
 // Performance architecture: every snapshot's connectivity is derived from
 // its Euclidean MST, computed by a grid-accelerated filtered Kruskal
@@ -43,8 +43,10 @@
 // from the previous snapshot instead of rebuilding: mobility models report
 // per-step moved sets, both backends update in place, and the MST repair
 // re-derives the exact strict-order Kruskal tree from kept edges plus
-// fragment-crossing annulus minima — 2-3x per-step on drift workloads,
-// bit-identical to the rebuild path by construction.
+// fragment-crossing annulus minima, bit-identical to the rebuild path by
+// construction. Per step on a ~2% drift walk the MST repair is 1.31–1.46x
+// faster than a rebuild, but 0.92x (a loss) for clustered placements at
+// n = 16384; see DESIGN.md "Measured envelope".
 // DESIGN.md documents the algorithms, the exactness contract against the
 // dense Prim, the buffer-ring/determinism contract, and the workspace-reuse
 // rules; fixed-seed golden traces, fuzz suites (GeoMST vs dense Prim and vs

@@ -1,11 +1,10 @@
 package adhocnet_test
 
 // Cross-module integration tests: each exercises a pipeline spanning several
-// packages end to end (trace recording -> replay -> evaluation; theory ->
-// simulation agreement; experiment -> report rendering).
+// packages end to end (theory -> simulation agreement; experiment -> report
+// rendering).
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"strings"
@@ -18,64 +17,9 @@ import (
 	"adhocnet/internal/graph"
 	"adhocnet/internal/mobility"
 	"adhocnet/internal/stats"
-	"adhocnet/internal/trace"
 	"adhocnet/internal/unidim"
 	"adhocnet/internal/xrand"
 )
-
-// TestTraceReplayMatchesLiveSimulation records a trajectory, replays it
-// through the evaluator, and checks that the replayed results match a live
-// run with the same seed exactly.
-func TestTraceReplayMatchesLiveSimulation(t *testing.T) {
-	reg := geom.MustRegion(512, 2)
-	const n, steps = 20, 80
-	model := mobility.RandomWaypoint{VMin: 0.5, VMax: 5, PauseSteps: 10}
-
-	// Live evaluation: one iteration, fixed seed.
-	liveNet := core.Network{Nodes: n, Region: reg, Model: model}
-	cfg := core.RunConfig{Iterations: 1, Steps: steps, Seed: 77}
-	live, err := core.EvaluateFixedRange(context.Background(), liveNet, cfg, 140)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Recorded + replayed evaluation. The evaluator derives one child
-	// stream per iteration from the master seed; mirror that derivation so
-	// the trace sees the identical randomness.
-	iterRng := xrand.New(77).SplitN(1)[0]
-	tr, err := trace.Record(model, reg, n, steps, iterRng, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Round-trip the trace through the binary codec first.
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := trace.ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	replayNet := core.Network{Nodes: n, Region: reg, Model: trace.Replay{Trace: tr2}}
-	replayed, err := core.EvaluateFixedRange(context.Background(), replayNet, cfg, 140)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if live.ConnectedFraction != replayed.ConnectedFraction {
-		t.Fatalf("connected fraction: live %v, replayed %v",
-			live.ConnectedFraction, replayed.ConnectedFraction)
-	}
-	if live.MinLargest != replayed.MinLargest {
-		t.Fatalf("min largest: live %d, replayed %d", live.MinLargest, replayed.MinLargest)
-	}
-	la, lb := live.AvgLargestDisconnected, replayed.AvgLargestDisconnected
-	if !(math.IsNaN(la) && math.IsNaN(lb)) && la != lb {
-		t.Fatalf("avg largest: live %v, replayed %v", la, lb)
-	}
-}
 
 // TestOneDimTheoryMatchesSimulatorEndToEnd drives the full simulator (not
 // the unidim Monte Carlo) on a 1-D network and compares the connectivity

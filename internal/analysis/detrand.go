@@ -21,17 +21,26 @@ var DetRand = &Analyzer{
 
 // detrandScope is keyed on the last import-path element; these are the
 // packages whose behavior or output must replay bit-identically from a
-// seed. experiments is included because it formats the published report
-// rows.
+// seed. experiments, report and the theory and extension packages are
+// included because their values reach the published report rows.
 var detrandScope = map[string]bool{
-	"core":        true,
-	"graph":       true,
-	"spatial":     true,
-	"mobility":    true,
-	"scenario":    true,
-	"checkpoint":  true,
-	"experiments": true,
-	"obs":         true,
+	"core":          true,
+	"graph":         true,
+	"spatial":       true,
+	"mobility":      true,
+	"scenario":      true,
+	"checkpoint":    true,
+	"experiments":   true,
+	"obs":           true,
+	"bidim":         true,
+	"dissemination": true,
+	"geom":          true,
+	"occupancy":     true,
+	"rangeassign":   true,
+	"report":        true,
+	"stats":         true,
+	"unidim":        true,
+	"xrand":         true,
 }
 
 func runDetRand(pass *Pass) error {

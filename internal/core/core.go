@@ -29,6 +29,7 @@ import (
 	"adhocnet/internal/mobility"
 	"adhocnet/internal/obs"
 	"adhocnet/internal/spatial"
+	"adhocnet/internal/xrand"
 )
 
 // Network describes the simulated ad hoc network M_d = (N, P): node count,
@@ -132,6 +133,14 @@ func (c RunConfig) Validate() error {
 		return fmt.Errorf("core: unknown kinetic mode %d", c.Kinetic)
 	}
 	return nil
+}
+
+// IterationSeeds returns the independent random streams of the run's
+// iterations: iteration i of every evaluator draws from element i, split
+// from the master seed. Evaluators outside core that call it see the same
+// randomness as core's own entry points at the same RunConfig.
+func IterationSeeds(c RunConfig) []*xrand.Rand {
+	return xrand.New(c.Seed).SplitN(c.Iterations)
 }
 
 func (c RunConfig) workers() int {

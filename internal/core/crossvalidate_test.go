@@ -13,10 +13,9 @@ import (
 	"adhocnet/internal/xrand"
 )
 
-// seedForIteration mirrors runIterations's per-iteration stream
-// derivation.
+// seedForIteration is the random stream runIterations hands iteration iter.
 func seedForIteration(cfg RunConfig, iter int) *xrand.Rand {
-	return xrand.New(cfg.Seed).SplitN(cfg.Iterations)[iter]
+	return IterationSeeds(cfg)[iter]
 }
 
 // bisectRangeForUptime finds, by bisection over EvaluateFixedRange, the

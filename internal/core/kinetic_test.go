@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"adhocnet/internal/geom"
 	"adhocnet/internal/mobility"
 	"adhocnet/internal/spatial"
+	"adhocnet/internal/xrand"
 )
 
 // driftNet is the kinetic pipeline's home regime: a drunkard crowd where 98%
@@ -19,6 +21,33 @@ func driftNet(t *testing.T, n int) Network {
 	t.Helper()
 	net := schedulerTestNet(t, n)
 	net.Model = mobility.Drunkard{PStationary: 0, PPause: 0.98, M: 2}
+	return net
+}
+
+// stateOnlyModel hides Mover on its model's states, so core has to adapt
+// them with mobility.TrackMoves's position-diff wrapper instead of reading
+// the model's native moved sets.
+type stateOnlyModel struct{ mobility.Model }
+
+func (m stateOnlyModel) NewState(rng *xrand.Rand, reg geom.Region, n int, place mobility.Placement) (mobility.State, error) {
+	s, err := m.Model.NewState(rng, reg, n, place)
+	if err != nil {
+		return nil, err
+	}
+	return stateOnly{s}, nil
+}
+
+// stateOnly strips the Mover interface off a State.
+type stateOnly struct{ s mobility.State }
+
+func (w stateOnly) Positions() []geom.Point { return w.s.Positions() }
+func (w stateOnly) Step()                   { w.s.Step() }
+
+// trackedDriftNet is driftNet behind a State that does not implement Mover.
+func trackedDriftNet(t *testing.T, n int) Network {
+	t.Helper()
+	net := driftNet(t, n)
+	net.Model = stateOnlyModel{net.Model}
 	return net
 }
 
@@ -33,9 +62,10 @@ func TestCoreResultsIdenticalAcrossKineticModes(t *testing.T) {
 	leakCheck(t)
 	ctx := context.Background()
 	nets := map[string]Network{
-		"drift":     driftNet(t, 128),
-		"clustered": clusteredNet(t, 160, 4),
-		"uniform":   schedulerTestNet(t, 96),
+		"drift":         driftNet(t, 128),
+		"drift-tracked": trackedDriftNet(t, 128),
+		"clustered":     clusteredNet(t, 160, 4),
+		"uniform":       schedulerTestNet(t, 96),
 	}
 	targets := RangeTargets{TimeFractions: []float64{1, 0.9}}
 	backends := []spatial.Backend{spatial.BackendAuto, spatial.BackendGrid, spatial.BackendKDTree}
@@ -126,10 +156,11 @@ func TestCoreResultsIdenticalOnKineticPool(t *testing.T) {
 	leakCheck(t)
 	ctx := context.Background()
 	nets := map[string]Network{
-		"drift":      driftNet(t, 128),
-		"clustered":  clusteredNet(t, 160, 4),
-		"uniform":    schedulerTestNet(t, 96),
-		"all-movers": allMoversNet(t, 96),
+		"drift":         driftNet(t, 128),
+		"drift-tracked": trackedDriftNet(t, 128),
+		"clustered":     clusteredNet(t, 160, 4),
+		"uniform":       schedulerTestNet(t, 96),
+		"all-movers":    allMoversNet(t, 96),
 	}
 	targets := PaperTargets()
 	backends := []spatial.Backend{spatial.BackendAuto, spatial.BackendGrid, spatial.BackendKDTree}

@@ -158,7 +158,7 @@ func runIterations[A any](ctx context.Context, cfg RunConfig, codec rowCodec[A],
 	}
 	rm := newRunMetrics(cfg.Obs)
 	rm.plannedIterations(cfg.Iterations)
-	seeds := xrand.New(cfg.Seed).SplitN(cfg.Iterations)
+	seeds := IterationSeeds(cfg)
 	results := make([]A, cfg.Iterations)
 
 	// Restore already-completed iterations before spawning anything, in

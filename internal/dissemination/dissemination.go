@@ -93,10 +93,10 @@ func Run(net core.Network, runCfg core.RunConfig, cfg Config) (Result, error) {
 		target = 1
 	}
 
-	err := forEachIterationSeeds(runCfg, func(iter int, rng *xrand.Rand) error {
+	iterate := func(rng *xrand.Rand) (outcome, error) {
 		state, err := net.Model.NewState(rng, net.Region, net.Nodes, net.Placement)
 		if err != nil {
-			return err
+			return outcome{}, err
 		}
 		informed := make([]bool, net.Nodes)
 		informed[rng.Intn(net.Nodes)] = true
@@ -124,15 +124,17 @@ func Run(net core.Network, runCfg core.RunConfig, cfg Config) (Result, error) {
 				}
 			}
 			if count >= target {
-				outcomes[iter] = outcome{delivered: true, steps: step}
-				return nil
+				return outcome{delivered: true, steps: step}, nil
 			}
 		}
-		outcomes[iter] = outcome{informed: float64(count) / float64(net.Nodes)}
-		return nil
-	})
-	if err != nil {
-		return Result{}, err
+		return outcome{informed: float64(count) / float64(net.Nodes)}, nil
+	}
+	for iter, rng := range core.IterationSeeds(runCfg) {
+		o, err := iterate(rng)
+		if err != nil {
+			return Result{}, err
+		}
+		outcomes[iter] = o
 	}
 
 	var res Result
@@ -162,17 +164,4 @@ func Run(net core.Network, runCfg core.RunConfig, cfg Config) (Result, error) {
 		res.MeanInformedAtCutoff = math.NaN()
 	}
 	return res, nil
-}
-
-// forEachIterationSeeds mirrors core's per-iteration seed derivation so that
-// dissemination runs are reproducible and composable with the other
-// evaluators (same master seed, same per-iteration streams).
-func forEachIterationSeeds(cfg core.RunConfig, fn func(iter int, rng *xrand.Rand) error) error {
-	seeds := xrand.New(cfg.Seed).SplitN(cfg.Iterations)
-	for i, seed := range seeds {
-		if err := fn(i, seed); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -149,13 +149,16 @@ func Compare(pts []geom.Point, alpha float64) (Comparison, error) {
 	common := CommonRange(pts)
 	mst := MSTAssignment(pts)
 	// Both must connect; this is an internal invariant worth the check.
-	for name, a := range map[string]Assignment{"common": common, "mst": mst} {
-		ok, err := Connected(pts, a)
+	for _, c := range []struct {
+		name string
+		a    Assignment
+	}{{"common", common}, {"mst", mst}} {
+		ok, err := Connected(pts, c.a)
 		if err != nil {
 			return Comparison{}, err
 		}
 		if !ok && len(pts) > 1 {
-			return Comparison{}, fmt.Errorf("rangeassign: %s assignment failed to connect the placement", name)
+			return Comparison{}, fmt.Errorf("rangeassign: %s assignment failed to connect the placement", c.name)
 		}
 	}
 	cp := common.TotalPower(alpha)

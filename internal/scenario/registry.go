@@ -261,7 +261,7 @@ func Default() *Registry {
 	return r
 }
 
-// ModelFlags carries the mobility flags the adhocsim and mobgen CLIs share.
+// ModelFlags carries adhocsim's mobility flags.
 // A negative VMax or M means "use the scale-dependent default 0.01*l",
 // matching the historical CLI behavior. Set holds the flag names the user
 // passed explicitly ("vmin", "vmax", "tpause", "pstationary", "ppause",
@@ -309,8 +309,8 @@ func checkFlagUse(kind string, set map[string]bool) error {
 // because the flag defaults differ from the registry's (drunkard -pstationary
 // defaults to 0, the registry's drunkard to 0.1); the rest stays at registry
 // defaults. An unknown kind yields a kind-only part, which BuildMobility
-// rejects with the registry's shared error message. This is the single
-// flags->model path behind both adhocsim and mobgen.
+// rejects with the registry's shared error message. This is adhocsim's
+// single flags->model path.
 func (r *Registry) MobilityPart(l float64, kind string, f ModelFlags) (PartSpec, error) {
 	if _, known := r.mobility[kind]; !known {
 		return Part(kind), nil
