@@ -39,9 +39,9 @@
 // so the paper-faithful "few iterations, many steps, large n" regime
 // saturates all cores with bit-identical results for every worker count.
 // Across mobility steps the kinetic pipeline (RunConfig.Kinetic, DESIGN.md
-// "Kinetic structures") repairs the spatial index, MST, and point graph
-// from the previous snapshot instead of rebuilding: mobility models report
-// per-step moved sets, both backends update in place, and the MST repair
+// "Kinetic MST repair") repairs the k-d tree and MST from the previous
+// snapshot instead of rebuilding: mobility models report per-step moved
+// sets, the k-d tree widens its boxes in place, and the MST repair
 // re-derives the exact strict-order Kruskal tree from kept edges plus
 // fragment-crossing annulus minima, bit-identical to the rebuild path by
 // construction. Per step on a ~2% drift walk the MST repair is 1.31–1.46x

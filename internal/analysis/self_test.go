@@ -77,7 +77,6 @@ func TestHotPathMarksPresent(t *testing.T) {
 		"spatial.minCrossPure",
 		"spatial.offerPair",
 		"spatial.ForEachNear",
-		"spatial.ForEachNearInAnnulus",
 		"geom.Dist2Batch",
 		"graph.sortCandidates",
 		"graph.filterKruskal",

@@ -86,14 +86,15 @@ type RunConfig struct {
 	// excluded from workload identity.
 	Spatial spatial.Backend
 	// Kinetic selects between rebuild-per-snapshot and incremental (kinetic)
-	// trajectory evaluation: the zero value (KineticAuto) repairs across
-	// mobility steps whenever each iteration is evaluated by a single
-	// worker, KineticOn/KineticOff force one path. KineticOn keeps the
-	// snapshot pool: its evaluators repair within blocks of consecutive
-	// steps. Like Workers and Spatial
-	// this is a pure performance knob — both paths produce bit-identical
-	// results (cross-validated in the tests), so it is excluded from
-	// workload identity.
+	// MST evaluation: the zero value (KineticAuto) repairs each snapshot's
+	// MST profile across mobility steps whenever each iteration is
+	// evaluated by a single worker, KineticOn/KineticOff force one path.
+	// KineticOn keeps the snapshot pool: its evaluators repair within
+	// blocks of consecutive steps. The communication graph is rebuilt per
+	// snapshot in every mode. Like Workers and Spatial this is a pure
+	// performance knob — both paths produce bit-identical results
+	// (cross-validated in the tests), so it is excluded from workload
+	// identity.
 	Kinetic KineticMode
 	// Sink, when non-nil, enables checkpoint/resume at outer-iteration
 	// granularity: iterations the sink already holds are restored instead

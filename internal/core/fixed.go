@@ -85,15 +85,16 @@ func EvaluateFixedRange(ctx context.Context, net Network, cfg RunConfig, radius 
 // DirectFixedRange is the reference implementation of EvaluateFixedRange: it
 // rebuilds the communication graph explicitly at the given radius after
 // every mobility step, exactly as the paper's simulator did, instead of
-// deriving connectivity from MST profiles. It exists for cross-validation
-// (the two must agree bit-for-bit on the same seed) and for the
-// profile-vs-direct ablation benchmark. It shares the lifecycle contract of
+// deriving connectivity from MST profiles. The graph is rebuilt on the
+// kinetic path too; RunConfig.Kinetic affects only the profile entry
+// points. It exists for cross-validation (the two must agree bit-for-bit on
+// the same seed) and for the profile-vs-direct ablation benchmark. It shares the lifecycle contract of
 // EvaluateFixedRanges: ctx cancellation, panic containment, and
 // checkpoint/resume through cfg.Sink (same row layout, one radius).
 func DirectFixedRange(ctx context.Context, net Network, cfg RunConfig, radius float64) (FixedRangeResult, error) {
 	res, err := evaluateFixed(ctx, net, cfg, []float64{radius},
-		func(_ int, pts []geom.Point, moved []int32, ws *graph.Workspace, out []radiusObs) {
-			g := ws.PointGraphKinetic(pts, net.Region.Dim, radius, moved)
+		func(_ int, pts []geom.Point, _ []int32, ws *graph.Workspace, out []radiusObs) {
+			g := ws.PointGraph(pts, net.Region.Dim, radius)
 			components, largest := ws.ComponentSummary(g)
 			out[0] = radiusObs{largest: int32(largest), connected: components <= 1}
 		})

@@ -6,11 +6,13 @@ import "fmt"
 // trajectory: by rebuilding every spatial structure per snapshot (the
 // historical path), or kinetically — each evaluator walks a run of
 // consecutive trajectory steps with a persistent workspace, repairing the
-// spatial index, the MST and the communication graph from the previous
-// step's state instead of rebuilding them (graph.Workspace.ProfileKinetic /
-// PointGraphKinetic). A sequential iteration is one such run; the snapshot
-// pool splits the trajectory into blocks of consecutive steps, each
-// evaluated as a run that starts from a rebuild (see runSnapshotPool).
+// k-d tree and the MST from the previous step's state instead of rebuilding
+// them (graph.Workspace.ProfileKinetic). Only the profile entry points
+// (EstimateRanges, EvaluateFixedRanges) repair; the communication graph of
+// EvaluateStructure and DirectFixedRange is rebuilt per snapshot in every
+// mode. A sequential iteration is one such run; the snapshot pool splits
+// the trajectory into blocks of consecutive steps, each evaluated as a run
+// that starts from a rebuild (see runSnapshotPool).
 //
 // Like RunConfig.Workers and RunConfig.Spatial this is a pure performance
 // knob: the kinetic path is bit-identical to the rebuild path (pinned by

@@ -56,8 +56,8 @@ func trackedDriftNet(t *testing.T, n int) Network {
 // results across kinetic mode x spatial backend x worker count. The
 // baseline is the fully conservative configuration (rebuild path, grid,
 // one worker); kinetic-on forces the incremental path even in the
-// pool-parallel regime, so a repair bug in any layer (grid Update, k-d
-// tree refit, MST repair, moved-set reporting) shows up as a diff here.
+// pool-parallel regime, so a repair bug in any layer (k-d tree refit, MST
+// repair, moved-set reporting) shows up as a diff here.
 func TestCoreResultsIdenticalAcrossKineticModes(t *testing.T) {
 	leakCheck(t)
 	ctx := context.Background()

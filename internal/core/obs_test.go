@@ -71,7 +71,9 @@ func TestObsDoesNotPerturbResults(t *testing.T) {
 
 // TestObsCountersTrackKineticPipeline pins that an enabled registry actually
 // collects the kinetic pipeline's repair counters on its home regime (and
-// that a disabled registry collects nothing).
+// that a disabled registry collects nothing), and that an armed structure
+// run builds its communication graph once per snapshot: one backend pick
+// each, whatever the kinetic mode.
 func TestObsCountersTrackKineticPipeline(t *testing.T) {
 	ctx := context.Background()
 	net := driftNet(t, 128)
@@ -96,6 +98,18 @@ func TestObsCountersTrackKineticPipeline(t *testing.T) {
 	}
 	if got := snap.Counters["adhocnet_scheduler_sequential_trajectories_total"]; got != 2 {
 		t.Errorf("sequential trajectories = %d, want 2", got)
+	}
+
+	reg = obs.NewRegistry()
+	cfg.Obs = reg
+	if _, err := EvaluateStructure(ctx, net, cfg, 400); err != nil {
+		t.Fatal(err)
+	}
+	snap = reg.Snapshot()
+	picks := snap.Counters[`adhocnet_spatial_auto_picks_total{backend="grid"}`] +
+		snap.Counters[`adhocnet_spatial_auto_picks_total{backend="kdtree"}`]
+	if picks != 20 {
+		t.Errorf("structure run: %d backend picks, want 20 (one per snapshot)", picks)
 	}
 }
 

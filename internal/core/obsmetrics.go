@@ -66,8 +66,6 @@ type runMetrics struct {
 	mstRounds     *obs.Counter
 	mstCandidates *obs.Counter
 	mstKept       *obs.Counter
-	graphRepairs  *obs.Counter
-	graphRebuilds *obs.Counter
 	movedPoints   *obs.Counter
 	gridPicks     *obs.Counter
 	treePicks     *obs.Counter
@@ -140,8 +138,6 @@ func newRunMetrics(r *obs.Registry) *runMetrics {
 		mstRounds:     r.Counter("adhocnet_mst_rounds_total"),
 		mstCandidates: r.Counter("adhocnet_mst_candidates_total"),
 		mstKept:       r.Counter("adhocnet_kinetic_mst_kept_edges_total"),
-		graphRepairs:  r.Counter("adhocnet_kinetic_graph_repairs_total"),
-		graphRebuilds: r.Counter("adhocnet_kinetic_graph_rebuilds_total"),
 		movedPoints:   r.Counter("adhocnet_kinetic_moved_points_total"),
 		gridPicks:     r.Counter(`adhocnet_spatial_auto_picks_total{backend="grid"}`),
 		treePicks:     r.Counter(`adhocnet_spatial_auto_picks_total{backend="kdtree"}`),
@@ -273,8 +269,6 @@ func (rm *runMetrics) flushWorkspace(ws *graph.Workspace) {
 	rm.mstRounds.Add(s.MSTRounds)
 	rm.mstCandidates.Add(s.MSTCandidates)
 	rm.mstKept.Add(s.MSTKeptEdges)
-	rm.graphRepairs.Add(s.GraphRepairs)
-	rm.graphRebuilds.Add(s.GraphRebuilds)
 	rm.movedPoints.Add(s.MovedPoints)
 	rm.gridPicks.Add(s.GridPicks)
 	rm.treePicks.Add(s.TreePicks)

@@ -82,8 +82,8 @@ var iterAccCodec = rowCodec[iterAcc]{
 // EvaluateStructure simulates the network and measures graph-structure
 // metrics at the given transmitting range. It evaluates the explicit
 // communication graph of every snapshot (the profile shortcut cannot answer
-// degree or hop questions), built from scratch or, on the kinetic path,
-// repaired from the previous step's graph (see RunConfig.Kinetic).
+// degree or hop questions), rebuilt from scratch at every snapshot whatever
+// the kinetic mode.
 //
 // The run honors ctx (a canceled run returns ErrCanceled within about one
 // snapshot's evaluation time) and supports checkpoint/resume through
@@ -100,8 +100,8 @@ func EvaluateStructure(ctx context.Context, net Network, cfg RunConfig, radius f
 		var acc iterAcc
 		err := runTrajectory(ctx, it, net,
 			func() *graph.Structure { return &graph.Structure{} },
-			func(_ int, pts []geom.Point, moved []int32, ws *graph.Workspace, out *graph.Structure) {
-				*out = ws.Structure(ws.PointGraphKinetic(pts, net.Region.Dim, radius, moved))
+			func(_ int, pts []geom.Point, _ []int32, ws *graph.Workspace, out *graph.Structure) {
+				*out = ws.Structure(ws.PointGraph(pts, net.Region.Dim, radius))
 			},
 			func(_ int, out *graph.Structure) {
 				// Accumulator addition order is the float-summation order;

@@ -7,36 +7,26 @@ import (
 	"adhocnet/internal/spatial"
 )
 
-// Kinetic snapshot evaluation (DESIGN.md "Kinetic structures"): when
+// Kinetic snapshot evaluation (DESIGN.md "Kinetic MST repair"): when
 // consecutive snapshots are mobility steps of the same point slice, the
-// workspace can repair its previous answer instead of recomputing it. The
-// caller arms the mode with SetKinetic and then calls ProfileKinetic /
-// PointGraphKinetic per step, passing the step's moved set (strictly
-// ascending indices of the points that changed position). A nil moved set
-// means "no displacement information" — the call runs the plain rebuild path
-// and, when possible, primes the kinetic caches so the NEXT step can repair.
+// workspace can repair its previous MST instead of recomputing it. The
+// caller arms the mode with SetKinetic and then calls ProfileKinetic per
+// step, passing the step's moved set (strictly ascending indices of the
+// points that changed position). A nil moved set means "no displacement
+// information" — the call runs the plain rebuild path and, when possible,
+// primes the tree cache so the NEXT step can repair.
 //
 // Results are bit-identical to the rebuild path by construction, not by
-// tolerance:
-//
-//   - ProfileKinetic re-derives the exact strict-order MST by running
-//     GeoMST's own annulus Kruskal (mstRounds) with the previous tree's
-//     surviving edges as a kept stream. Kruskal with the (d2, i, j) total
-//     order has a unique answer, and the kinetic candidate set provably
-//     contains it (see kineticMST), so the repaired tree is the same edge
-//     list in the same order as GeoMST's, and the replayed profile is
-//     bitwise identical.
-//   - PointGraphKinetic re-derives the exact edge SET of the communication
-//     graph (kept unmoved-unmoved edges are unchanged by definition; edges
-//     incident to moved points are re-enumerated from the spatial index with
-//     the same d2 <= r*r test). Edge order differs from the rebuild path,
-//     which is invisible to every graph property the simulator derives
-//     (components, degrees, hops, articulation) — those are set functions of
-//     the adjacency, cross-checked in the fuzz target.
+// tolerance: ProfileKinetic re-derives the exact strict-order MST by running
+// GeoMST's own annulus Kruskal (mstRounds) with the previous tree's
+// surviving edges as a kept stream. Kruskal with the (d2, i, j) total order
+// has a unique answer, and the kinetic candidate set provably contains it
+// (see kineticMST), so the repaired tree is the same edge list in the same
+// order as GeoMST's, and the replayed profile is bitwise identical.
 //
 // When the step is too dirty (moved fraction above kineticDirtyFraction),
-// the placement degenerate, or the caches cold, both entry points fall back
-// to the plain path and re-prime. Falling back is always safe: it is the
+// the placement degenerate, or the cache cold, ProfileKinetic falls back to
+// the plain path and re-primes. Falling back is always safe: it is the
 // rebuild path.
 
 // kineticDirtyFraction is the moved fraction beyond which repairing costs
@@ -46,14 +36,14 @@ import (
 const kineticDirtyFraction = 0.2
 
 // kinetic is the workspace's incremental-update state: the previous step's
-// MST and point graph, the slice identity they were computed over, and the
-// scratch the repair passes need. Inert until SetKinetic(true).
+// MST, the slice identity it was computed over, and the scratch the repair
+// needs. Inert until SetKinetic(true).
 type kinetic struct {
 	armed bool
 
-	// pts is the point slice the caches below were primed over. Kinetic
+	// pts is the point slice the tree cache was primed over. Kinetic
 	// repair requires the SAME backing slice (mobility mutates positions in
-	// place); a different slice means the caches describe unrelated points
+	// place); a different slice means the cache describes unrelated points
 	// and the call re-primes. Checked by identity, not content.
 	pts []geom.Point
 
@@ -63,38 +53,24 @@ type kinetic struct {
 	tree   []candidate
 	kept   []candidate // the repair's kept forest, sorted (kineticMST)
 
-	// Point-graph cache: the previous step's edge list at radius graphR,
-	// discovered through graphBackend (resolved once at prime time and kept
-	// for the iteration — the backend changes performance only, never the
-	// edge set).
-	graphOK      bool
-	graphR       float64
-	graphBackend spatial.Backend
-	graph        []Edge
-	graphNext    []Edge
-
 	// mark[i] reports whether point i moved this step. All-false between
-	// calls; each repair sets and clears only its moved entries.
+	// calls; the repair sets and clears only its moved entries.
 	mark []bool
 
 	// frag[i] is the kept-forest component of point i for the current
 	// repair (a moved point is its own fragment) — the static crossing
 	// partition of the MST repair's candidate queries.
 	frag []int32
-
-	// Pre-bound point-graph moved-star collector, so the per-step queries
-	// allocate no closure.
-	nearVisitor spatial.PairVisitor
 }
 
 // SetKinetic arms (or disarms) kinetic evaluation on this workspace and
-// resets all kinetic caches to cold. Callers arm once per trajectory
-// iteration: the first evaluation primes, subsequent ones repair.
+// resets the tree cache to cold. Callers arm once per trajectory iteration:
+// the first ProfileKinetic primes, subsequent ones repair. Arming changes
+// nothing else — PointGraph and the other entry points always rebuild.
 func (ws *Workspace) SetKinetic(on bool) {
 	k := &ws.kin
 	k.armed = on
 	k.treeOK = false
-	k.graphOK = false
 	k.pts = nil
 	// Restore the all-false mark invariant in case a previous user of this
 	// workspace was abandoned mid-repair (panic isolation).
@@ -106,28 +82,18 @@ func (ws *Workspace) SetKinetic(on bool) {
 // Kinetic reports whether kinetic evaluation is armed.
 func (ws *Workspace) Kinetic() bool { return ws.kin.armed }
 
-// samePts reports whether pts is the identical backing slice the kinetic
-// caches were primed over.
+// samePts reports whether pts is the identical backing slice the tree
+// cache was primed over.
 func (k *kinetic) samePts(pts []geom.Point) bool {
 	return len(pts) > 0 && len(k.pts) == len(pts) && &k.pts[0] == &pts[0]
-}
-
-// rebind records pts as the cache slice, invalidating every cache primed
-// over a different slice first.
-func (k *kinetic) rebind(pts []geom.Point) {
-	if !k.samePts(pts) {
-		k.treeOK = false
-		k.graphOK = false
-	}
-	k.pts = pts
 }
 
 // ProfileKinetic is Profile with incremental repair across mobility steps.
 // moved lists the points displaced since the previous call on this
 // workspace (strictly ascending); nil means no displacement information
 // (trajectory start, or a caller without a Mover), which evaluates the plain
-// path and primes the caches. The returned profile is transient, exactly as
-// for Profile, and bitwise identical to what Profile would return.
+// path and primes the tree cache. The returned profile is transient, exactly
+// as for Profile, and bitwise identical to what Profile would return.
 func (ws *Workspace) ProfileKinetic(pts []geom.Point, dim int, moved []int32) *Profile {
 	k := &ws.kin
 	n := len(pts)
@@ -153,7 +119,7 @@ func (ws *Workspace) ProfileKinetic(pts []geom.Point, dim int, moved []int32) *P
 	edges := ws.GeoMST(pts, dim)
 	k.treeOK = false
 	if extent, _ := spatial.BoundingExtent(pts); n > geoMSTDenseCutoff && extent > 0 {
-		k.rebind(pts)
+		k.pts = pts
 		k.keepTree(pts, edges)
 		// The repair queries the k-d tree regardless of the workspace's
 		// spatial policy (the grid is rebuilt per radius, so it has nothing
@@ -249,85 +215,9 @@ func (ws *Workspace) kineticMST(pts []geom.Point, moved []int32) ([]Edge, bool) 
 	return edges, true
 }
 
-// PointGraphKinetic is PointGraph with incremental repair across mobility
-// steps: the semantics of moved are those of ProfileKinetic. The returned
-// adjacency is transient and describes the identical edge set the rebuild
-// path would produce (edge order differs; every derived graph property is
-// order-independent).
-func (ws *Workspace) PointGraphKinetic(pts []geom.Point, dim int, r float64, moved []int32) *Adjacency {
-	k := &ws.kin
-	n := len(pts)
-	if k.armed && moved != nil && k.graphOK && k.samePts(pts) && r == k.graphR &&
-		float64(len(moved)) <= kineticDirtyFraction*float64(n) {
-		ws.stats.GraphRepairs++
-		ws.stats.MovedPoints += uint64(len(moved))
-		return ws.kineticPointGraph(n, r, moved)
-	}
-	if k.armed {
-		ws.stats.GraphRebuilds++
-	}
-	a := ws.PointGraph(pts, dim, r)
-	if k.armed {
-		k.graphOK = false
-		if r > 0 && n >= 2 {
-			k.rebind(pts)
-			k.graph = append(k.graph[:0], ws.edges...)
-			k.graphR = r
-			// Resolve the backend once, with the same deterministic choice
-			// PointGraph just made, and keep it for the iteration.
-			k.graphBackend = ws.resolveBackend(pts, dim, r)
-			k.graphOK = true
-		}
-	}
-	return a
-}
-
-// kineticPointGraph repairs the cached communication graph: edges between
-// two unmoved points are unchanged by definition (both endpoints and the
-// radius are bit-identical), every edge touching a moved point is discarded
-// and re-discovered by a radius query around that point. A moved-moved pair
-// appears in both endpoints' queries and is kept once, from the smaller
-// index.
-func (ws *Workspace) kineticPointGraph(n int, r float64, moved []int32) *Adjacency {
-	k := &ws.kin
-	if k.graphBackend == spatial.BackendKDTree {
-		ws.kd.Update(moved)
-	} else {
-		ws.ix.Update(moved)
-	}
-	k.mark = grow(k.mark, n)
-	for _, m := range moved {
-		k.mark[m] = true
-	}
-	k.graphNext = k.graphNext[:0]
-	for _, e := range k.graph {
-		if !k.mark[e.I] && !k.mark[e.J] {
-			k.graphNext = append(k.graphNext, e)
-		}
-	}
-	if k.nearVisitor == nil {
-		k.nearVisitor = func(i, j int, d2 float64) {
-			kk := &ws.kin
-			if kk.mark[j] && j < i {
-				return
-			}
-			a, b := int32(i), int32(j)
-			if b < a {
-				a, b = b, a
-			}
-			kk.graphNext = append(kk.graphNext, Edge{I: a, J: b, D: math.Sqrt(d2)})
-		}
-	}
-	for _, m := range moved {
-		if k.graphBackend == spatial.BackendKDTree {
-			ws.kd.ForEachNearInAnnulus(m, -1, r, k.nearVisitor)
-		} else {
-			ws.ix.ForEachNear(m, r, k.nearVisitor)
-		}
-	}
-	k.graph, k.graphNext = k.graphNext, k.graph
-	for _, m := range moved {
-		k.mark[m] = false
-	}
-	return ws.buildAdjacency(n, k.graph)
+// PointGraphKinetic is PointGraph; moved is ignored, because the
+// communication graph is rebuilt per snapshot. It stays only because the
+// benchmark harness (cmd/adhocbench/replay.go) calls it.
+func (ws *Workspace) PointGraphKinetic(pts []geom.Point, dim int, r float64, _ []int32) *Adjacency {
+	return ws.PointGraph(pts, dim, r)
 }

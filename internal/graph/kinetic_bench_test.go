@@ -28,22 +28,18 @@ func benchProfileStep(b *testing.B, n int, clustered, kinetic bool) {
 	}
 }
 
-// benchGraphStep is benchProfileStep for the communication-graph path.
-func benchGraphStep(b *testing.B, n int, clustered, kinetic bool) {
+// benchGraphStep is benchProfileStep's rebuild row for the
+// communication-graph path, which has no kinetic repair.
+func benchGraphStep(b *testing.B, n int) {
 	rng := xrand.New(99)
-	w := newKineticWalk(rng, n, 2, clustered, 0.02, 0.002)
+	w := newKineticWalk(rng, n, 2, false, 0.02, 0.002)
 	r := 2.2 / math.Sqrt(float64(n)) // around the connectivity threshold
 	ws := NewWorkspace()
-	ws.SetKinetic(kinetic)
-	ws.PointGraphKinetic(w.pts, 2, r, nil)
+	ws.PointGraph(w.pts, 2, r) // warm the pools
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		moved := w.step()
-		if kinetic {
-			ws.PointGraphKinetic(w.pts, 2, r, moved)
-		} else {
-			ws.PointGraph(w.pts, 2, r)
-		}
+		w.step()
+		ws.PointGraph(w.pts, 2, r)
 	}
 }
 
@@ -56,7 +52,5 @@ func BenchmarkProfileStepKineticUniform16384(b *testing.B)   { benchProfileStep(
 func BenchmarkProfileStepRebuildClustered16384(b *testing.B) { benchProfileStep(b, 16384, true, false) }
 func BenchmarkProfileStepKineticClustered16384(b *testing.B) { benchProfileStep(b, 16384, true, true) }
 
-func BenchmarkGraphStepRebuildUniform2048(b *testing.B)  { benchGraphStep(b, 2048, false, false) }
-func BenchmarkGraphStepKineticUniform2048(b *testing.B)  { benchGraphStep(b, 2048, false, true) }
-func BenchmarkGraphStepRebuildUniform16384(b *testing.B) { benchGraphStep(b, 16384, false, false) }
-func BenchmarkGraphStepKineticUniform16384(b *testing.B) { benchGraphStep(b, 16384, false, true) }
+func BenchmarkGraphStepRebuildUniform2048(b *testing.B)  { benchGraphStep(b, 2048) }
+func BenchmarkGraphStepRebuildUniform16384(b *testing.B) { benchGraphStep(b, 16384) }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"adhocnet/internal/geom"
-	"adhocnet/internal/spatial"
 	"adhocnet/internal/xrand"
 )
 
@@ -196,72 +195,6 @@ func TestKineticProfileMatchesRebuild(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// sortedEdges returns a clone of edges normalized to I < J and sorted by
-// (I, J) — the canonical form for comparing edge SETS whose emission order
-// legitimately differs.
-func sortedEdges(edges []Edge) []Edge {
-	out := slices.Clone(edges)
-	for i, e := range out {
-		if e.J < e.I {
-			out[i].I, out[i].J = e.J, e.I
-		}
-	}
-	slices.SortFunc(out, func(a, b Edge) int {
-		if a.I != b.I {
-			return int(a.I - b.I)
-		}
-		return int(a.J - b.J)
-	})
-	return out
-}
-
-// TestKineticPointGraphMatchesRebuild cross-validates the repaired
-// communication graph against a plain rebuild for every backend policy: the
-// edge sets (including the D values, bitwise) must be identical.
-func TestKineticPointGraphMatchesRebuild(t *testing.T) {
-	for _, backend := range []spatial.Backend{spatial.BackendAuto, spatial.BackendGrid, spatial.BackendKDTree} {
-		for _, tc := range []struct {
-			name      string
-			n         int
-			clustered bool
-			r         float64
-		}{
-			{"uniform", 250, false, 0.09},
-			{"clustered", 250, true, 0.05},
-			{"tiny-radius", 250, false, 0.004},
-		} {
-			t.Run(backend.String()+"/"+tc.name, func(t *testing.T) {
-				rng := xrand.New(5150)
-				w := newKineticWalk(rng, tc.n, 2, tc.clustered, 0.07, 0.01)
-				wsK := NewWorkspace()
-				wsR := NewWorkspace()
-				wsK.SetSpatialBackend(backend)
-				wsR.SetSpatialBackend(backend)
-				wsK.SetKinetic(true)
-				for step := 0; step < 16; step++ {
-					var moved []int32
-					if step > 0 {
-						moved = w.step()
-					}
-					gotAdj := wsK.PointGraphKinetic(w.pts, 2, tc.r, moved)
-					got := sortedEdges(wsK.kin.graph)
-					wantAdj := wsR.PointGraph(w.pts, 2, tc.r)
-					want := sortedEdges(wsR.edges)
-					if !slices.Equal(got, want) {
-						t.Fatalf("step %d (%d moved): kinetic edge set differs from rebuild (got %d, want %d edges)",
-							step, len(moved), len(got), len(want))
-					}
-					gc, gl := wsK.ComponentSummary(gotAdj)
-					wc, wl := wsR.ComponentSummary(wantAdj)
-					if gc != wc || gl != wl {
-						t.Fatalf("step %d: component summary differs: got (%d, %d), want (%d, %d)", step, gc, gl, wc, wl)
-					}
-				}
-			})
-		}
 	}
 }
 

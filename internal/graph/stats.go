@@ -3,12 +3,13 @@ package graph
 import "adhocnet/internal/spatial"
 
 // WorkspaceStats are the workspace's per-iteration operation counters: the
-// kinetic pipeline's repair-vs-rebuild decisions, the annulus MST rounds'
-// work, the backend auto-selection outcomes, and the underlying spatial indexes' own
-// counters. Like spatial.Stats they are plain fields on goroutine-owned
-// state — incremented for free on paths that are hot, drained into registry
-// atomics at iteration boundaries by the scheduler (see core's runMetrics).
-// Every counter is a deterministic function of the workload.
+// kinetic MST repair's repair-vs-rebuild decisions, the annulus MST rounds'
+// work, the backend auto-selection outcomes, and the underlying spatial
+// indexes' own counters. Like spatial.Stats they are plain fields on
+// goroutine-owned state — incremented for free on paths that are hot,
+// drained into registry atomics at iteration boundaries by the scheduler
+// (see core's runMetrics). Every counter is a deterministic function of the
+// workload.
 type WorkspaceStats struct {
 	// MSTRepairs counts ProfileKinetic calls answered by the incremental
 	// kineticMST repair; MSTRebuilds counts armed calls that ran the plain
@@ -31,8 +32,9 @@ type WorkspaceStats struct {
 	// MSTKeptEdges accumulates phase-1 kept edges across repairs.
 	MSTKeptEdges uint64
 
-	// GraphRepairs / GraphRebuilds are the PointGraphKinetic analogues of the
-	// MST pair (a dirty-fraction or cold-cache step counts as a rebuild).
+	// GraphRepairs / GraphRebuilds are always zero: the communication graph
+	// is rebuilt per snapshot and has no repair path. They stay because the
+	// benchmark harness (cmd/adhocbench) reads them.
 	GraphRepairs  uint64
 	GraphRebuilds uint64
 
@@ -58,8 +60,6 @@ func (s *WorkspaceStats) Add(o WorkspaceStats) {
 	s.MSTRounds += o.MSTRounds
 	s.MSTCandidates += o.MSTCandidates
 	s.MSTKeptEdges += o.MSTKeptEdges
-	s.GraphRepairs += o.GraphRepairs
-	s.GraphRebuilds += o.GraphRebuilds
 	s.MovedPoints += o.MovedPoints
 	s.GridPicks += o.GridPicks
 	s.TreePicks += o.TreePicks

@@ -10,10 +10,9 @@ package spatial
 // follows the local density, whatever the placement looks like.
 //
 // The tree serves the same query surface as the grid (ForEachPairWithin,
-// NearestNeighborDistancesInto) plus two annulus queries the grid cannot
-// answer without widening its cells: the single-point ForEachNearInAnnulus
-// (kdtree_update.go) and the filtered-Kruskal MST's per-label-pair minimum
-// query MinPairsByLabel (kdtree_minpairs.go), both of which prune whole
+// NearestNeighborDistancesInto) plus an annulus query the grid cannot answer
+// without widening its cells: the filtered-Kruskal MST's per-label-pair
+// minimum query MinPairsByLabel (kdtree_minpairs.go), which prunes whole
 // subtrees whose boxes lie entirely below the annulus floor.
 // Results are bit-identical to the grid and the brute-force reference: pair
 // inclusion uses the same geom.Dist2 values and the same `d2 <= r*r`

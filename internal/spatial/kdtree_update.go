@@ -4,18 +4,24 @@ import (
 	"adhocnet/internal/geom"
 )
 
-// This file is the k-d tree half of the kinetic pipeline (DESIGN.md "Kinetic
-// structures"). A mobility step mutates a small subset of the points in place;
-// instead of re-splitting the whole tree, Update walks each moved point's
-// root-to-leaf path and widens the boxes along it to cover the new position.
-// The repair is expand-only: boxes stay supersets of their subtree, so every
-// bound the queries prune on (boxMinDist2 can only shrink, boxMaxDist2 and
-// pointBoxMaxDist2 can only grow) remains conservative and no qualifying
-// pair is ever dropped. Looser boxes weaken pruning, never correctness —
+// This file is the spatial half of the kinetic MST repair (DESIGN.md
+// "Kinetic MST repair"). A mobility step mutates a small subset of the points
+// in place; instead of re-splitting the whole tree, Update walks each moved
+// point's root-to-leaf path and widens the boxes along it to cover the new
+// position. The repair is expand-only: boxes stay supersets of their
+// subtree, so every bound the queries prune on (boxMinDist2 can only shrink,
+// boxMaxDist2 can only grow) remains conservative and no qualifying pair is
+// ever dropped. Looser boxes weaken pruning, never correctness —
 // query results stay bit-identical to a fresh Rebuild, because pair
 // inclusion tests exact geom.Dist2 values either way. The staleness
 // counters below bound how loose the boxes can get before a full Rebuild
 // restores tight fits.
+
+// updateDirtyFraction is the moved fraction beyond which Update abandons the
+// incremental path and rebuilds: widening the paths of more than half the
+// points costs about as much as a fresh build and leaves boxes loose enough
+// to cost the queries more than the build saved.
+const updateDirtyFraction = 0.5
 
 // kdStaleRebuildFactor triggers a full Rebuild once the cumulative moved
 // count since the last build exceeds this multiple of n: by then the average
@@ -87,61 +93,4 @@ func (t *KDTree) expandPath(slot int32, p geom.Point) {
 			node = nd.right
 		}
 	}
-}
-
-// ForEachNearInAnnulus calls visit once for every point j != i with
-// lo2 < d2 <= r*r, where d2 is the squared distance from point i. Like
-// Index.ForEachNear it is a directed single-point query — visit receives
-// (i, j, d2) with i always the query point, not the i < j pair convention.
-// Pass lo2 < 0 for a plain within-r query including d2 == 0. The kinetic
-// point-graph repair issues it per moved node. Subtrees whose box lies
-// entirely beyond r or entirely below the annulus floor are skipped.
-//
-//adhoc:hotpath
-func (t *KDTree) ForEachNearInAnnulus(i int32, lo2, r float64, visit PairVisitor) {
-	t.stats.NearQueries++
-	if r < 0 || t.root < 0 {
-		return
-	}
-	t.nearAnnulus(t.root, i, t.pts[i], lo2, r*r, visit)
-}
-
-// nearAnnulus recursively emits the annulus neighbors of p (= pts[skip]).
-//
-//adhoc:hotpath
-func (t *KDTree) nearAnnulus(node, skip int32, p geom.Point, lo2, r2 float64, visit PairVisitor) {
-	if t.pointBoxDist2(p, node) > r2 || t.pointBoxMaxDist2(p, node) <= lo2 {
-		return
-	}
-	nd := &t.nodes[node]
-	if nd.left < 0 {
-		for x := nd.lo; x < nd.hi; x++ {
-			j := t.idx[x]
-			if j == skip {
-				continue
-			}
-			d2 := geom.Dist2(p, t.pts[j])
-			if d2 <= r2 && d2 > lo2 {
-				visit(int(skip), int(j), d2)
-			}
-		}
-		return
-	}
-	t.nearAnnulus(nd.left, skip, p, lo2, r2, visit)
-	t.nearAnnulus(nd.right, skip, p, lo2, r2, visit)
-}
-
-// pointBoxMaxDist2 returns a rounding-monotone upper bound on the squared
-// distance from p to any point of the node's box, the single-point analogue
-// of boxMaxDist2: every indexed point's Dist2 from p is <= this bound, so
-// pruning a subtree whose bound sits below the annulus floor never drops a
-// qualifying neighbor.
-//
-//adhoc:hotpath
-func (t *KDTree) pointBoxMaxDist2(p geom.Point, node int32) float64 {
-	nd := &t.nodes[node]
-	dx := axisSpan(p.X, p.X, nd.minX, nd.maxX)
-	dy := axisSpan(p.Y, p.Y, nd.minY, nd.maxY)
-	dz := axisSpan(p.Z, p.Z, nd.minZ, nd.maxZ)
-	return geom.SumSq(dx, dy, dz)
 }

@@ -8,12 +8,12 @@ import (
 	"adhocnet/internal/xrand"
 )
 
-// This file cross-validates the kinetic repair surface of both backends —
-// Index.Update/ForEachNear and KDTree.Update/ForEachNearInAnnulus — against
-// fresh rebuilds and brute force across a random-walk trajectory, plus the
-// crossing semantics of MinPairsByLabel. These are the primitives the
-// graph-layer repair composes; each must be exact on its own for the
-// pipeline's bit-identity to be provable layer by layer.
+// This file cross-validates the spatial primitives the graph layer's MST
+// rounds and kinetic MST repair compose — Index.ForEachNear and
+// KDTree.Update against brute force and fresh rebuilds across a random-walk
+// trajectory, plus the crossing semantics of MinPairsByLabel. Each must be
+// exact on its own for the repair's bit-identity to be provable layer by
+// layer.
 
 // walkStep displaces ~frac of the points by up to step per axis (2-D) and
 // returns the moved set in the Update contract: strictly ascending, only
@@ -57,33 +57,6 @@ func samePairs(t *testing.T, name string, got, want map[[2]int32]float64) {
 		if g, ok := got[k]; !ok || g != w {
 			t.Fatalf("%s: pair %v: got %v, want %v", name, k, got[k], w)
 		}
-	}
-}
-
-// TestIndexUpdateMatchesRebuild drives the grid through a walk — including
-// steps that drift points outside the original bounding box, where cellOf
-// clamps — and requires the updated index to enumerate exactly the pairs a
-// fresh rebuild over the same positions does.
-func TestIndexUpdateMatchesRebuild(t *testing.T) {
-	rng := xrand.New(404)
-	reg := geom.MustRegion(1000, 2)
-	pts := reg.UniformPoints(rng, 300)
-	const r = 60
-	ix := NewIndex(pts, 2, r)
-	for step := 0; step < 12; step++ {
-		// Every third step kicks hard enough to push boundary points out of
-		// the build-time box.
-		stepLen := 10.0
-		if step%3 == 2 {
-			stepLen = 120
-		}
-		moved := walkStep(rng, pts, 0.15, stepLen)
-		ix.Update(moved)
-		fresh := NewIndex(pts, 2, r)
-		name := fmt.Sprintf("step %d (%d moved)", step, len(moved))
-		got := pairMap(func(v PairVisitor) { ix.ForEachPairWithin(r, v) })
-		want := pairMap(func(v PairVisitor) { fresh.ForEachPairWithin(r, v) })
-		samePairs(t, name, got, want)
 	}
 }
 
@@ -146,44 +119,6 @@ func TestKDTreeUpdateMatchesRebuild(t *testing.T) {
 			got := pairMap(func(v PairVisitor) { tree.ForEachPairWithin(r, v) })
 			want := pairMap(func(v PairVisitor) { fresh.ForEachPairWithin(r, v) })
 			samePairs(t, fmt.Sprintf("%s r=%v", name, r), got, want)
-		}
-	}
-}
-
-// TestKDTreeForEachNearInAnnulus checks the directed annulus query against
-// brute force: lo2 exclusive, r*r inclusive, query point first in the visit.
-func TestKDTreeForEachNearInAnnulus(t *testing.T) {
-	rng := xrand.New(407)
-	reg := geom.MustRegion(1000, 2)
-	pts := clusteredPoints(rng, reg, 5, 40, 20)
-	tree := NewKDTree(pts, 2)
-	for _, band := range [][2]float64{{-1, 0}, {-1, 35}, {900, 80}, {1600, 300}} {
-		lo2, r := band[0], band[1]
-		for i := range pts {
-			got := map[int32]float64{}
-			tree.ForEachNearInAnnulus(int32(i), lo2, r, func(qi, j int, d2 float64) {
-				if qi != i {
-					t.Fatalf("band (%v,%v] i=%d: visit reported query point %d", lo2, r, i, qi)
-				}
-				if _, dup := got[int32(j)]; dup {
-					t.Fatalf("band (%v,%v] i=%d: neighbor %d visited twice", lo2, r, i, j)
-				}
-				got[int32(j)] = d2
-			})
-			want := map[int32]float64{}
-			for j := range pts {
-				if d2 := geom.Dist2(pts[i], pts[j]); j != i && d2 > lo2 && d2 <= r*r {
-					want[int32(j)] = d2
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("band (%v,%v] i=%d: %d neighbors, want %d", lo2, r, i, len(got), len(want))
-			}
-			for j, w := range want {
-				if g, ok := got[j]; !ok || g != w {
-					t.Fatalf("band (%v,%v] i=%d: neighbor %d: got %v, want %v", lo2, r, i, j, got[j], w)
-				}
-			}
 		}
 	}
 }

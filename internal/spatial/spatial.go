@@ -46,8 +46,7 @@ type Index struct {
 	items    []int32 // point indices grouped by cell
 	cursor   []int32 // build scratch
 	scratch  []int32 // query scratch (expanding-radius searches)
-	nodeCell []int32 // cell of every point, kept in sync by Rebuild and Update
-	reqSide  float64 // side Rebuild was asked for (Update's internal-fallback input)
+	nodeCell []int32 // build scratch: cell of every point, one division each
 
 	stats Stats // operation counters, drained by TakeStats
 }
@@ -80,7 +79,6 @@ func NewIndex(pts []geom.Point, dim int, side float64) *Index {
 func (ix *Index) Rebuild(pts []geom.Point, dim int, side float64) {
 	ix.stats.Rebuilds++
 	ix.pts = pts
-	ix.reqSide = side
 	n := len(pts)
 	if n == 0 || side <= 0 {
 		ix.side = 0
@@ -93,21 +91,15 @@ func (ix *Index) Rebuild(pts []geom.Point, dim int, side float64) {
 	ix.minX, ix.minY, ix.minZ = minP.X, minP.Y, minP.Z
 	ix.side, ix.nx, ix.ny, ix.nz = gridShape(minP, maxP, n, side)
 
-	// One division pass: cellOf is evaluated once per point into the nodeCell
-	// cache, which both the counting and scatter passes below and the
-	// incremental Update path read back.
+	// One division pass: cellOf is evaluated once per point into nodeCell,
+	// which the counting and scatter passes below both read back. Points are
+	// scattered in ascending index order, so every cell's member list
+	// ascends — the invariant ForEachPairWithin's intra-cell i < j loop
+	// relies on.
 	ix.nodeCell = growInt32(ix.nodeCell, n)
 	for i, p := range pts {
 		ix.nodeCell[i] = ix.cellOf(p)
 	}
-	ix.rebuildCSR()
-}
-
-// rebuildCSR rebuilds the CSR bucket arrays from the nodeCell cache. Points
-// are scattered in ascending index order, so every cell's member list ascends
-// — the invariant ForEachPairWithin's intra-cell i < j loop relies on.
-func (ix *Index) rebuildCSR() {
-	n := len(ix.pts)
 	cells := int(ix.nx) * int(ix.ny) * int(ix.nz)
 	ix.starts = growInt32(ix.starts, cells+1)
 	ix.cursor = growInt32(ix.cursor, cells)
@@ -159,12 +151,10 @@ func (ix *Index) degenerateBuild() {
 	n := len(ix.pts)
 	ix.starts = growInt32(ix.starts, 2)
 	ix.items = growInt32(ix.items, n)
-	ix.nodeCell = growInt32(ix.nodeCell, n)
 	ix.starts[0] = 0
 	ix.starts[1] = int32(n)
 	for i := range ix.pts {
 		ix.items[i] = int32(i)
-		ix.nodeCell[i] = 0
 	}
 }
 
@@ -333,6 +323,69 @@ func (ix *Index) ForEachPairWithin(r float64, visit PairVisitor) {
 								emitOrdered(int(i), int(j), d2, visit)
 							}
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// ForEachNear calls visit once for every point j != i within distance r of
+// point i, in ascending cell order (the grid's usual scan order). Unlike
+// ForEachPairWithin it is a directed single-point query — visit receives
+// (i, j, d2) with i always the query point, not the i < j pair convention —
+// GeoMST's outsider rounds ask it for each point outside the largest
+// component, touching only that point's neighborhood instead of
+// re-enumerating every pair. It requires r <= the cell side like every grid
+// query; larger radii widen to a brute-force scan over the point's row,
+// which stays correct.
+//
+//adhoc:hotpath
+func (ix *Index) ForEachNear(i int32, r float64, visit PairVisitor) {
+	ix.stats.NearQueries++
+	if r < 0 {
+		return
+	}
+	p := ix.pts[i]
+	r2 := r * r
+	if ix.side > 0 && r > ix.side {
+		for j := range ix.pts {
+			if int32(j) == i {
+				continue
+			}
+			if d2 := geom.Dist2(p, ix.pts[j]); d2 <= r2 {
+				visit(int(i), j, d2)
+			}
+		}
+		return
+	}
+	cx, cy, cz := int32(0), int32(0), int32(0)
+	if ix.side > 0 {
+		cx = clampCell(int32((p.X-ix.minX)/ix.side), ix.nx)
+		cy = clampCell(int32((p.Y-ix.minY)/ix.side), ix.ny)
+		cz = clampCell(int32((p.Z-ix.minZ)/ix.side), ix.nz)
+	}
+	for dz := int32(-1); dz <= 1; dz++ {
+		z := cz + dz
+		if z < 0 || z >= ix.nz {
+			continue
+		}
+		for dy := int32(-1); dy <= 1; dy++ {
+			y := cy + dy
+			if y < 0 || y >= ix.ny {
+				continue
+			}
+			for dx := int32(-1); dx <= 1; dx++ {
+				x := cx + dx
+				if x < 0 || x >= ix.nx {
+					continue
+				}
+				for _, j := range ix.cell(x, y, z) {
+					if j == i {
+						continue
+					}
+					if d2 := geom.Dist2(p, ix.pts[j]); d2 <= r2 {
+						visit(int(i), int(j), d2)
 					}
 				}
 			}

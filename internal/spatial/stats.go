@@ -11,7 +11,8 @@ package spatial
 type Stats struct {
 	// Rebuilds counts full index builds (including those Update fell back to).
 	Rebuilds uint64
-	// Updates counts incremental Update calls (kinetic repair steps).
+	// Updates counts incremental KDTree.Update calls (kinetic MST repair
+	// steps); the grid has no incremental path.
 	Updates uint64
 	// UpdateRebuilds counts Update calls that abandoned the incremental path
 	// for a full rebuild (dirty fraction exceeded, stale boxes, cold index).
@@ -19,9 +20,8 @@ type Stats struct {
 	// PairQueries counts all-pairs scans (ForEachPairWithin) — one per
 	// full-scan grid MST round or point-graph build, not per pair.
 	PairQueries uint64
-	// NearQueries counts directed single-point queries (ForEachNear /
-	// ForEachNearInAnnulus): one per moved point in the kinetic point-graph
-	// repair, and one per outsider in GeoMST's grid outsider rounds.
+	// NearQueries counts directed single-point grid queries (ForEachNear):
+	// one per outsider in GeoMST's grid outsider rounds.
 	NearQueries uint64
 	// MinPairsRounds counts MinPairsByLabel calls: the k-d tree annulus
 	// rounds of GeoMST and of the kinetic MST repair.
