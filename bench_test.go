@@ -118,31 +118,45 @@ func BenchmarkAblationFixedRangeDirect(b *testing.B) {
 // scratch, expected 0 allocs/op); the dense-Prim baselines quantify the
 // GeoMST speedup (DESIGN.md, "Grid-accelerated MST").
 
-func BenchmarkSnapshotProfileN128(b *testing.B)  { benchSnapshotProfile(b, 128) }
-func BenchmarkSnapshotProfileN512(b *testing.B)  { benchSnapshotProfile(b, 512) }
-func BenchmarkSnapshotProfileN2048(b *testing.B) { benchSnapshotProfile(b, 2048) }
+// The paper's sizes (n = 16 to 128) and the pair around the 2-D dense
+// cutoff (192 takes the dense Prim, 256 the annulus rounds) are the
+// per-layer rows of the paper-figs workload.
+func BenchmarkSnapshotProfileN16(b *testing.B)   { benchSnapshotProfile(b, 16, 2) }
+func BenchmarkSnapshotProfileN32(b *testing.B)   { benchSnapshotProfile(b, 32, 2) }
+func BenchmarkSnapshotProfileN64(b *testing.B)   { benchSnapshotProfile(b, 64, 2) }
+func BenchmarkSnapshotProfileN128(b *testing.B)  { benchSnapshotProfile(b, 128, 2) }
+func BenchmarkSnapshotProfileN192(b *testing.B)  { benchSnapshotProfile(b, 192, 2) }
+func BenchmarkSnapshotProfileN256(b *testing.B)  { benchSnapshotProfile(b, 256, 2) }
+func BenchmarkSnapshotProfileN512(b *testing.B)  { benchSnapshotProfile(b, 512, 2) }
+func BenchmarkSnapshotProfileN2048(b *testing.B) { benchSnapshotProfile(b, 2048, 2) }
+
+// The pair around the 3-D dense cutoff: 240 takes the dense Prim, 256 the
+// annulus rounds.
+func BenchmarkSnapshotProfile3DN240(b *testing.B) { benchSnapshotProfile(b, 240, 3) }
+func BenchmarkSnapshotProfile3DN256(b *testing.B) { benchSnapshotProfile(b, 256, 3) }
 
 // BenchmarkSnapshotProfileN16384 is the scaling regime of arXiv:0806.2351,
 // where late annulus rounds scan only the points outside the giant
 // component.
-func BenchmarkSnapshotProfileN16384(b *testing.B) { benchSnapshotProfile(b, 16384) }
+func BenchmarkSnapshotProfileN16384(b *testing.B) { benchSnapshotProfile(b, 16384, 2) }
 
-func benchSnapshotProfile(b *testing.B, n int) {
-	pts := benchPlacement(n)
+func benchSnapshotProfile(b *testing.B, n, dim int) {
+	pts := benchPlacement(n, dim)
 	ws := graph.NewWorkspace()
-	ws.Profile(pts, 2) // warm the workspace buffers
+	ws.Profile(pts, dim) // warm the workspace buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws.Profile(pts, 2)
+		ws.Profile(pts, dim)
 	}
 }
 
-// benchPlacement samples n points at the paper's n=128 density (128 nodes in
-// [0,16384]^2), so all sizes probe the same sparse regime.
-func benchPlacement(n int) []geom.Point {
-	side := 16384 * math.Sqrt(float64(n)/128)
-	reg := geom.MustRegion(side, 2)
+// benchPlacement samples n points in a dim-dimensional cube at the paper's
+// n=128 density (128 nodes in [0,16384]^dim), so all sizes probe the same
+// sparse regime.
+func benchPlacement(n, dim int) []geom.Point {
+	side := 16384 * math.Pow(float64(n)/128, 1/float64(dim))
+	reg := geom.MustRegion(side, dim)
 	return reg.UniformPoints(xrand.New(1), n)
 }
 
@@ -183,7 +197,7 @@ func BenchmarkDensePrimMSTN512(b *testing.B)  { benchDensePrim(b, 512) }
 func BenchmarkDensePrimMSTN2048(b *testing.B) { benchDensePrim(b, 2048) }
 
 func benchDensePrim(b *testing.B, n int) {
-	pts := benchPlacement(n)
+	pts := benchPlacement(n, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -195,7 +209,7 @@ func BenchmarkNearestNeighborN128(b *testing.B)  { benchNearestNeighbor(b, 128) 
 func BenchmarkNearestNeighborN2048(b *testing.B) { benchNearestNeighbor(b, 2048) }
 
 func benchNearestNeighbor(b *testing.B, n int) {
-	pts := benchPlacement(n)
+	pts := benchPlacement(n, 2)
 	dst := make([]float64, n)
 	var ix spatial.Index
 	spatial.NearestNeighborDistancesInto(dst, pts, &ix) // warm the grid storage

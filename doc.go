@@ -28,9 +28,11 @@
 //     benchmark.
 //
 // Performance architecture: every snapshot's connectivity is derived from
-// its Euclidean MST, computed by a grid-accelerated filtered Kruskal
-// (graph.GeoMST, near-linear in practice, dense-Prim fallback for tiny n)
-// over reusable per-worker scratch (graph.Workspace), so steady-state
+// its Euclidean MST (graph.GeoMST): a dense Prim over coordinate slabs at
+// the paper's sizes (up to 192 points in 2-D, 240 in 3-D), and a
+// grid-accelerated filtered Kruskal, near-linear in practice, above them;
+// both emit the same strict-order edge sequence. It runs over reusable
+// per-worker scratch (graph.Workspace), so steady-state
 // snapshot evaluation allocates nothing and scales two orders of magnitude
 // beyond the paper's n = 128. A two-level scheduler (core/scheduler.go)
 // parallelizes both across iterations and across the snapshots within one

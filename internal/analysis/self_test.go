@@ -81,7 +81,8 @@ func TestHotPathMarksPresent(t *testing.T) {
 		"graph.sortCandidates",
 		"graph.filterKruskal",
 		"graph.outsiderPairs",
-		"graph.primMSTInto",
+		"graph.prim2",
+		"graph.prim3",
 		"graph.Find",
 		"graph.Union",
 		"graph.hopStatsInto",

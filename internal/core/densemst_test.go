@@ -61,9 +61,11 @@ func TestEstimateRangesUnchangedFromDensePrim(t *testing.T) {
 		name string
 		net  Network
 	}{
-		// n = 128 in [0,16384]^2 is the paper's sparse regime and is above
-		// the dense cutoff, so the grid Borůvka path is exercised.
+		// n = 128 in [0,16384]^2 is the paper's sparse regime, on the dense
+		// Prim; n = 256 at the same density is above the dense cutoff, so
+		// the annulus rounds are exercised.
 		{"waypoint-sparse", testNetwork(16384, 128, quickWaypoint(16384))},
+		{"waypoint-sparse-256", testNetwork(16384*math.Sqrt2, 256, quickWaypoint(16384*math.Sqrt2))},
 		{"drunkard", testNetwork(512, 64, mobility.PaperDrunkard(512))},
 		{"one-dim", testNetwork(1024, 96, quickWaypoint(1024))},
 	} {

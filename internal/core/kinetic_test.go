@@ -62,10 +62,10 @@ func TestCoreResultsIdenticalAcrossKineticModes(t *testing.T) {
 	leakCheck(t)
 	ctx := context.Background()
 	nets := map[string]Network{
-		"drift":         driftNet(t, 128),
-		"drift-tracked": trackedDriftNet(t, 128),
-		"clustered":     clusteredNet(t, 160, 4),
-		"uniform":       schedulerTestNet(t, 96),
+		"drift":         driftNet(t, 256),
+		"drift-tracked": trackedDriftNet(t, 256),
+		"clustered":     clusteredNet(t, 256, 4),
+		"uniform":       schedulerTestNet(t, 256),
 	}
 	targets := RangeTargets{TimeFractions: []float64{1, 0.9}}
 	backends := []spatial.Backend{spatial.BackendAuto, spatial.BackendGrid, spatial.BackendKDTree}
@@ -156,11 +156,11 @@ func TestCoreResultsIdenticalOnKineticPool(t *testing.T) {
 	leakCheck(t)
 	ctx := context.Background()
 	nets := map[string]Network{
-		"drift":         driftNet(t, 128),
-		"drift-tracked": trackedDriftNet(t, 128),
-		"clustered":     clusteredNet(t, 160, 4),
-		"uniform":       schedulerTestNet(t, 96),
-		"all-movers":    allMoversNet(t, 96),
+		"drift":         driftNet(t, 256),
+		"drift-tracked": trackedDriftNet(t, 256),
+		"clustered":     clusteredNet(t, 256, 4),
+		"uniform":       schedulerTestNet(t, 256),
+		"all-movers":    allMoversNet(t, 256),
 	}
 	targets := PaperTargets()
 	backends := []spatial.Backend{spatial.BackendAuto, spatial.BackendGrid, spatial.BackendKDTree}

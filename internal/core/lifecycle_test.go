@@ -206,7 +206,7 @@ func TestBlockPoolPanicProvenance(t *testing.T) {
 	const step = kineticBlockLen + 9
 	defer faultinject.Activate(faultinject.NewPlan(
 		faultinject.PanicAt(faultinject.EvalSnapshot, 0, step)))()
-	net := driftNet(t, 128)
+	net := driftNet(t, 256)
 	_, err := EstimateRanges(context.Background(), net, blockPoolConfig(70, 5),
 		RangeTargets{TimeFractions: []float64{1}})
 	var pe *PanicError
@@ -227,7 +227,7 @@ func TestBlockPoolProducerPanic(t *testing.T) {
 	evals := faultinject.At(faultinject.EvalSnapshot, faultinject.Any, faultinject.Any, nil)
 	defer faultinject.Activate(faultinject.NewPlan(
 		faultinject.PanicAt(faultinject.ProducerStep, 0, step), evals))()
-	net := driftNet(t, 128)
+	net := driftNet(t, 256)
 	_, err := DirectFixedRange(context.Background(), net, blockPoolConfig(400, 6), 100)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -265,7 +265,7 @@ func TestBlockPoolCancellationLatency(t *testing.T) {
 				after.Add(1)
 			}
 		})))
-	_, err := DirectFixedRange(ctx, driftNet(t, 128), cfg, 100)
+	_, err := DirectFixedRange(ctx, driftNet(t, 256), cfg, 100)
 	deactivate()
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled run returned %v, want ErrCanceled", err)

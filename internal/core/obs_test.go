@@ -18,7 +18,7 @@ import (
 func TestObsDoesNotPerturbResults(t *testing.T) {
 	leakCheck(t)
 	ctx := context.Background()
-	net := driftNet(t, 96)
+	net := driftNet(t, 256)
 	targets := RangeTargets{TimeFractions: []float64{1, 0.9}}
 
 	for _, mode := range []KineticMode{KineticAuto, KineticOn, KineticOff} {
@@ -76,7 +76,7 @@ func TestObsDoesNotPerturbResults(t *testing.T) {
 // each, whatever the kinetic mode.
 func TestObsCountersTrackKineticPipeline(t *testing.T) {
 	ctx := context.Background()
-	net := driftNet(t, 128)
+	net := driftNet(t, 256)
 	reg := obs.NewRegistry()
 	cfg := RunConfig{Iterations: 2, Steps: 10, Seed: 5, Workers: 1,
 		Kinetic: KineticOn, Obs: reg}

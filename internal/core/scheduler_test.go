@@ -19,8 +19,10 @@ func sameResult(a, b any) bool {
 	return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
 }
 
-// schedulerTestNet returns a 2-D waypoint network large enough to exercise
-// the grid MST path (n > geoMSTDenseCutoff) but small enough for CI.
+// schedulerTestNet returns a 2-D waypoint network of n nodes. Tests of the
+// annulus MST path, the spatial backends or the kinetic repair pass n above
+// the 2-D dense cutoff (192; graph's geoMSTDenseCutoff2D), where GeoMST
+// stops running the dense Prim; the rest keep n small for CI.
 func schedulerTestNet(t *testing.T, n int) Network {
 	t.Helper()
 	reg, err := geom.NewRegion(1024, 2)
@@ -78,7 +80,7 @@ func workerCounts() []int {
 // snapshot-parallel regime (Iterations=1).
 func TestEstimateRangesWorkerInvariance(t *testing.T) {
 	leakCheck(t)
-	net := schedulerTestNet(t, 64)
+	net := schedulerTestNet(t, 256)
 	targets := PaperTargets()
 	for _, iters := range []int{1, 5} {
 		var want RangeEstimates
@@ -104,7 +106,7 @@ func TestEstimateRangesWorkerInvariance(t *testing.T) {
 // (outage-interval statistics) stay bit-identical across worker counts.
 func TestEvaluateFixedRangesWorkerInvariance(t *testing.T) {
 	leakCheck(t)
-	net := schedulerTestNet(t, 64)
+	net := schedulerTestNet(t, 256)
 	radii := []float64{60, 130, 240}
 	for _, iters := range []int{1, 5} {
 		var want []FixedRangeResult

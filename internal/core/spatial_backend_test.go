@@ -37,8 +37,8 @@ func TestCoreResultsIdenticalAcrossSpatialBackends(t *testing.T) {
 	leakCheck(t)
 	ctx := context.Background()
 	nets := map[string]Network{
-		"clustered": clusteredNet(t, 160, 4),
-		"uniform":   schedulerTestNet(t, 96),
+		"clustered": clusteredNet(t, 256, 4),
+		"uniform":   schedulerTestNet(t, 256),
 	}
 	targets := RangeTargets{TimeFractions: []float64{1, 0.9}}
 	backends := []spatial.Backend{spatial.BackendAuto, spatial.BackendGrid, spatial.BackendKDTree}

@@ -277,18 +277,17 @@ func strictSeedPlacements() []strictSeed {
 // weight multiset, as FuzzGeoMSTMatchesDensePrim does — against the strict
 // (d2, i, j) Kruskal over all pairs, element by element, with the grid and
 // the k-d tree each forced. That exact sequence is what the kinetic cache
-// replays, so the outsider rounds and the filter-Kruskal replay must keep it.
-// Inputs at or below geoMSTDenseCutoff take the dense Prim, whose edge order
-// is Prim's, and are skipped.
+// replays, so the dense Prim's tie breaking, the outsider rounds and the
+// filter-Kruskal replay must all keep it. The seeds come in two sizes: as
+// built, above the dense cutoff, and cut down to it, so the ties of each
+// seed reach both the dense Prim and the annulus rounds.
 func FuzzGeoMSTMatchesStrictKruskal(f *testing.F) {
 	for _, s := range strictSeedPlacements() {
 		f.Add(encodeFuzzPoints(s.pts, s.dim))
+		f.Add(encodeFuzzPoints(s.pts[:denseCutoff(s.dim)], s.dim))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pts, dim := geomtest.DecodeFuzzPoints(data, 400)
-		if len(pts) <= geoMSTDenseCutoff {
-			return
-		}
 		checkStrictSequence(t, NewWorkspace(), pts, dim)
 	})
 }

@@ -10,11 +10,24 @@ import (
 	"adhocnet/internal/spatial"
 )
 
-// geoMSTDenseCutoff is the point count below which the dense O(n^2) Prim
-// beats the grid machinery (grid builds cost more than the n^2 distance
-// evaluations they avoid). Measured on the benchmarks in bench_test.go; see
-// DESIGN.md for the ablation.
-const geoMSTDenseCutoff = 48
+// The dense cutoffs are the largest point counts, per dimension, at which
+// GeoMST runs the dense Prim (denseMST) instead of the annulus rounds: up to
+// there its ~n^2/2 slab pair visits cost less than the grid builds, pair
+// scans and candidate sorts they replace. Measured with the
+// BenchmarkSnapshotProfileN* rows in bench_test.go; DESIGN.md "Fallback
+// threshold" has the curve.
+const (
+	geoMSTDenseCutoff2D = 192
+	geoMSTDenseCutoff3D = 240
+)
+
+// denseCutoff is the dense cutoff for dim-dimensional placements.
+func denseCutoff(dim int) int {
+	if dim >= 3 {
+		return geoMSTDenseCutoff3D
+	}
+	return geoMSTDenseCutoff2D
+}
 
 // candidate is one filtered Kruskal candidate edge: the pair (i, j) at
 // squared distance d2, ordered (d2, i, j) lexicographically so that ties in
@@ -207,19 +220,18 @@ func (ws *Workspace) outsiderPairs(r float64) {
 	}
 }
 
-// GeoMST computes the Euclidean minimum spanning tree of the points with a
-// grid-accelerated filtered Kruskal, near-linear in practice for the uniform
-// and mobility-evolved placements the simulator produces, against O(n^2) for
-// the dense Prim. Edge weights are threshold radii exactly as in PrimMST,
-// and the two agree on every input: the weight multiset of a minimum
-// spanning tree is unique, so the connectivity profile derived from either
-// tree is identical (cross-validated in the tests).
+// GeoMST computes the Euclidean minimum spanning tree of the points. Up to
+// the dense cutoff for dim (denseCutoff) it runs a dense Prim over
+// coordinate slabs; above it, a grid- or k-d-tree-accelerated filtered
+// Kruskal, near-linear in practice for the uniform and mobility-evolved
+// placements the simulator produces. Edge weights are threshold radii
+// exactly as in PrimMST.
 //
-// The annulus rounds (mstRounds) start at the mean point spacing (the
-// nearest-neighbor scale) and double the radius until the tree completes;
-// the result is an exact strict-(d2, i, j)-order Kruskal, returning the
-// edges in that order. For n below geoMSTDenseCutoff it falls back to the
-// dense Prim, which is faster there.
+// Both paths return the same tree in the same order: the strict-(d2, i, j)
+// Kruskal edge sequence over all pairs, which is unique even when distances
+// tie (cross-validated in the tests). The annulus rounds (mstRounds) start
+// at the mean point spacing (the nearest-neighbor scale) and double the
+// radius until the tree completes.
 //
 // GeoMST panics when a point coordinate is NaN or infinite (the bounding
 // extent is then not finite), since no radius can connect such a point.
@@ -239,15 +251,6 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 	if n < 2 {
 		return nil
 	}
-	if n <= geoMSTDenseCutoff {
-		ws.inTree = grow(ws.inTree, n)
-		ws.bestDist = grow(ws.bestDist, n)
-		ws.bestFrom = grow(ws.bestFrom, n)
-		ws.dist2 = grow(ws.dist2, n)
-		ws.edges = primMSTInto(pts, ws.inTree, ws.bestDist, ws.bestFrom, ws.dist2, ws.edges)
-		return ws.edges
-	}
-
 	extent, dims := spatial.BoundingExtent(pts)
 	if math.IsNaN(extent) || math.IsInf(extent, 0) {
 		panic(fmt.Sprintf("graph: GeoMST over %d points with a non-finite bounding extent %v (NaN or infinite coordinates)", n, extent))
@@ -258,6 +261,9 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 			ws.edges = append(ws.edges, Edge{I: 0, J: int32(i), D: 0})
 		}
 		return ws.edges
+	}
+	if n <= denseCutoff(dim) {
+		return ws.denseMST(pts)
 	}
 	// The mean nearest-neighbor scale of the placement: most points see
 	// their closest neighbor within a small multiple of it, so the first
@@ -291,6 +297,169 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 		r /= 8
 	}
 	return ws.mstRounds(pts, dim, r, useTree, nil, nil)
+}
+
+// primSlabs is the dense Prim's scratch in structure-of-arrays form: the
+// fringe (the points not yet in the tree) as one coordinate slab per axis,
+// with each fringe point's index (id), its least squared distance to the
+// tree so far (best) and the tree point at that distance (from). Picking a
+// point swap-removes it, so the fringe shrinks and one MST visits about
+// n^2/2 pairs.
+type primSlabs struct {
+	x, y, z, best []float64
+	id, from      []int32
+}
+
+// fill loads every point but the root pts[0] into the fringe, each at best
+// +Inf from the root, and reports whether the placement is flat (every Z
+// equal, so Z never enters a squared distance).
+func (s *primSlabs) fill(pts []geom.Point) (flat bool) {
+	m := len(pts) - 1
+	s.x, s.y, s.z = grow(s.x, m), grow(s.y, m), grow(s.z, m)
+	s.best, s.id, s.from = grow(s.best, m), grow(s.id, m), grow(s.from, m)
+	z0 := pts[0].Z
+	flat = true
+	for k, p := range pts[1:] {
+		s.x[k], s.y[k], s.z[k] = p.X, p.Y, p.Z
+		s.best[k], s.id[k], s.from[k] = math.Inf(1), int32(k+1), 0
+		flat = flat && p.Z == z0
+	}
+	return flat
+}
+
+// take swap-removes fringe slot k of a fringe of length m and returns the
+// removed point's strict-order tree edge.
+func (s *primSlabs) take(k, m int) candidate {
+	c := edgeKey(s.best[k], s.from[k], s.id[k])
+	m--
+	s.x[k], s.y[k], s.z[k] = s.x[m], s.y[m], s.z[m]
+	s.best[k], s.id[k], s.from[k] = s.best[m], s.id[m], s.from[m]
+	return c
+}
+
+// edgeKey is the strict-order candidate of the pair (a, b) at squared
+// distance d2: the smaller index first, as the pair scans emit it.
+func edgeKey(d2 float64, a, b int32) candidate {
+	return candidate{d2: d2, i: min(a, b), j: max(a, b)}
+}
+
+// denseMST builds the strict-(d2, i, j)-order MST of pts (n >= 2 finite
+// points) into ws.edges, in that order: the annulus rounds' edge sequence,
+// by a dense Prim over ws.prim. Prim in the strict total order finds the
+// unique strict-order MST; sorting its edges by candLess gives the order
+// Kruskal accepts them in. A first pass compares squared distances only
+// and gives up at the first tie, which the index keys would have to break;
+// ties are rare, and primExact then redoes the tree in the full order.
+func (ws *Workspace) denseMST(pts []geom.Point) []Edge {
+	s := &ws.prim
+	var ok bool
+	if s.fill(pts) {
+		ws.cand, ok = s.prim2(pts[0], ws.cand[:0])
+	} else {
+		ws.cand, ok = s.prim3(pts[0], ws.cand[:0])
+	}
+	if !ok {
+		s.fill(pts)
+		ws.cand = s.primExact(pts[0], ws.cand[:0])
+	}
+	sortCandidates(ws.cand)
+	for _, c := range ws.cand {
+		ws.edges = append(ws.edges, Edge{I: c.i, J: c.j, D: thresholdRadius(c.d2)})
+	}
+	return ws.edges
+}
+
+// prim2 is denseMST's fast pass over a flat placement, growing the tree
+// from root: each round relaxes the fringe through the point picked last
+// and picks the fringe point nearest the tree. It appends the tree edges to
+// out and reports false, abandoning the tree, at the first squared-distance
+// tie. Without a tie every comparison it makes agrees with the strict
+// order. The squared distances go through geom.SumSq, bitwise the pair
+// scans' geom.Dist2 values on every GOARCH (a Z difference of 0 adds +0).
+//
+//adhoc:hotpath
+func (s *primSlabs) prim2(root geom.Point, out []candidate) ([]candidate, bool) {
+	ux, uy, u := root.X, root.Y, int32(0)
+	for m := len(s.x); m > 0; m-- {
+		xs, ys, best, from := s.x[:m], s.y[:m], s.best[:m], s.from[:m]
+		next, nd := 0, math.Inf(1)
+		for k := range xs {
+			d2 := geom.SumSq(ux-xs[k], uy-ys[k], 0)
+			b := best[k]
+			if d2 <= b {
+				if d2 == b {
+					return out, false
+				}
+				b = d2
+				best[k], from[k] = d2, u
+			}
+			if b <= nd {
+				if b == nd {
+					return out, false
+				}
+				nd, next = b, k
+			}
+		}
+		ux, uy, u = xs[next], ys[next], s.id[next]
+		out = append(out, s.take(next, m))
+	}
+	return out, true
+}
+
+// prim3 is prim2 for placements that are not flat.
+//
+//adhoc:hotpath
+func (s *primSlabs) prim3(root geom.Point, out []candidate) ([]candidate, bool) {
+	ux, uy, uz, u := root.X, root.Y, root.Z, int32(0)
+	for m := len(s.x); m > 0; m-- {
+		xs, ys, zs, best, from := s.x[:m], s.y[:m], s.z[:m], s.best[:m], s.from[:m]
+		next, nd := 0, math.Inf(1)
+		for k := range xs {
+			d2 := geom.SumSq(ux-xs[k], uy-ys[k], uz-zs[k])
+			b := best[k]
+			if d2 <= b {
+				if d2 == b {
+					return out, false
+				}
+				b = d2
+				best[k], from[k] = d2, u
+			}
+			if b <= nd {
+				if b == nd {
+					return out, false
+				}
+				nd, next = b, k
+			}
+		}
+		ux, uy, uz, u = xs[next], ys[next], zs[next], s.id[next]
+		out = append(out, s.take(next, m))
+	}
+	return out, true
+}
+
+// primExact is denseMST's tie-proof pass: Prim with every relaxation and
+// every pick compared in the strict (d2, i, j) order. Over a flat placement
+// each Z difference is exactly 0, so its squared distances equal prim2's.
+func (s *primSlabs) primExact(root geom.Point, out []candidate) []candidate {
+	ux, uy, uz, u := root.X, root.Y, root.Z, int32(0)
+	for m := len(s.x); m > 0; m-- {
+		next, nc := -1, candidate{}
+		for k := 0; k < m; k++ {
+			d2 := geom.SumSq(ux-s.x[k], uy-s.y[k], uz-s.z[k])
+			c, cur := edgeKey(d2, u, s.id[k]), edgeKey(s.best[k], s.from[k], s.id[k])
+			if candLess(c, cur) {
+				s.best[k], s.from[k] = d2, u
+			} else {
+				c = cur
+			}
+			if next < 0 || candLess(c, nc) {
+				next, nc = k, c
+			}
+		}
+		ux, uy, uz, u = s.x[next], s.y[next], s.z[next], s.id[next]
+		out = append(out, s.take(next, m))
+	}
+	return out
 }
 
 // mstRounds is the annulus Kruskal behind GeoMST and the kinetic repair: it

@@ -64,11 +64,11 @@ func TestGeoMSTMatchesPrimRandomPlacements(t *testing.T) {
 	rng := xrand.New(7)
 	ws := NewWorkspace()
 	// Side 16384 with n = 128 is the paper's sparsest 2-D regime; the small
-	// sides push many points per grid cell, the large n exercises several
-	// Borůvka rounds above the dense cutoff.
+	// sides push many points per grid cell; the sizes straddle the dense
+	// cutoff, and the large n exercises several annulus rounds above it.
 	for _, dim := range []int{1, 2, 3} {
 		for _, side := range []float64{1, 64, 16384} {
-			for _, n := range []int{3, 17, 48, 49, 128, 333} {
+			for _, n := range []int{3, 17, 128, denseCutoff(dim), denseCutoff(dim) + 1, 333} {
 				reg := geom.MustRegion(side, dim)
 				pts := reg.UniformPoints(rng, n)
 				crossValidate(t, pts, dim, ws)
@@ -340,6 +340,29 @@ func TestGeoMSTNonFiniteCoordinatesPanic(t *testing.T) {
 			spatial.NearestNeighborDistances(pts)
 			NewWorkspace().GeoMST(pts, 2)
 		})
+	}
+}
+
+// TestGeoMSTDenseNonFinitePanics checks the dense Prim's side of the
+// non-finite contract: at or below the dense cutoff a NaN or infinite
+// coordinate panics with the same message as above it, in each axis the
+// placement uses.
+func TestGeoMSTDenseNonFinitePanics(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		reg := geom.MustRegion(1000, dim)
+		for _, n := range []int{16, denseCutoff(dim)} {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				pts := reg.UniformPoints(xrand.New(53), n)
+				if dim == 3 {
+					pts[n/2].Z = v
+				} else {
+					pts[n/2].Y = v
+				}
+				expectNonFinitePanic(t, fmt.Sprintf("dim %d, n %d, coordinate %v", dim, n, v), func() {
+					NewWorkspace().GeoMST(pts, dim)
+				})
+			}
+		}
 	}
 }
 

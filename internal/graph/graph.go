@@ -286,39 +286,33 @@ func thresholdRadius(d2 float64) float64 {
 }
 
 // PrimMST computes the Euclidean minimum spanning tree of the points with the
-// dense O(n^2)-time, O(n)-space Prim algorithm, the right choice for complete
-// geometric graphs. It returns the n-1 tree edges (nil for n < 2). Edge
-// weights are threshold radii (see thresholdRadius): within one ulp of the
-// Euclidean length, chosen so that the point graph at r contains the edge
-// exactly when r >= the stored weight.
+// dense O(n^2)-time, O(n)-space Prim algorithm over the points as given
+// (array of structs), in Prim's order. It returns the n-1 tree edges (nil
+// for n < 2). Edge weights are threshold radii (see thresholdRadius):
+// within one ulp of the Euclidean length, chosen so that the point graph at
+// r contains the edge exactly when r >= the stored weight. It allocates per
+// call and is the independent reference GeoMST is checked against; GeoMST
+// runs its own dense Prim (denseMST) below the dense cutoff.
 func PrimMST(pts []geom.Point) []Edge {
 	n := len(pts)
 	if n < 2 {
 		return nil
 	}
-	return primMSTInto(pts, make([]bool, n), make([]float64, n), make([]int32, n), make([]float64, n), make([]Edge, 0, n-1))
-}
-
-// primMSTInto is PrimMST over caller-provided scratch: inTree, bestDist,
-// bestFrom and dist2 must have length n and edges zero length; the tree edges
-// are appended to edges and returned.
-//
-//adhoc:hotpath
-func primMSTInto(pts []geom.Point, inTree []bool, bestDist []float64, bestFrom []int32, dist2 []float64, edges []Edge) []Edge {
-	n := len(pts)
-	const unvisited = -1
+	inTree := make([]bool, n)
+	bestDist := make([]float64, n)
+	bestFrom := make([]int32, n)
+	dist2 := make([]float64, n)
+	edges := make([]Edge, 0, n-1)
 	for i := range bestDist {
-		inTree[i] = false
 		bestDist[i] = math.Inf(1)
-		bestFrom[i] = unvisited
+		bestFrom[i] = -1
 	}
 	current := int32(0)
 	inTree[0] = true
 	for len(edges) < n-1 {
 		// Compute the current row of the distance matrix with the batched
-		// kernel over the contiguous coordinate slab (bitwise the same values
-		// as per-pair Dist2 calls), then relax the fringe through it and pick
-		// the closest fringe vertex.
+		// kernel (bitwise the same values as per-pair Dist2 calls), then
+		// relax the fringe through it and pick the closest fringe vertex.
 		geom.Dist2Batch(dist2, pts[current], pts)
 		next := int32(-1)
 		nextDist := math.Inf(1)

@@ -13,8 +13,9 @@ import (
 // caller arms the mode with SetKinetic and then calls ProfileKinetic per
 // step, passing the step's moved set (strictly ascending indices of the
 // points that changed position). A nil moved set means "no displacement
-// information" — the call runs the plain rebuild path and, when possible,
-// primes the tree cache so the NEXT step can repair.
+// information" — the call runs the plain rebuild path and, above the dense
+// cutoff, primes the tree cache so the NEXT step can repair. At or below
+// the cutoff every call rebuilds: the dense Prim costs less than a repair.
 //
 // Results are bit-identical to the rebuild path by construction, not by
 // tolerance: ProfileKinetic re-derives the exact strict-order MST by running
@@ -92,8 +93,9 @@ func (k *kinetic) samePts(pts []geom.Point) bool {
 // moved lists the points displaced since the previous call on this
 // workspace (strictly ascending); nil means no displacement information
 // (trajectory start, or a caller without a Mover), which evaluates the plain
-// path and primes the tree cache. The returned profile is transient, exactly
-// as for Profile, and bitwise identical to what Profile would return.
+// path and primes the tree cache when n is above the dense cutoff for dim.
+// The returned profile is transient, exactly as for Profile, and bitwise
+// identical to what Profile would return.
 func (ws *Workspace) ProfileKinetic(pts []geom.Point, dim int, moved []int32) *Profile {
 	k := &ws.kin
 	n := len(pts)
@@ -113,12 +115,13 @@ func (ws *Workspace) ProfileKinetic(pts []geom.Point, dim int, moved []int32) *P
 		}
 	}
 	ws.stats.MSTRebuilds++
-	// Plain path; prime the tree cache whenever GeoMST ran its annulus
-	// Kruskal (n above the dense cutoff, non-degenerate extent) — only that
-	// path emits the strict-order edge list the repair continues from.
+	// Plain path; prime the tree cache only where GeoMST runs its annulus
+	// Kruskal (n above the dense cutoff, non-degenerate extent): at or below
+	// the cutoff the dense Prim rebuilds for less than a repair costs, so
+	// nothing is cached there and no k-d tree is built.
 	edges := ws.GeoMST(pts, dim)
 	k.treeOK = false
-	if extent, _ := spatial.BoundingExtent(pts); n > geoMSTDenseCutoff && extent > 0 {
+	if extent, _ := spatial.BoundingExtent(pts); n > denseCutoff(dim) && extent > 0 {
 		k.pts = pts
 		k.keepTree(pts, edges)
 		// The repair queries the k-d tree regardless of the workspace's

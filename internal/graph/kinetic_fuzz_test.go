@@ -21,13 +21,13 @@ func FuzzKineticMatchesRebuild(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 16, 0, 16, 0})          // coincident pair
 	f.Add([]byte{0, 1, 0, 2, 0, 4, 0, 8, 0, 16, 0, 32}) // dim 1: no repair path
 	seed := []byte{1}
-	for i := 0; i < 90; i++ { // dim 2, above the dense cutoff: repair engages
+	for i := 0; i < 260; i++ { // dim 2, above the dense cutoff: repair engages
 		x := uint16(i * 2654435761)
 		seed = append(seed, byte(x), byte(x>>8), byte(x>>7), byte(x>>12))
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pts, dim := geomtest.DecodeFuzzPoints(data, 120)
+		pts, dim := geomtest.DecodeFuzzPoints(data, 300)
 		if len(pts) == 0 {
 			return
 		}

@@ -126,9 +126,9 @@ func TestKineticMSTMatchesGeoMST(t *testing.T) {
 		moves     func(*kineticWalk, []candidate) []int32
 	}{
 		{"uniform-2d", 300, 2, false, walkStep},
-		{"uniform-3d", 200, 3, false, walkStep},
+		{"uniform-3d", 300, 3, false, walkStep},
 		{"clustered-2d", 300, 2, true, walkStep},
-		{"small", 64, 2, false, walkStep},
+		{"small", denseCutoff(2) + 1, 2, false, walkStep}, // the smallest n that repairs
 		{"no-moves", 300, 2, false, noMoves},
 		{"no-moves-clustered", 300, 2, true, noMoves},
 		{"one-leaf", 300, 2, false, moveLeaf},
@@ -172,8 +172,8 @@ func TestKineticProfileMatchesRebuild(t *testing.T) {
 		moveFrac float64
 	}{
 		{"sparse-moves", 220, 0.05},
-		{"dirty-fallback", 220, 0.5}, // above kineticDirtyFraction: every step re-primes
-		{"dense-cutoff", 32, 0.1},    // below geoMSTDenseCutoff: plain Prim path throughout
+		{"dirty-fallback", 220, 0.5},          // above kineticDirtyFraction: every step re-primes
+		{"dense-cutoff", denseCutoff(2), 0.1}, // the largest dense-Prim n: never primed
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := xrand.New(77)
@@ -192,6 +192,9 @@ func TestKineticProfileMatchesRebuild(t *testing.T) {
 					!slices.Equal(got.mergeRadii, want.mergeRadii) ||
 					!slices.Equal(got.largestAfter, want.largestAfter) {
 					t.Fatalf("step %d (%d moved): kinetic profile differs from rebuild", step, len(moved))
+				}
+				if primed := wsK.kin.treeOK; primed != (tc.n > denseCutoff(2)) {
+					t.Fatalf("step %d: tree cache primed = %v at n = %d (dense cutoff %d)", step, primed, tc.n, denseCutoff(2))
 				}
 			}
 		})

@@ -42,10 +42,7 @@ type Workspace struct {
 	xs    []float64    // 1-D coordinate scratch
 	pts   []geom.Point // placement scratch for samplers
 
-	inTree   []bool // dense Prim scratch
-	bestDist []float64
-	bestFrom []int32
-	dist2    []float64 // Dist2Batch row scratch
+	prim primSlabs // dense Prim scratch (denseMST)
 
 	cursor []int32 // adjacency build scratch
 	labels []int32 // component-labeling scratch
