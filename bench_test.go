@@ -151,6 +151,25 @@ func benchSnapshotProfile(b *testing.B, n, dim int) {
 	}
 }
 
+// The critical-range-only twins of the paper-size rows above: the snapshot
+// cost of a time-targets-only run (figures 2-5, 7-9), which skips the tree
+// sort and the profile replay (DESIGN.md "Critical-only snapshots").
+func BenchmarkSnapshotCriticalN16(b *testing.B)  { benchSnapshotCritical(b, 16) }
+func BenchmarkSnapshotCriticalN64(b *testing.B)  { benchSnapshotCritical(b, 64) }
+func BenchmarkSnapshotCriticalN128(b *testing.B) { benchSnapshotCritical(b, 128) }
+func BenchmarkSnapshotCriticalN256(b *testing.B) { benchSnapshotCritical(b, 256) }
+
+func benchSnapshotCritical(b *testing.B, n int) {
+	pts := benchPlacement(n, 2)
+	ws := graph.NewWorkspace()
+	ws.Critical(pts, 2) // warm the workspace buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.Critical(pts, 2)
+	}
+}
+
 // benchPlacement samples n points in a dim-dimensional cube at the paper's
 // n=128 density (128 nodes in [0,16384]^dim), so all sizes probe the same
 // sparse regime.

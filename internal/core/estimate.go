@@ -125,6 +125,13 @@ func (e RangeEstimates) ComponentFraction(g float64) (Estimate, error) {
 // are then summarized across iterations exactly as the paper averages its 50
 // simulations.
 //
+// The targets pick the snapshot path. Time fractions alone need only each
+// snapshot's critical radius (graph.Workspace.CriticalKinetic: the largest
+// MST edge, no profile kept); component fractions need every snapshot's
+// whole connectivity profile, cloned and kept for the iteration's
+// bisection. The time estimates are bit-identical either way, so callers
+// should request only the targets they read.
+//
 // The run honors ctx (a canceled run returns ErrCanceled within about one
 // snapshot's evaluation time) and supports checkpoint/resume through
 // cfg.Sink; an iteration's checkpoint row is its per-target range values,
@@ -145,7 +152,8 @@ func EstimateRanges(ctx context.Context, net Network, cfg RunConfig, targets Ran
 		// The component-fraction inversion below needs every snapshot's
 		// profile at once, so with component targets the transient profile
 		// is cloned (the one retained per-snapshot allocation of this path);
-		// time targets need only the critical radius.
+		// time targets need only the critical radius, which CriticalKinetic
+		// computes without building a profile at all.
 		keep := len(targets.ComponentFractions) > 0
 		var profiles []*graph.Profile
 		if keep {
@@ -155,11 +163,13 @@ func EstimateRanges(ctx context.Context, net Network, cfg RunConfig, targets Ran
 		err := runTrajectory(ctx, it, net,
 			func() *estimateSnap { return &estimateSnap{} },
 			func(_ int, pts []geom.Point, moved []int32, ws *graph.Workspace, out *estimateSnap) {
+				if !keep {
+					out.critical = ws.CriticalKinetic(pts, net.Region.Dim, moved)
+					return
+				}
 				p := ws.ProfileKinetic(pts, net.Region.Dim, moved)
 				out.critical = p.Critical()
-				if keep {
-					out.prof = p.Clone()
-				}
+				out.prof = p.Clone()
 			},
 			func(_ int, out *estimateSnap) {
 				if keep {

@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"maps"
+	"math"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,6 +67,57 @@ func TestObsDoesNotPerturbResults(t *testing.T) {
 							t.Fatalf("%s workers=%d: iterations counter = %d, want 6", name, workers, got)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestEstimateRangesTimeOnlyPath pins the critical-range-only snapshot path
+// to the profile path: with time targets alone EstimateRanges skips the
+// profiles, and its time estimates must be bit-identical to those of the
+// same run with PaperTargets, with the same kinetic MST and backend-pick
+// counters in a live registry. 64 nodes take the dense Prim, 256 the
+// annulus rounds and, armed, the kinetic repair.
+func TestEstimateRangesTimeOnlyPath(t *testing.T) {
+	ctx := context.Background()
+	timeOnly := RangeTargets{TimeFractions: PaperTargets().TimeFractions}
+	run := func(net Network, cfg RunConfig, targets RangeTargets) ([]Estimate, map[string]uint64) {
+		t.Helper()
+		cfg.Obs = obs.NewRegistry()
+		est, err := EstimateRanges(ctx, net, cfg, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters := map[string]uint64{}
+		for name, v := range cfg.Obs.Snapshot().Counters {
+			if strings.HasPrefix(name, "adhocnet_kinetic_mst_") || strings.HasPrefix(name, "adhocnet_spatial_auto_picks_total") {
+				counters[name] = v
+			}
+		}
+		return est.Time, counters
+	}
+	for _, n := range []int{64, 256} {
+		net := driftNet(t, n)
+		for _, workers := range []int{1, 2} {
+			for _, mode := range []KineticMode{KineticOff, KineticOn, KineticAuto} {
+				name := fmt.Sprintf("n=%d workers=%d kinetic=%v", n, workers, mode)
+				cfg := RunConfig{Iterations: 3, Steps: 12, Seed: 19, Workers: workers, Kinetic: mode}
+				want, wantCounters := run(net, cfg, PaperTargets())
+				got, gotCounters := run(net, cfg, timeOnly)
+				for i := range want {
+					for j, w := range want[i].PerIteration {
+						if g := got[i].PerIteration[j]; math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("%s: time target %v iteration %d: %v, with component targets %v",
+								name, want[i].Target, j, g, w)
+						}
+					}
+				}
+				if !maps.Equal(gotCounters, wantCounters) {
+					t.Fatalf("%s: counters differ:\ntime only %v\npaper     %v", name, gotCounters, wantCounters)
+				}
+				if n == 256 && mode == KineticOn && wantCounters["adhocnet_kinetic_mst_repairs_total"] == 0 {
+					t.Fatalf("%s: no repairs, the kinetic path went unchecked", name)
 				}
 			}
 		}

@@ -19,9 +19,10 @@ const DefaultStationaryQuantile = 0.99
 
 // StationaryCriticalSample draws the critical transmitting ranges of
 // independent uniform placements of n nodes in the region: sample i is the
-// minimal r connecting placement i. The returned slice is sorted ascending,
-// so it doubles as the empirical distribution (use stats.ECDF /
-// stats.QuantileSorted on it directly).
+// minimal r connecting placement i, the longest edge of its MST
+// (graph.Workspace.Critical, which builds no profile). The returned slice is
+// sorted ascending, so it doubles as the empirical distribution (use
+// stats.ECDF / stats.QuantileSorted on it directly).
 //
 // The run honors ctx: a canceled run returns ErrCanceled promptly.
 func StationaryCriticalSample(ctx context.Context, reg geom.Region, n, samples int, seed uint64, workers int) ([]float64, error) {
@@ -39,7 +40,7 @@ func StationaryCriticalSample(ctx context.Context, reg geom.Region, n, samples i
 	out, err := runIterations(ctx, cfg, criticalCodec, func(_ context.Context, it iteration) (float64, error) {
 		pts := it.ws.Points(n)
 		reg.FillUniformPoints(it.rng, pts)
-		return it.ws.Profile(pts, reg.Dim).Critical(), nil
+		return it.ws.Critical(pts, reg.Dim), nil
 	})
 	if err != nil {
 		return nil, err

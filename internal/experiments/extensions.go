@@ -27,7 +27,7 @@ func extDirectionExperiment() Experiment {
 			"(not in the paper): if the paper's 'only the quantity of mobility " +
 			"matters' claim generalizes, the ratios should resemble Figures 2-3.",
 		Run: func(p Preset) (*Result, error) {
-			points, err := runSizeSweep(p, directionForSide, "ext-direction")
+			points, err := runSizeSweep(p, directionForSide, "ext-direction", timeTargets())
 			if err != nil {
 				return nil, err
 			}
@@ -62,7 +62,7 @@ func extEnergyExperiment() Experiment {
 			// large systems.
 			single := p
 			single.Sides = p.Sides[len(p.Sides)-1:]
-			points, err := runSizeSweep(single, waypointForSide, "ext-energy")
+			points, err := runSizeSweep(single, waypointForSide, "ext-energy", core.PaperTargets())
 			if err != nil {
 				return nil, err
 			}

@@ -30,7 +30,7 @@ func extStructureExperiment() Experiment {
 			}
 			single := p
 			single.Sides = p.Sides[len(p.Sides)-1:]
-			points, err := runSizeSweep(single, waypointForSide, "ext-structure")
+			points, err := runSizeSweep(single, waypointForSide, "ext-structure", timeTargets())
 			if err != nil {
 				return nil, err
 			}

@@ -25,9 +25,21 @@ type sweepPoint struct {
 	Estimates   core.RangeEstimates
 }
 
-// runSizeSweep estimates r_stationary and the paper's range targets for
-// every region side of the preset, with n = sqrt(l) nodes as in Section 4.2.
-func runSizeSweep(p Preset, model modelForSide, label string) ([]sweepPoint, error) {
+// timeTargets and componentTargets are the two families of the paper's
+// range targets (core.PaperTargets). A sweep asks only for the family its
+// figure reads: time targets alone take the critical-radius snapshot path,
+// component targets keep every snapshot's profile.
+func timeTargets() core.RangeTargets {
+	return core.RangeTargets{TimeFractions: core.PaperTargets().TimeFractions}
+}
+
+func componentTargets() core.RangeTargets {
+	return core.RangeTargets{ComponentFractions: core.PaperTargets().ComponentFractions}
+}
+
+// runSizeSweep estimates r_stationary and the given range targets for every
+// region side of the preset, with n = sqrt(l) nodes as in Section 4.2.
+func runSizeSweep(p Preset, model modelForSide, label string, targets core.RangeTargets) ([]sweepPoint, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -52,7 +64,7 @@ func runSizeSweep(p Preset, model modelForSide, label string) ([]sweepPoint, err
 			Kinetic:    p.Kinetic,
 			Obs:        p.Obs,
 		}
-		est, err := core.EstimateRanges(context.Background(), net, cfg, core.PaperTargets())
+		est, err := core.EstimateRanges(context.Background(), net, cfg, targets)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: range estimation at l=%v: %w", l, err)
 		}
@@ -118,7 +130,7 @@ func fig2Experiment() Experiment {
 			"to r_stationary for l in {256..16384}, n = sqrt(l), random waypoint " +
 			"(p_stationary=0, v_min=0.1, v_max=0.01l, t_pause=2000).",
 		Run: func(p Preset) (*Result, error) {
-			points, err := runSizeSweep(p, waypointForSide, "fig2")
+			points, err := runSizeSweep(p, waypointForSide, "fig2", timeTargets())
 			if err != nil {
 				return nil, err
 			}
@@ -138,7 +150,7 @@ func fig3Experiment() Experiment {
 		Description: "Same sweep as Figure 2 under the drunkard model " +
 			"(p_stationary=0.1, p_pause=0.3, m=0.01l).",
 		Run: func(p Preset) (*Result, error) {
-			points, err := runSizeSweep(p, drunkardForSide, "fig3")
+			points, err := runSizeSweep(p, drunkardForSide, "fig3", timeTargets())
 			if err != nil {
 				return nil, err
 			}
@@ -216,7 +228,7 @@ func fig4Experiment() Experiment {
 			"(fraction of n, over disconnected snapshots) when transmitting at " +
 			"r90, r10 and r0; random waypoint sweep of Figure 2.",
 		Run: func(p Preset) (*Result, error) {
-			points, err := runSizeSweep(p, waypointForSide, "fig4")
+			points, err := runSizeSweep(p, waypointForSide, "fig4", timeTargets())
 			if err != nil {
 				return nil, err
 			}
@@ -237,7 +249,7 @@ func fig5Experiment() Experiment {
 		Description: "Same as Figure 4 under the drunkard model " +
 			"(p_stationary=0.1, p_pause=0.3, m=0.01l).",
 		Run: func(p Preset) (*Result, error) {
-			points, err := runSizeSweep(p, drunkardForSide, "fig5")
+			points, err := runSizeSweep(p, drunkardForSide, "fig5", timeTargets())
 			if err != nil {
 				return nil, err
 			}
@@ -257,7 +269,7 @@ func fig6Experiment() Experiment {
 		Description: "Transmitting range making the average largest component " +
 			"0.9n / 0.75n / 0.5n, relative to r_stationary; random waypoint sweep.",
 		Run: func(p Preset) (*Result, error) {
-			points, err := runSizeSweep(p, waypointForSide, "fig6")
+			points, err := runSizeSweep(p, waypointForSide, "fig6", componentTargets())
 			if err != nil {
 				return nil, err
 			}

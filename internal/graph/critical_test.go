@@ -1,0 +1,157 @@
+package graph
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"adhocnet/internal/geom"
+	"adhocnet/internal/xrand"
+)
+
+// criticalPlacements are the placements of TestCriticalMatchesProfile, n
+// points in [0, 1000)^dim each: uniform, eight islands, groups of three
+// coincident points, every point stacked on one spot (the coincident star),
+// a line with uneven gaps, and an integer lattice whose distance ties make
+// the dense Prim's fast pass give up for primExact.
+func criticalPlacements(rng *xrand.Rand, n, dim int) map[string][]geom.Point {
+	reg := geom.MustRegion(1000, dim)
+	at := func(c ...float64) geom.Point {
+		var p geom.Point
+		p.X = c[0]
+		if dim >= 2 {
+			p.Y = c[1]
+		}
+		if dim >= 3 {
+			p.Z = c[2]
+		}
+		return p
+	}
+	uniform := reg.UniformPoints(rng, n)
+	centers := reg.UniformPoints(rng, 8)
+	islands, triples, stacked, line, lattice := make([]geom.Point, n), make([]geom.Point, n), make([]geom.Point, n), make([]geom.Point, n), make([]geom.Point, n)
+	side := int(math.Ceil(math.Pow(float64(max(n, 1)), 1/float64(dim))))
+	x := 0.0
+	for i := range islands {
+		c := centers[i%8]
+		islands[i] = at(c.X+rng.Range(-5, 5), c.Y+rng.Range(-5, 5), c.Z+rng.Range(-5, 5))
+		triples[i] = uniform[i/3]
+		stacked[i] = at(500, 500, 500)
+		line[i] = at(x, 2*x, 3*x)
+		x += []float64{1, 3, 1, 7, 0.25, 3}[i%6]
+		lattice[i] = at(float64(7*(i%side)), float64(7*(i/side%side)), float64(7*(i/(side*side))))
+	}
+	return map[string][]geom.Point{
+		"uniform": uniform, "islands": islands, "coincident": triples,
+		"stacked": stacked, "collinear": line, "lattice": lattice,
+	}
+}
+
+// criticalDrift is the moved-fraction schedule of TestCriticalMatchesProfile's
+// armed walk. A negative entry passes a nil moved set (re-prime); 0.5 is
+// past kineticDirtyFraction (dirty fallback); the rest repair above the
+// dense cutoff.
+var criticalDrift = []float64{-1, 0.05, 0.02, 0.5, 0.05, -1, 0.1, 0.3, 0.05, 0.01}
+
+// TestCriticalMatchesProfile pins Critical and CriticalKinetic to their
+// profile twins: the same float64 bits as Profile(...).Critical() and
+// ProfileKinetic(...).Critical(), and the same WorkspaceStats after the
+// same calls, at sizes on both sides of the dense cutoff.
+func TestCriticalMatchesProfile(t *testing.T) {
+	rng := xrand.New(91)
+	for _, dim := range []int{1, 2, 3} {
+		for _, n := range []int{0, 1, 2, 3, denseCutoff(dim), denseCutoff(dim) + 1, 1024} {
+			for name, pts := range criticalPlacements(rng, n, dim) {
+				t.Run(fmt.Sprintf("dim%d/n%d/%s", dim, n, name), func(t *testing.T) {
+					wsP, wsC := NewWorkspace(), NewWorkspace()
+					check := func(what string, want, got float64) {
+						t.Helper()
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s: critical %v, profile says %v", what, got, want)
+						}
+						if sp, sc := wsP.TakeStats(), wsC.TakeStats(); sp != sc {
+							t.Fatalf("%s: counters differ:\nprofile  %+v\ncritical %+v", what, sp, sc)
+						}
+					}
+					check("rebuild", wsP.Profile(pts, dim).Critical(), wsC.Critical(pts, dim))
+
+					wsP.SetKinetic(true)
+					wsC.SetKinetic(true)
+					var total WorkspaceStats
+					for step, frac := range criticalDrift {
+						var moved []int32
+						if frac >= 0 {
+							moved = []int32{}
+							for i := range pts {
+								if rng.Float64() < frac {
+									pts[i].X += rng.Range(-3, 3)
+									moved = append(moved, int32(i))
+								}
+							}
+						}
+						want := wsP.ProfileKinetic(pts, dim, moved).Critical()
+						total.Add(wsP.stats)
+						check(fmt.Sprintf("step %d (%d moved)", step, len(moved)), want, wsC.CriticalKinetic(pts, dim, moved))
+					}
+					if n == 1024 && dim > 1 && name != "stacked" &&
+						(total.MSTRepairs == 0 || total.MSTDirtyFallbacks == 0 || total.MSTRebuilds < 3) {
+						t.Fatalf("the walk missed a kinetic branch: %+v", total)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCriticalGapDefersToProfile covers the 1-D placements whose largest
+// gap is not positive, where Critical leaves the answer to the profile: a
+// -0 gap (+0 sorted before -0) and a NaN coordinate.
+func TestCriticalGapDefersToProfile(t *testing.T) {
+	for name, xs := range map[string][]float64{
+		"signed-zeros": {0, math.Copysign(0, -1)},
+		"nan":          {1, math.NaN(), 3},
+	} {
+		pts := make([]geom.Point, len(xs))
+		for i, x := range xs {
+			pts[i].X = x
+		}
+		want := NewWorkspace().Profile(pts, 1).Critical()
+		if got := NewWorkspace().Critical(pts, 1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: critical %v, profile says %v", name, got, want)
+		}
+	}
+}
+
+// TestCriticalLatticeDefeatsFastPrim checks that TestCriticalMatchesProfile's
+// lattice reaches primExact: the fast pass must meet a tie on it.
+func TestCriticalLatticeDefeatsFastPrim(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		pts := criticalPlacements(xrand.New(1), denseCutoff(dim), dim)["lattice"]
+		var s primSlabs
+		s.fill(pts)
+		if _, ok := s.prim3(pts[0], nil); ok {
+			t.Fatalf("dim %d: the lattice has no squared-distance tie for the fast pass", dim)
+		}
+	}
+}
+
+// TestCriticalNonFinitePanics checks that Critical and CriticalKinetic keep
+// GeoMST's non-finite contract on both sides of the dense cutoff: cold, and
+// (above the cutoff) from a warm tree cache whose moved point turns bad.
+func TestCriticalNonFinitePanics(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		reg := geom.MustRegion(1000, dim)
+		for _, n := range []int{16, denseCutoff(dim), denseCutoff(dim) + 1} {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				what := fmt.Sprintf("dim %d, n %d, coordinate %v", dim, n, v)
+				pts := reg.UniformPoints(xrand.New(53), n)
+				warm := NewWorkspace()
+				warm.SetKinetic(true)
+				warm.CriticalKinetic(pts, dim, nil)
+				pts[n/2].Y = v
+				expectNonFinitePanic(t, "Critical, "+what, func() { NewWorkspace().Critical(pts, dim) })
+				expectNonFinitePanic(t, "CriticalKinetic, "+what, func() { warm.CriticalKinetic(pts, dim, []int32{int32(n / 2)}) })
+			}
+		}
+	}
+}

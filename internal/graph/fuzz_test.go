@@ -201,10 +201,16 @@ func strictKruskal(pts []geom.Point) []Edge {
 }
 
 // checkStrictSequence asserts that ws.GeoMST returns exactly the strict
-// Kruskal edge sequence, element by element, under each forced backend.
+// Kruskal edge sequence, element by element, under each forced backend, and
+// that ws.Critical returns its largest edge weight. In 1-D Critical is the
+// largest sorted gap, not a threshold radius, so it is checked from 2-D up.
 func checkStrictSequence(t *testing.T, ws *Workspace, pts []geom.Point, dim int) {
 	t.Helper()
 	want := strictKruskal(pts)
+	crit := 0.0
+	for _, e := range want {
+		crit = max(crit, e.D)
+	}
 	for _, b := range []spatial.Backend{spatial.BackendGrid, spatial.BackendKDTree} {
 		ws.SetSpatialBackend(b)
 		got := ws.GeoMST(pts, dim)
@@ -215,6 +221,9 @@ func checkStrictSequence(t *testing.T, ws *Workspace, pts []geom.Point, dim int)
 			if got[k] != want[k] {
 				t.Fatalf("%v, n=%d dim=%d: edge %d is %+v, strict Kruskal has %+v", b, len(pts), dim, k, got[k], want[k])
 			}
+		}
+		if c := ws.Critical(pts, dim); dim > 1 && math.Float64bits(c) != math.Float64bits(crit) {
+			t.Fatalf("%v, n=%d dim=%d: Critical %v, strict Kruskal's largest edge %v", b, len(pts), dim, c, crit)
 		}
 	}
 }
@@ -278,9 +287,10 @@ func strictSeedPlacements() []strictSeed {
 // (d2, i, j) Kruskal over all pairs, element by element, with the grid and
 // the k-d tree each forced. That exact sequence is what the kinetic cache
 // replays, so the dense Prim's tie breaking, the outsider rounds and the
-// filter-Kruskal replay must all keep it. The seeds come in two sizes: as
-// built, above the dense cutoff, and cut down to it, so the ties of each
-// seed reach both the dense Prim and the annulus rounds.
+// filter-Kruskal replay must all keep it; Critical must return its largest
+// edge weight. The seeds come in two sizes: as built, above the dense
+// cutoff, and cut down to it, so the ties of each seed reach both the dense
+// Prim and the annulus rounds.
 func FuzzGeoMSTMatchesStrictKruskal(f *testing.F) {
 	for _, s := range strictSeedPlacements() {
 		f.Add(encodeFuzzPoints(s.pts, s.dim))

@@ -11,7 +11,7 @@ import (
 )
 
 // The dense cutoffs are the largest point counts, per dimension, at which
-// GeoMST runs the dense Prim (denseMST) instead of the annulus rounds: up to
+// GeoMST runs the dense Prim (densePrim) instead of the annulus rounds: up to
 // there its ~n^2/2 slab pair visits cost less than the grid builds, pair
 // scans and candidate sorts they replace. Measured with the
 // BenchmarkSnapshotProfileN* rows in bench_test.go; DESIGN.md "Fallback
@@ -246,10 +246,17 @@ func GeoMST(pts []geom.Point, dim int) []Edge {
 // comes from the workspace and the returned edge slice is transient
 // (overwritten by the next MST or profile call on this workspace).
 func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
+	return ws.sorted(ws.mst(pts, dim))
+}
+
+// mst is GeoMST short of the dense path's last step: it returns the tree's
+// edges in strict order or, with dense set, leaves the tree unsorted in
+// ws.cand (densePrim) for sorted or bottleneck to finish.
+func (ws *Workspace) mst(pts []geom.Point, dim int) (edges []Edge, dense bool) {
 	n := len(pts)
 	ws.edges = ws.edges[:0]
 	if n < 2 {
-		return nil
+		return nil, false
 	}
 	extent, dims := spatial.BoundingExtent(pts)
 	if math.IsNaN(extent) || math.IsInf(extent, 0) {
@@ -260,10 +267,11 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 		for i := 1; i < n; i++ {
 			ws.edges = append(ws.edges, Edge{I: 0, J: int32(i), D: 0})
 		}
-		return ws.edges
+		return ws.edges, false
 	}
 	if n <= denseCutoff(dim) {
-		return ws.denseMST(pts)
+		ws.densePrim(pts)
+		return nil, true
 	}
 	// The mean nearest-neighbor scale of the placement: most points see
 	// their closest neighbor within a small multiple of it, so the first
@@ -296,7 +304,40 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 		// all. The grid keeps the global scale, where its cells are sized.
 		r /= 8
 	}
-	return ws.mstRounds(pts, dim, r, useTree, nil, nil)
+	return ws.mstRounds(pts, dim, r, useTree, nil, nil), false
+}
+
+// sorted finishes what mst returned into the strict-order edge list: the
+// dense tree is sorted by candLess, the order Kruskal accepts its edges in,
+// and converted to threshold-radius edges in ws.edges.
+func (ws *Workspace) sorted(edges []Edge, dense bool) []Edge {
+	if !dense {
+		return edges
+	}
+	sortCandidates(ws.cand)
+	for _, c := range ws.cand {
+		ws.edges = append(ws.edges, Edge{I: c.i, J: c.j, D: thresholdRadius(c.d2)})
+	}
+	return ws.edges
+}
+
+// bottleneck returns the largest edge weight of what mst returned, the
+// critical radius, without sorting the tree. Every MST has the same multiset
+// of edge weights and thresholdRadius is monotone, so the dense tree's
+// largest squared distance yields the same weight; mst's weights are never
+// NaN or -0, so the maximum has the bits of the profile's last merge radius.
+func (ws *Workspace) bottleneck(edges []Edge, dense bool) float64 {
+	crit := 0.0
+	if dense {
+		for _, c := range ws.cand {
+			crit = max(crit, c.d2)
+		}
+		return thresholdRadius(crit)
+	}
+	for _, e := range edges {
+		crit = max(crit, e.D)
+	}
+	return crit
 }
 
 // primSlabs is the dense Prim's scratch in structure-of-arrays form: the
@@ -343,14 +384,14 @@ func edgeKey(d2 float64, a, b int32) candidate {
 	return candidate{d2: d2, i: min(a, b), j: max(a, b)}
 }
 
-// denseMST builds the strict-(d2, i, j)-order MST of pts (n >= 2 finite
-// points) into ws.edges, in that order: the annulus rounds' edge sequence,
-// by a dense Prim over ws.prim. Prim in the strict total order finds the
-// unique strict-order MST; sorting its edges by candLess gives the order
-// Kruskal accepts them in. A first pass compares squared distances only
-// and gives up at the first tie, which the index keys would have to break;
-// ties are rare, and primExact then redoes the tree in the full order.
-func (ws *Workspace) denseMST(pts []geom.Point) []Edge {
+// densePrim builds the strict-(d2, i, j)-order MST of pts (n >= 2 finite
+// points) into ws.cand, unsorted, by a dense Prim over ws.prim. Prim in the
+// strict total order finds the unique strict-order MST; sorted turns it
+// into the annulus rounds' edge sequence. A first pass compares squared
+// distances only and gives up at the first tie, which the index keys would
+// have to break; ties are rare, and primExact then redoes the tree in the
+// full order.
+func (ws *Workspace) densePrim(pts []geom.Point) {
 	s := &ws.prim
 	var ok bool
 	if s.fill(pts) {
@@ -362,14 +403,9 @@ func (ws *Workspace) denseMST(pts []geom.Point) []Edge {
 		s.fill(pts)
 		ws.cand = s.primExact(pts[0], ws.cand[:0])
 	}
-	sortCandidates(ws.cand)
-	for _, c := range ws.cand {
-		ws.edges = append(ws.edges, Edge{I: c.i, J: c.j, D: thresholdRadius(c.d2)})
-	}
-	return ws.edges
 }
 
-// prim2 is denseMST's fast pass over a flat placement, growing the tree
+// prim2 is densePrim's fast pass over a flat placement, growing the tree
 // from root: each round relaxes the fringe through the point picked last
 // and picks the fringe point nearest the tree. It appends the tree edges to
 // out and reports false, abandoning the tree, at the first squared-distance
@@ -437,7 +473,7 @@ func (s *primSlabs) prim3(root geom.Point, out []candidate) ([]candidate, bool) 
 	return out, true
 }
 
-// primExact is denseMST's tie-proof pass: Prim with every relaxation and
+// primExact is densePrim's tie-proof pass: Prim with every relaxation and
 // every pick compared in the strict (d2, i, j) order. Over a flat placement
 // each Z difference is exactly 0, so its squared distances equal prim2's.
 func (s *primSlabs) primExact(root geom.Point, out []candidate) []candidate {

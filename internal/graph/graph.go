@@ -292,7 +292,7 @@ func thresholdRadius(d2 float64) float64 {
 // within one ulp of the Euclidean length, chosen so that the point graph at
 // r contains the edge exactly when r >= the stored weight. It allocates per
 // call and is the independent reference GeoMST is checked against; GeoMST
-// runs its own dense Prim (denseMST) below the dense cutoff.
+// runs its own dense Prim (densePrim) below the dense cutoff.
 func PrimMST(pts []geom.Point) []Edge {
 	n := len(pts)
 	if n < 2 {
@@ -341,14 +341,9 @@ func PrimMST(pts []geom.Point) []Edge {
 // graph is connected. It returns 0 for fewer than two points.
 func MSTBottleneck(pts []geom.Point) float64 {
 	ws := AcquireWorkspace()
-	max := 0.0
-	for _, e := range ws.GeoMST(pts, 3) {
-		if e.D > max {
-			max = e.D
-		}
-	}
+	crit := ws.Critical(pts, 3)
 	ReleaseWorkspace(ws)
-	return max
+	return crit
 }
 
 // Profile is the connectivity profile of a placement: the exact step

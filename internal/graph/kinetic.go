@@ -16,6 +16,8 @@ import (
 // information" — the call runs the plain rebuild path and, above the dense
 // cutoff, primes the tree cache so the NEXT step can repair. At or below
 // the cutoff every call rebuilds: the dense Prim costs less than a repair.
+// CriticalKinetic walks the same steps for callers that need only the
+// critical radius.
 //
 // Results are bit-identical to the rebuild path by construction, not by
 // tolerance: ProfileKinetic re-derives the exact strict-order MST by running
@@ -97,18 +99,37 @@ func (k *kinetic) samePts(pts []geom.Point) bool {
 // The returned profile is transient, exactly as for Profile, and bitwise
 // identical to what Profile would return.
 func (ws *Workspace) ProfileKinetic(pts []geom.Point, dim int, moved []int32) *Profile {
-	k := &ws.kin
-	n := len(pts)
-	if !k.armed || dim == 1 {
+	if !ws.kin.armed || dim == 1 {
 		// The 1-D profile is already O(n log n) sorted gaps; no repair path.
 		return ws.Profile(pts, dim)
 	}
+	return ws.replayProfile(len(pts), ws.sorted(ws.kineticTree(pts, dim, moved)))
+}
+
+// CriticalKinetic is Critical with ProfileKinetic's incremental repair: it
+// returns ProfileKinetic(pts, dim, moved).Critical(), bit for bit, leaves
+// the tree cache and the WorkspaceStats counters as ProfileKinetic would,
+// and skips only the sort and the profile replay.
+func (ws *Workspace) CriticalKinetic(pts []geom.Point, dim int, moved []int32) float64 {
+	if !ws.kin.armed || dim == 1 {
+		return ws.Critical(pts, dim)
+	}
+	return ws.bottleneck(ws.kineticTree(pts, dim, moved))
+}
+
+// kineticTree is the armed 2-D/3-D tree step of ProfileKinetic and
+// CriticalKinetic, returning what mst returns: the repaired tree when the
+// cache is warm and the step clean enough, otherwise the plain path's tree,
+// priming the cache from it.
+func (ws *Workspace) kineticTree(pts []geom.Point, dim int, moved []int32) ([]Edge, bool) {
+	k := &ws.kin
+	n := len(pts)
 	if moved != nil && k.treeOK && k.samePts(pts) {
 		if float64(len(moved)) <= kineticDirtyFraction*float64(n) {
 			if edges, ok := ws.kineticMST(pts, moved); ok {
 				ws.stats.MSTRepairs++
 				ws.stats.MovedPoints += uint64(len(moved))
-				return ws.replayProfile(n, edges)
+				return edges, false
 			}
 		} else {
 			ws.stats.MSTDirtyFallbacks++
@@ -119,7 +140,7 @@ func (ws *Workspace) ProfileKinetic(pts []geom.Point, dim int, moved []int32) *P
 	// Kruskal (n above the dense cutoff, non-degenerate extent): at or below
 	// the cutoff the dense Prim rebuilds for less than a repair costs, so
 	// nothing is cached there and no k-d tree is built.
-	edges := ws.GeoMST(pts, dim)
+	edges, dense := ws.mst(pts, dim)
 	k.treeOK = false
 	if extent, _ := spatial.BoundingExtent(pts); n > denseCutoff(dim) && extent > 0 {
 		k.pts = pts
@@ -130,7 +151,7 @@ func (ws *Workspace) ProfileKinetic(pts []geom.Point, dim int, moved []int32) *P
 		ws.kd.Rebuild(pts, dim)
 		k.treeOK = true
 	}
-	return ws.replayProfile(n, edges)
+	return edges, dense
 }
 
 // keepTree caches edges, a strict-order MST over pts, as the tree the next

@@ -42,7 +42,7 @@ type Workspace struct {
 	xs    []float64    // 1-D coordinate scratch
 	pts   []geom.Point // placement scratch for samplers
 
-	prim primSlabs // dense Prim scratch (denseMST)
+	prim primSlabs // dense Prim scratch (densePrim)
 
 	cursor []int32 // adjacency build scratch
 	labels []int32 // component-labeling scratch
@@ -130,21 +130,51 @@ func (ws *Workspace) Points(n int) []geom.Point {
 // Euclidean MST otherwise. The returned profile is transient (see the type
 // comment); Clone it to retain it past the next workspace call.
 func (ws *Workspace) Profile(pts []geom.Point, dim int) *Profile {
-	n := len(pts)
 	if dim == 1 {
-		xs := grow(ws.xs, n)
-		ws.xs = xs
-		for i, p := range pts {
-			xs[i] = p.X
-		}
-		slices.Sort(xs)
-		ws.edges = ws.edges[:0]
-		for i := 0; i+1 < n; i++ {
-			ws.edges = append(ws.edges, Edge{I: int32(i), J: int32(i + 1), D: xs[i+1] - xs[i]})
-		}
-		return ws.replayProfile(n, ws.edges)
+		return ws.replayProfile(len(pts), ws.sortedGaps(pts))
 	}
-	return ws.replayProfile(n, ws.GeoMST(pts, dim))
+	return ws.replayProfile(len(pts), ws.GeoMST(pts, dim))
+}
+
+// Critical returns Profile(pts, dim).Critical(), bit for bit, without
+// building the profile: the largest edge weight of the tree Profile would
+// replay, which is the critical radius. It shares Profile's tree code,
+// panics and WorkspaceStats counters; only the sort and the replay are
+// skipped. Callers that need nothing but the critical radius use it.
+func (ws *Workspace) Critical(pts []geom.Point, dim int) float64 {
+	if dim == 1 {
+		return ws.criticalGap(pts)
+	}
+	return ws.bottleneck(ws.mst(pts, dim))
+}
+
+// sortedGaps returns the 1-D MST of pts into ws.edges: the path through the
+// sorted X coordinates, each edge weighted by its gap.
+func (ws *Workspace) sortedGaps(pts []geom.Point) []Edge {
+	n := len(pts)
+	xs := grow(ws.xs, n)
+	ws.xs = xs
+	for i, p := range pts {
+		xs[i] = p.X
+	}
+	slices.Sort(xs)
+	ws.edges = ws.edges[:0]
+	for i := 0; i+1 < n; i++ {
+		ws.edges = append(ws.edges, Edge{I: int32(i), J: int32(i + 1), D: xs[i+1] - xs[i]})
+	}
+	return ws.edges
+}
+
+// criticalGap is Critical in one dimension: the largest sorted gap. When
+// that is not positive (every gap zero, or a NaN gap from non-finite
+// coordinates), which zero or NaN the profile's unstable sort leaves last is
+// not a function of the gaps' values, so the profile decides.
+func (ws *Workspace) criticalGap(pts []geom.Point) float64 {
+	edges := ws.sortedGaps(pts)
+	if crit := ws.bottleneck(edges, false); crit > 0 {
+		return crit
+	}
+	return ws.replayProfile(len(pts), edges).Critical()
 }
 
 // replayProfile sorts the edge list in place by weight and replays it
