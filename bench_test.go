@@ -224,21 +224,6 @@ func benchDensePrim(b *testing.B, n int) {
 	}
 }
 
-func BenchmarkNearestNeighborN128(b *testing.B)  { benchNearestNeighbor(b, 128) }
-func BenchmarkNearestNeighborN2048(b *testing.B) { benchNearestNeighbor(b, 2048) }
-
-func benchNearestNeighbor(b *testing.B, n int) {
-	pts := benchPlacement(n, 2)
-	dst := make([]float64, n)
-	var ix spatial.Index
-	spatial.NearestNeighborDistancesInto(dst, pts, &ix) // warm the grid storage
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spatial.NearestNeighborDistancesInto(dst, pts, &ix)
-	}
-}
-
 func BenchmarkStationarySampleN128(b *testing.B) {
 	reg := geom.MustRegion(16384, 2)
 	for i := 0; i < b.N; i++ {

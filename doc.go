@@ -19,7 +19,7 @@
 //     1-D connectivity results of Section 3 (internal/unidim), including the
 //     {10*1} cell-pattern machinery behind Theorem 4;
 //   - the substrates those need: deterministic splittable PRNG
-//     (internal/xrand), geometry (internal/geom), CSR cell-grid neighbor
+//     (internal/xrand), geometry (internal/geom), cell-grid and k-d tree pair
 //     search (internal/spatial), graph/MST/connectivity-profile algorithms
 //     (internal/graph), and statistics (internal/stats);
 //   - runners regenerating every figure of the paper's evaluation plus

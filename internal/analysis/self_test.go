@@ -1,6 +1,10 @@
 package analysis
 
 import (
+	"go/token"
+	"go/types"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -68,7 +72,6 @@ func TestHotPathMarksPresent(t *testing.T) {
 	}
 	for _, want := range []string{
 		"spatial.ForEachPairWithin",
-		"spatial.NearestNeighborDistancesInto",
 		"spatial.pairsSelf",
 		"spatial.pairsCross",
 		"spatial.minSelf",
@@ -96,5 +99,128 @@ func TestHotPathMarksPresent(t *testing.T) {
 	}
 	if len(marked) < 25 {
 		t.Errorf("only %d hot-path marks found, expected the full inner-loop set", len(marked))
+	}
+}
+
+// exportAllowlist names the exported functions and methods of internal/
+// that no program calls but that stay, each with its reason. A key is
+// "pkg.Func", "pkg.Type.Method", or "pkg" for a whole package.
+var exportAllowlist = map[string]string{
+	"graph.PrimMST":                        "reference MST the GeoMST tests and fuzzers compare against",
+	"core.DirectFixedRange":                "reference the fixed-range evaluator tests compare against",
+	"core.EvaluateFixedRange":              "single-radius twin of DirectFixedRange, the reference for EvaluateFixedRanges",
+	"graph.Adjacency.BFSDistances":         "reference BFS the bit-parallel hop statistics are checked against",
+	"graph.Adjacency.LargestComponentSize": "reference for Structure.Largest in FuzzHopStatsMatchesBFS",
+	"core.MinNodesForConnectivity":         "closed form kept for the analytic oracles",
+	"unidim":                               "closed forms kept for the analytic oracles",
+	"occupancy":                            "closed forms kept for the analytic oracles",
+	"bidim":                                "closed forms kept for the analytic oracles",
+	"obs.NewDisabled":                      "the zero-overhead gate measures the disabled registry",
+	"obs.DecodeRunReport":                  "strict run-report/v1 reader that its fuzzer round-trips",
+	"faultinject":                          "test-support package",
+	"geomtest":                             "test-support package",
+}
+
+// TestNoUncalledExports keeps internal/ to the API its programs use: every
+// exported function or method there must be referenced by non-test code of
+// the module (cmd/adhocbench included) somewhere outside its own
+// declaration, be a method named like a method of an interface it may be
+// called through, or carry a reason in exportAllowlist.
+func TestNoUncalledExports(t *testing.T) {
+	l := testLoader(t)
+	pkgs, err := l.LoadPatterns([]string{"./..."}, l.ModuleRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const internal = "adhocnet/internal/"
+	seen := false
+	// Method names an interface may dispatch to: any interface declared in
+	// the module, plus the standard ones the module's types implement. The
+	// match is by name, so a method promoted from an embedded type counts.
+	ifaceMethods := map[string]bool{
+		"String": true, "Error": true, "MarshalJSON": true, "UnmarshalJSON": true, "Import": true,
+	}
+	type export struct {
+		key      string
+		pos, end token.Pos
+	}
+	exports := make(map[*types.Func]export)
+	for _, pkg := range pkgs {
+		seen = seen || pkg.Path == "adhocnet/cmd/adhocbench"
+		for _, name := range pkg.Types.Scope().Names() {
+			tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					ifaceMethods[it.Method(i).Name()] = true
+				}
+			}
+		}
+		if !strings.HasPrefix(pkg.Path, internal) {
+			continue
+		}
+		short := pkgShortName(pkg.Path)
+		for _, fd := range funcDecls(pkg) {
+			if !fd.Name.IsExported() {
+				continue
+			}
+			fn := pkg.Info.Defs[fd.Name].(*types.Func)
+			key := short + "." + fn.Name()
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				rt := recv.Type()
+				if p, ok := rt.(*types.Pointer); ok {
+					rt = p.Elem()
+				}
+				key = short + "." + rt.(*types.Named).Obj().Name() + "." + fn.Name()
+			}
+			exports[fn] = export{key, fd.Pos(), fd.End()}
+		}
+	}
+	if !seen {
+		t.Fatal("package walk missed adhocnet/cmd/adhocbench, the benchmark's calls would not count")
+	}
+	used := make(map[*types.Func]bool)
+	for _, pkg := range pkgs {
+		for id, obj := range pkg.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			fn = fn.Origin()
+			if e, ok := exports[fn]; ok && (id.Pos() < e.pos || id.Pos() >= e.end) {
+				used[fn] = true
+			}
+		}
+	}
+	var uncalled []string
+	allowed := make(map[string]bool)
+	for fn, e := range exports {
+		if used[fn] {
+			continue
+		}
+		if fn.Type().(*types.Signature).Recv() != nil && ifaceMethods[fn.Name()] {
+			continue
+		}
+		short, _, _ := strings.Cut(e.key, ".")
+		if _, ok := exportAllowlist[short]; ok {
+			allowed[short] = true
+			continue
+		}
+		if _, ok := exportAllowlist[e.key]; ok {
+			allowed[e.key] = true
+			continue
+		}
+		uncalled = append(uncalled, e.key)
+	}
+	sort.Strings(uncalled)
+	for _, key := range uncalled {
+		t.Errorf("%s is exported but no program calls it: delete it, or add it to exportAllowlist with a reason", key)
+	}
+	for key := range exportAllowlist {
+		if !allowed[key] {
+			t.Errorf("exportAllowlist names %s, which is gone or now called: drop the entry", key)
+		}
 	}
 }

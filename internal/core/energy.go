@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // RadioEnergy models the transmit-power law the paper's energy argument
 // rests on: the power required to reach range r is proportional to r^Alpha,
@@ -17,14 +14,6 @@ type RadioEnergy struct {
 
 // DefaultRadioEnergy is the free-space model (Alpha = 2).
 var DefaultRadioEnergy = RadioEnergy{Alpha: 2}
-
-// Validate checks the exponent.
-func (e RadioEnergy) Validate() error {
-	if e.Alpha < 1 || math.IsNaN(e.Alpha) {
-		return fmt.Errorf("core: path-loss exponent must be >= 1, got %v", e.Alpha)
-	}
-	return nil
-}
 
 // PowerRatio returns the transmit-power ratio of operating at range r
 // relative to range base: (r/base)^Alpha. It returns NaN for a non-positive

@@ -71,12 +71,6 @@ func RStationary(ctx context.Context, reg geom.Region, n, samples int, seed uint
 	return stats.QuantileSorted(sample, quantile), nil
 }
 
-// ConnectivityFractionAt returns the fraction of stationary placements
-// connected at radius r, given a sorted critical sample.
-func ConnectivityFractionAt(sortedCriticals []float64, r float64) float64 {
-	return stats.ECDF(sortedCriticals, r)
-}
-
 // MinNodesForConnectivity solves the paper's alternate MTR formulation ("for
 // a given transmitter technology, how many nodes must be distributed over a
 // given region to ensure connectedness with high probability?"): the

@@ -158,6 +158,19 @@ func (p Preset) seedFor(label string) uint64 {
 	return h ^ (p.Seed * 0x9e3779b97f4a7c15)
 }
 
+// config is the RunConfig of one simulation stage: the preset's effort,
+// workers, kinetic mode and telemetry, on the stream seedFor(label).
+func (p Preset) config(label string) core.RunConfig {
+	return core.RunConfig{
+		Iterations: p.Iterations,
+		Steps:      p.Steps,
+		Seed:       p.seedFor(label),
+		Workers:    p.Workers,
+		Kinetic:    p.Kinetic,
+		Obs:        p.Obs,
+	}
+}
+
 // Result is the output of one experiment run: tables, charts and free-form
 // notes (including the paper-expected reference values for comparison).
 type Result struct {

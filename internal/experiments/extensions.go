@@ -8,6 +8,7 @@ import (
 	"adhocnet/internal/geom"
 	"adhocnet/internal/mobility"
 	"adhocnet/internal/report"
+	"adhocnet/internal/stats"
 )
 
 // directionForSide builds the random-direction extension model scaled like
@@ -141,14 +142,7 @@ func extQuantileExperiment() Experiment {
 				return nil, err
 			}
 			net := core.Network{Nodes: n, Region: reg, Model: waypointForSide(l)}
-			cfg := core.RunConfig{
-				Iterations: p.Iterations,
-				Steps:      p.Steps,
-				Seed:       p.seedFor("ext-quantile/mobile"),
-				Workers:    p.Workers,
-				Kinetic:    p.Kinetic,
-				Obs:        p.Obs,
-			}
+			cfg := p.config("ext-quantile/mobile")
 			est, err := core.EstimateRanges(context.Background(), net, cfg, core.RangeTargets{TimeFractions: []float64{1}})
 			if err != nil {
 				return nil, err
@@ -156,12 +150,13 @@ func extQuantileExperiment() Experiment {
 			r100 := est.Time[0].Mean
 			title := fmt.Sprintf("r_stationary quantile sensitivity (l=%v, n=%d)", l, n)
 			table := report.NewTable(title, "quantile", "r_stationary", "r100/r_stationary")
+			sample, err := core.StationaryCriticalSample(context.Background(), reg, n, p.StationarySamples,
+				p.seedFor("ext-quantile/stationary"), p.Workers)
+			if err != nil {
+				return nil, err
+			}
 			for _, q := range []float64{0.90, 0.95, 0.99} {
-				rs, err := core.RStationary(context.Background(), reg, n, p.StationarySamples,
-					p.seedFor("ext-quantile/stationary"), p.Workers, q)
-				if err != nil {
-					return nil, err
-				}
+				rs := stats.QuantileSorted(sample, q)
 				table.AddFloatRow(q, rs, r100/rs)
 			}
 			return &Result{

@@ -42,14 +42,8 @@ func extStructureExperiment() Experiment {
 			net := core.Network{Nodes: pt.N, Region: reg, Model: waypointForSide(pt.L)}
 			// Structure evaluation rebuilds explicit graphs and runs
 			// all-pairs BFS per snapshot; keep the trajectory shorter.
-			cfg := core.RunConfig{
-				Iterations: p.Iterations,
-				Steps:      min(p.Steps, 500),
-				Seed:       p.seedFor("ext-structure/eval"),
-				Workers:    p.Workers,
-				Kinetic:    p.Kinetic,
-				Obs:        p.Obs,
-			}
+			cfg := p.config("ext-structure/eval")
+			cfg.Steps = min(p.Steps, 500)
 			title := fmt.Sprintf("Graph structure at the operating ranges (l=%v, n=%d)", pt.L, pt.N)
 			table := report.NewTable(title,
 				"range", "r", "mean degree", "mean isolated", "isolated-only disc.",
@@ -198,14 +192,7 @@ func extMobilityQuantityExperiment() Experiment {
 					return nil, err
 				}
 				net := core.Network{Nodes: n, Region: reg, Model: c.model}
-				cfg := core.RunConfig{
-					Iterations: p.Iterations,
-					Steps:      p.Steps,
-					Seed:       p.seedFor("ext-quantity/" + c.name),
-					Workers:    p.Workers,
-					Kinetic:    p.Kinetic,
-					Obs:        p.Obs,
-				}
+				cfg := p.config("ext-quantity/" + c.name)
 				est, err := core.EstimateRanges(context.Background(), net, cfg, core.RangeTargets{TimeFractions: []float64{1}})
 				if err != nil {
 					return nil, err
@@ -244,11 +231,4 @@ func extMobilityQuantityExperiment() Experiment {
 func withPStationary(m mobility.RandomWaypoint, p float64) mobility.RandomWaypoint {
 	m.PStationary = p
 	return m
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -104,14 +104,7 @@ func extDataMuleExperiment() Experiment {
 			}
 			model := mobility.PaperDrunkard(l)
 			net := core.Network{Nodes: n, Region: reg, Model: model}
-			cfg := core.RunConfig{
-				Iterations: p.Iterations,
-				Steps:      p.Steps,
-				Seed:       p.seedFor("ext-datamule/estimate"),
-				Workers:    p.Workers,
-				Kinetic:    p.Kinetic,
-				Obs:        p.Obs,
-			}
+			cfg := p.config("ext-datamule/estimate")
 			est, err := core.EstimateRanges(context.Background(), net, cfg,
 				core.RangeTargets{TimeFractions: []float64{0.9, 0.1, 0}})
 			if err != nil {
@@ -126,14 +119,8 @@ func extDataMuleExperiment() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				runCfg := core.RunConfig{
-					Iterations: p.Iterations,
-					Steps:      1,
-					Seed:       p.seedFor(fmt.Sprintf("ext-datamule/run/%v", f)),
-					Workers:    p.Workers,
-					Kinetic:    p.Kinetic,
-					Obs:        p.Obs,
-				}
+				runCfg := p.config(fmt.Sprintf("ext-datamule/run/%v", f))
+				runCfg.Steps = 1
 				res, err := dissemination.Run(net, runCfg, dissemination.Config{
 					Radius:         e.Mean,
 					TargetFraction: 1,

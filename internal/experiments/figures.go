@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"adhocnet/internal/core"
 	"adhocnet/internal/geom"
@@ -56,14 +57,7 @@ func runSizeSweep(p Preset, model modelForSide, label string, targets core.Range
 			return nil, fmt.Errorf("experiments: r_stationary at l=%v: %w", l, err)
 		}
 		net := core.Network{Nodes: n, Region: reg, Model: model(l)}
-		cfg := core.RunConfig{
-			Iterations: p.Iterations,
-			Steps:      p.Steps,
-			Seed:       p.seedFor(fmt.Sprintf("%s/l=%v", label, l)),
-			Workers:    p.Workers,
-			Kinetic:    p.Kinetic,
-			Obs:        p.Obs,
-		}
+		cfg := p.config(fmt.Sprintf("%s/l=%v", label, l))
 		est, err := core.EstimateRanges(context.Background(), net, cfg, targets)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: range estimation at l=%v: %w", l, err)
@@ -188,14 +182,7 @@ func largestComponentFigure(id, title, label string, p Preset, model modelForSid
 			return nil, err
 		}
 		net := core.Network{Nodes: pt.N, Region: reg, Model: model(pt.L)}
-		cfg := core.RunConfig{
-			Iterations: p.Iterations,
-			Steps:      p.Steps,
-			Seed:       p.seedFor(fmt.Sprintf("%s/eval/l=%v", label, pt.L)),
-			Workers:    p.Workers,
-			Kinetic:    p.Kinetic,
-			Obs:        p.Obs,
-		}
+		cfg := p.config(fmt.Sprintf("%s/eval/l=%v", label, pt.L))
 		res, err := core.EvaluateFixedRanges(context.Background(), net, cfg, radii)
 		if err != nil {
 			return nil, err
@@ -337,14 +324,7 @@ func parameterSweep(p Preset, label string, values []float64, configure func(v f
 	for _, v := range values {
 		model := configure(v, base)
 		net := core.Network{Nodes: n, Region: reg, Model: model}
-		cfg := core.RunConfig{
-			Iterations: p.Iterations,
-			Steps:      p.Steps,
-			Seed:       p.seedFor(fmt.Sprintf("%s/v=%v", label, v)),
-			Workers:    p.Workers,
-			Kinetic:    p.Kinetic,
-			Obs:        p.Obs,
-		}
+		cfg := p.config(fmt.Sprintf("%s/v=%v", label, v))
 		est, err := core.EstimateRanges(context.Background(), net, cfg, core.RangeTargets{TimeFractions: []float64{1}})
 		if err != nil {
 			return nil, nil, err
@@ -379,7 +359,7 @@ func fig7Experiment() Experiment {
 			} else {
 				values = append(values, 0.5)
 			}
-			sortFloat64s(values)
+			slices.Sort(values)
 			chart, table, err := parameterSweep(p, "p_stationary", values,
 				func(v float64, base mobility.RandomWaypoint) mobility.RandomWaypoint {
 					base.PStationary = v
@@ -473,15 +453,5 @@ func fig9Experiment() Experiment {
 				},
 			}, nil
 		},
-	}
-}
-
-// sortFloat64s sorts in place (tiny helper to avoid importing sort twice in
-// hot files).
-func sortFloat64s(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }

@@ -54,11 +54,7 @@ func TestScenarioReExpressionMatchesPresetPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantNet := core.Network{Nodes: nodesForSide(c.l), Region: reg, Model: c.model(c.l)}
-		wantCfg := core.RunConfig{
-			Iterations: p.Iterations,
-			Steps:      p.Steps,
-			Seed:       p.seedFor(fmt.Sprintf("%s/l=%v", c.label, c.l)),
-		}
+		wantCfg := p.config(fmt.Sprintf("%s/l=%v", c.label, c.l))
 		if sc.Network != wantNet {
 			t.Fatalf("%s: network %+v does not re-express the preset path's %+v", c.file, sc.Network, wantNet)
 		}

@@ -58,14 +58,9 @@ func extSweepExperiment() Experiment {
 						modes = []core.KineticMode{core.KineticOn, core.KineticOff}
 					}
 					for _, mode := range modes {
-						cfg := core.RunConfig{
-							Iterations: iters,
-							Steps:      p.Steps,
-							Seed:       p.seedFor(fmt.Sprintf("ext-sweep/%v/%d", l, iters)),
-							Workers:    p.Workers,
-							Kinetic:    mode,
-							Obs:        p.Obs,
-						}
+						cfg := p.config(fmt.Sprintf("ext-sweep/%v/%d", l, iters))
+						cfg.Iterations = iters
+						cfg.Kinetic = mode
 						start := obs.Clock.Now() // the timing column is explicitly non-reproducible wall-clock output
 						est, err := core.EstimateRanges(context.Background(), net, cfg,
 							core.RangeTargets{TimeFractions: []float64{1, 0.9}})

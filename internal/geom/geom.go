@@ -23,9 +23,6 @@ type Point struct {
 // Add returns p + q componentwise.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y, p.Z + q.Z} }
 
-// Sub returns p - q componentwise.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y, p.Z - q.Z} }
-
 // Scale returns the point scaled by s.
 func (p Point) Scale(s float64) Point { return Point{s * p.X, s * p.Y, s * p.Z} }
 
@@ -148,37 +145,6 @@ func (g Region) Clamp(p Point) Point {
 	return out
 }
 
-// Reflect returns p folded back into [0, L] by mirror reflection at the
-// boundaries, the standard way to keep a random walk inside a box without
-// accumulating mass at the border. Inactive coordinates are zeroed.
-func (g Region) Reflect(p Point) Point {
-	out := Point{X: reflect1(p.X, g.L)}
-	if g.Dim >= 2 {
-		out.Y = reflect1(p.Y, g.L)
-	}
-	if g.Dim >= 3 {
-		out.Z = reflect1(p.Z, g.L)
-	}
-	return out
-}
-
-// reflect1 folds v into [0,l] by reflecting off the interval ends as many
-// times as needed.
-func reflect1(v, l float64) float64 {
-	if l <= 0 {
-		return 0
-	}
-	period := 2 * l
-	v = math.Mod(v, period)
-	if v < 0 {
-		v += period
-	}
-	if v > l {
-		v = period - v
-	}
-	return v
-}
-
 // UniformPoint samples a point uniformly at random in the region, matching
 // the paper's placement assumption (nodes i.i.d. uniform in [0,l]^d).
 func (g Region) UniformPoint(rng *xrand.Rand) Point {
@@ -212,7 +178,7 @@ func (g Region) FillUniformPoints(rng *xrand.Rand, pts []Point) {
 // given radius centered at c, where d is the region's dimension. This is the
 // drunkard model's step law: "position in step i+1 is chosen uniformly at
 // random in the disk of radius m centered at the current node location".
-// The sample is NOT clipped to the region; callers choose Clamp or Reflect.
+// The sample is NOT clipped to the region; callers clamp or reflect it.
 func (g Region) UniformInBall(rng *xrand.Rand, c Point, radius float64) Point {
 	if radius < 0 {
 		radius = 0

@@ -16,9 +16,6 @@ func TestVectorOps(t *testing.T) {
 	if got := p.Add(q); got != (Point{5, 0, 4}) {
 		t.Errorf("Add = %v", got)
 	}
-	if got := p.Sub(q); got != (Point{-3, 4, 2}) {
-		t.Errorf("Sub = %v", got)
-	}
 	if got := p.Scale(2); got != (Point{2, 4, 6}) {
 		t.Errorf("Scale = %v", got)
 	}
@@ -206,42 +203,6 @@ func TestClamp(t *testing.T) {
 		if got := r.Clamp(c.in); got != c.want {
 			t.Errorf("Clamp(%v) = %v, want %v", c.in, got, c.want)
 		}
-	}
-}
-
-func TestReflect(t *testing.T) {
-	r := MustRegion(10, 1)
-	cases := []struct {
-		in, want float64
-	}{
-		{5, 5},
-		{-3, 3},
-		{13, 7},
-		{0, 0},
-		{10, 10},
-		{23, 3},  // 23 mod 20 = 3
-		{-13, 7}, // -13 -> 7 (mod 20), 7 <= 10
-		{20, 0},
-	}
-	for _, c := range cases {
-		got := r.Reflect(Point{X: c.in})
-		if !almostEqual(got.X, c.want, 1e-9) {
-			t.Errorf("Reflect(%v) = %v, want %v", c.in, got.X, c.want)
-		}
-	}
-}
-
-func TestReflectStaysInsideProperty(t *testing.T) {
-	r := MustRegion(7, 2)
-	f := func(x, y float64) bool {
-		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
-			return true
-		}
-		p := r.Reflect(Point{X: math.Mod(x, 1e9), Y: math.Mod(y, 1e9)})
-		return r.Contains(p)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -90,7 +90,9 @@ func TestCriticalMatchesProfile(t *testing.T) {
 							}
 						}
 						want := wsP.ProfileKinetic(pts, dim, moved).Critical()
-						total.Add(wsP.stats)
+						total.MSTRepairs += wsP.stats.MSTRepairs
+						total.MSTDirtyFallbacks += wsP.stats.MSTDirtyFallbacks
+						total.MSTRebuilds += wsP.stats.MSTRebuilds
 						check(fmt.Sprintf("step %d (%d moved)", step, len(moved)), want, wsC.CriticalKinetic(pts, dim, moved))
 					}
 					if n == 1024 && dim > 1 && name != "stacked" &&
@@ -100,6 +102,33 @@ func TestCriticalMatchesProfile(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestCriticalKineticBuildsTreeOnce checks that an armed rebuild step on a
+// placement whose MST takes the k-d tree rounds builds the tree once: the
+// kinetic prime reuses the tree mst just built over the same points.
+func TestCriticalKineticBuildsTreeOnce(t *testing.T) {
+	rng := xrand.New(97)
+	pts := criticalPlacements(rng, 1024, 2)["islands"]
+	ws := NewWorkspace()
+	ws.SetKinetic(true)
+	ws.CriticalKinetic(pts, 2, nil)
+	ws.TakeStats()
+	var moved []int32
+	for i := range pts {
+		if i%2 == 0 {
+			pts[i].X += rng.Range(-1, 1)
+			moved = append(moved, int32(i))
+		}
+	}
+	ws.CriticalKinetic(pts, 2, moved)
+	s := ws.TakeStats()
+	if s.MSTDirtyFallbacks != 1 || s.TreePicks != 1 {
+		t.Fatalf("want one dirty fallback on a tree-picked placement, got %+v", s)
+	}
+	if s.Tree.Rebuilds != 1 {
+		t.Fatalf("dirty step built the k-d tree %d times, want 1", s.Tree.Rebuilds)
 	}
 }
 

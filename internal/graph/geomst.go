@@ -255,6 +255,7 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 func (ws *Workspace) mst(pts []geom.Point, dim int) (edges []Edge, dense bool) {
 	n := len(pts)
 	ws.edges = ws.edges[:0]
+	ws.kdBuilt = false
 	if n < 2 {
 		return nil, false
 	}
@@ -293,6 +294,7 @@ func (ws *Workspace) mst(pts []geom.Point, dim int) (edges []Edge, dense bool) {
 	useTree := ws.resolveBackend(pts, dim, r) == spatial.BackendKDTree
 	if useTree {
 		ws.kd.Rebuild(pts, dim)
+		ws.kdBuilt = true
 		// Start the rounds well below the global mean spacing: the tree is
 		// picked for placements whose dense regions sit far above the global
 		// density, and rounds only dedup candidates between components that

@@ -20,10 +20,10 @@ import (
 // ever observes tie-run boundaries) at, between and beyond every radius.
 func profilesIdentical(t *testing.T, want, got *Profile) {
 	t.Helper()
-	if want.N() != got.N() {
-		t.Fatalf("node count %d != %d", got.N(), want.N())
+	if want.n != got.n {
+		t.Fatalf("node count %d != %d", got.n, want.n)
 	}
-	wr, gr := want.MergeRadii(), got.MergeRadii()
+	wr, gr := want.mergeRadii, got.mergeRadii
 	if len(wr) != len(gr) {
 		t.Fatalf("merge count %d != %d", len(gr), len(wr))
 	}
@@ -200,9 +200,9 @@ func TestWorkspacePointGraphMatchesBuildPointGraph(t *testing.T) {
 		for _, r := range []float64{0, 5, 20, 300} {
 			want := BuildPointGraph(pts, 2, r)
 			got := ws.PointGraph(pts, 2, r)
-			if want.N != got.N || want.NumEdges() != got.NumEdges() {
+			if want.N != got.N || len(want.nbrs) != len(got.nbrs) {
 				t.Fatalf("n=%d r=%v: graph n=%d/%d edges=%d/%d",
-					n, r, got.N, want.N, got.NumEdges(), want.NumEdges())
+					n, r, got.N, want.N, len(got.nbrs)/2, len(want.nbrs)/2)
 			}
 			_, wantSizes := want.Components()
 			comps, largest := ws.ComponentSummary(got)
@@ -337,7 +337,6 @@ func TestGeoMSTNonFiniteCoordinatesPanic(t *testing.T) {
 		expectNonFinitePanic(t, fmt.Sprintf("X[%d] = %v", tc.at, tc.v), func() {
 			spatial.ChooseBackend(pts, 2, 10)
 			spatial.NewIndex(pts, 2, 10)
-			spatial.NearestNeighborDistances(pts)
 			NewWorkspace().GeoMST(pts, 2)
 		})
 	}

@@ -112,9 +112,6 @@ func (uf *UnionFind) Count() int { return uf.count }
 // Largest returns the size of the largest set.
 func (uf *UnionFind) Largest() int { return uf.largest }
 
-// SizeOf returns the size of the set containing x.
-func (uf *UnionFind) SizeOf(x int32) int { return int(uf.size[uf.Find(x)]) }
-
 // Adjacency is a compressed-sparse-row adjacency structure for an undirected
 // graph on nodes 0..N-1.
 type Adjacency struct {
@@ -171,22 +168,6 @@ func (a *Adjacency) Neighbors(i int) []int32 {
 // Degree returns the number of neighbors of node i.
 func (a *Adjacency) Degree(i int) int {
 	return int(a.offsets[i+1] - a.offsets[i])
-}
-
-// NumEdges returns the number of undirected edges.
-func (a *Adjacency) NumEdges() int { return len(a.nbrs) / 2 }
-
-// IsolatedCount returns the number of degree-zero nodes. An isolated node is
-// the simplest witness of disconnection and the basis of the lower bound in
-// [Santi-Blough-Vainstein '01] that Section 3 of the paper improves upon.
-func (a *Adjacency) IsolatedCount() int {
-	n := 0
-	for i := 0; i < a.N; i++ {
-		if a.Degree(i) == 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Components labels each node with a component id in [0, k) and returns the
@@ -440,9 +421,6 @@ func (p *Profile) Clone() *Profile {
 	}
 }
 
-// N returns the number of nodes the profile describes.
-func (p *Profile) N() int { return p.n }
-
 // Critical returns the critical transmitting range: the minimum r at which
 // the placement's communication graph is connected (0 for n < 2).
 func (p *Profile) Critical() float64 {
@@ -482,34 +460,3 @@ func (p *Profile) LargestAt(r float64) int {
 	}
 	return int(p.largestAfter[k-1])
 }
-
-// RadiusForLargest returns the smallest transmitting range at which the
-// largest component reaches at least size. It returns 0 when size <= 1 and
-// +Inf when size exceeds the node count.
-func (p *Profile) RadiusForLargest(size int) float64 {
-	if size <= 1 {
-		return 0
-	}
-	if size > p.n {
-		return math.Inf(1)
-	}
-	// largestAfter is non-decreasing; binary search the first event reaching
-	// the target.
-	lo, hi := 0, len(p.largestAfter)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(p.largestAfter[mid]) >= size {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if int(p.largestAfter[lo]) < size {
-		return math.Inf(1)
-	}
-	return p.mergeRadii[lo]
-}
-
-// MergeRadii returns the sorted radii of the merge events (shared storage;
-// callers must not modify it). The last entry is the critical radius.
-func (p *Profile) MergeRadii() []float64 { return p.mergeRadii }

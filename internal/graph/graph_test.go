@@ -34,8 +34,8 @@ func TestUnionFindBasics(t *testing.T) {
 	if uf.Find(4) == uf.Find(0) {
 		t.Fatal("4 should be separate")
 	}
-	if uf.SizeOf(4) != 1 || uf.SizeOf(0) != 4 {
-		t.Fatalf("SizeOf wrong: %d, %d", uf.SizeOf(4), uf.SizeOf(0))
+	if s4, s0 := uf.size[uf.Find(4)], uf.size[uf.Find(0)]; s4 != 1 || s0 != 4 {
+		t.Fatalf("set sizes wrong: %d, %d", s4, s0)
 	}
 }
 
@@ -48,9 +48,9 @@ func TestUnionFindLargestRoot(t *testing.T) {
 		uf.Reset(n)
 		for k := 0; k < 2*n; k++ {
 			uf.Union(int32(rng.Intn(n)), int32(rng.Intn(n)))
-			if root := uf.largestRoot; uf.Find(root) != root || uf.SizeOf(root) != uf.Largest() {
+			if root := uf.largestRoot; uf.Find(root) != root || int(uf.size[root]) != uf.Largest() {
 				t.Fatalf("n=%d after %d unions: largestRoot %d has set size %d, largest is %d",
-					n, k+1, root, uf.SizeOf(root), uf.Largest())
+					n, k+1, root, uf.size[root], uf.Largest())
 			}
 		}
 	}
@@ -66,14 +66,14 @@ func TestUnionFindZeroNodes(t *testing.T) {
 func TestAdjacencyFromEdges(t *testing.T) {
 	edges := []Edge{{0, 1, 1}, {1, 2, 1}, {3, 3, 0}} // self-loop ignored
 	a := AdjacencyFromEdges(4, edges)
-	if a.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d, want 2", a.NumEdges())
+	if e := len(a.nbrs) / 2; e != 2 {
+		t.Fatalf("%d edges, want 2", e)
 	}
 	if a.Degree(0) != 1 || a.Degree(1) != 2 || a.Degree(2) != 1 || a.Degree(3) != 0 {
 		t.Fatalf("degrees wrong: %d %d %d %d", a.Degree(0), a.Degree(1), a.Degree(2), a.Degree(3))
 	}
-	if a.IsolatedCount() != 1 {
-		t.Fatalf("IsolatedCount = %d, want 1", a.IsolatedCount())
+	if iso := a.DegreeStats().Isolated; iso != 1 {
+		t.Fatalf("isolated = %d, want 1", iso)
 	}
 	nbrs := a.Neighbors(1)
 	got := []int{int(nbrs[0]), int(nbrs[1])}
@@ -132,8 +132,8 @@ func TestBuildPointGraph(t *testing.T) {
 	pts := []geom.Point{{X: 0}, {X: 1}, {X: 2.5}, {X: 10}}
 	a := BuildPointGraph(pts, 1, 1.5)
 	// Edges: (0,1) d=1, (1,2) d=1.5 (inclusive boundary). Node 3 isolated.
-	if a.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d, want 2", a.NumEdges())
+	if e := len(a.nbrs) / 2; e != 2 {
+		t.Fatalf("%d edges, want 2", e)
 	}
 	if a.Connected() {
 		t.Fatal("graph with isolated node 3 reported connected")
@@ -141,8 +141,8 @@ func TestBuildPointGraph(t *testing.T) {
 	if a.LargestComponentSize() != 3 {
 		t.Fatalf("largest = %d, want 3", a.LargestComponentSize())
 	}
-	if a.IsolatedCount() != 1 {
-		t.Fatalf("isolated = %d, want 1", a.IsolatedCount())
+	if iso := a.DegreeStats().Isolated; iso != 1 {
+		t.Fatalf("isolated = %d, want 1", iso)
 	}
 }
 
@@ -323,52 +323,12 @@ func TestProfileLargestAtBelowFirstMerge(t *testing.T) {
 	}
 }
 
-func TestRadiusForLargest(t *testing.T) {
-	// Points at 0, 1, 3, 7 on a line: merges at r = 1, 2, 4.
-	xs := []float64{0, 1, 3, 7}
-	p := NewProfile1D(xs)
-	cases := []struct {
-		size int
-		want float64
-	}{
-		{0, 0},
-		{1, 0},
-		{2, 1},
-		{3, 2},
-		{4, 4},
-	}
-	for _, c := range cases {
-		if got := p.RadiusForLargest(c.size); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("RadiusForLargest(%d) = %v, want %v", c.size, got, c.want)
-		}
-	}
-	if got := p.RadiusForLargest(5); !math.IsInf(got, 1) {
-		t.Errorf("RadiusForLargest(5) = %v, want +Inf", got)
-	}
-}
-
-func TestRadiusForLargestConsistentWithLargestAt(t *testing.T) {
-	rng := xrand.New(13)
-	reg := geom.MustRegion(100, 2)
-	pts := reg.UniformPoints(rng, 40)
-	p := NewProfile(pts)
-	for size := 2; size <= 40; size++ {
-		r := p.RadiusForLargest(size)
-		if p.LargestAt(r) < size {
-			t.Fatalf("LargestAt(RadiusForLargest(%d)) = %d", size, p.LargestAt(r))
-		}
-		if p.LargestAt(r*(1-1e-9)) >= size && r > 0 {
-			t.Fatalf("largest already >= %d just below returned radius %v", size, r)
-		}
-	}
-}
-
 func TestMergeRadiiSortedAndComplete(t *testing.T) {
 	rng := xrand.New(14)
 	reg := geom.MustRegion(100, 3)
 	pts := reg.UniformPoints(rng, 25)
 	p := NewProfile(pts)
-	radii := p.MergeRadii()
+	radii := p.mergeRadii
 	if len(radii) != len(pts)-1 {
 		t.Fatalf("%d merge radii for %d points", len(radii), len(pts))
 	}

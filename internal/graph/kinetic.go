@@ -82,9 +82,6 @@ func (ws *Workspace) SetKinetic(on bool) {
 	}
 }
 
-// Kinetic reports whether kinetic evaluation is armed.
-func (ws *Workspace) Kinetic() bool { return ws.kin.armed }
-
 // samePts reports whether pts is the identical backing slice the tree
 // cache was primed over.
 func (k *kinetic) samePts(pts []geom.Point) bool {
@@ -147,8 +144,11 @@ func (ws *Workspace) kineticTree(pts []geom.Point, dim int, moved []int32) ([]Ed
 		k.keepTree(pts, edges)
 		// The repair queries the k-d tree regardless of the workspace's
 		// spatial policy (the grid is rebuilt per radius, so it has nothing
-		// to repair); build it once here, Update keeps it current.
-		ws.kd.Rebuild(pts, dim)
+		// to repair); build it here unless mst's tree rounds just built it
+		// over these points, and Update keeps it current.
+		if !ws.kdBuilt {
+			ws.kd.Rebuild(pts, dim)
+		}
 		k.treeOK = true
 	}
 	return edges, dense

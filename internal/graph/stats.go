@@ -51,22 +51,6 @@ type WorkspaceStats struct {
 	Tree spatial.Stats
 }
 
-// Add folds o into s — the scheduler's aggregation across workspaces.
-func (s *WorkspaceStats) Add(o WorkspaceStats) {
-	s.MSTRepairs += o.MSTRepairs
-	s.MSTRebuilds += o.MSTRebuilds
-	s.MSTDirtyFallbacks += o.MSTDirtyFallbacks
-	s.MSTFragments += o.MSTFragments
-	s.MSTRounds += o.MSTRounds
-	s.MSTCandidates += o.MSTCandidates
-	s.MSTKeptEdges += o.MSTKeptEdges
-	s.MovedPoints += o.MovedPoints
-	s.GridPicks += o.GridPicks
-	s.TreePicks += o.TreePicks
-	s.Grid.Add(o.Grid)
-	s.Tree.Add(o.Tree)
-}
-
 // TakeStats returns the workspace's counters accumulated since the last call
 // and resets them, pulling in the spatial indexes' counters as it goes.
 func (ws *Workspace) TakeStats() WorkspaceStats {

@@ -29,6 +29,8 @@ type Workspace struct {
 	ix spatial.Index
 	kd spatial.KDTree
 
+	kdBuilt bool // the last mst call rebuilt kd over its points
+
 	// backend is the spatial-index policy for this workspace's pair scans:
 	// BackendAuto (the default) picks grid or k-d tree per snapshot from the
 	// sampled cell crowding, the others force one implementation. Both

@@ -283,8 +283,8 @@ func TestRandomDirectionTravelsStraight(t *testing.T) {
 	st.Step()
 	p2 := st.Positions()
 	for i := range p2 {
-		d01 := p1[i].Sub(p0[i])
-		d12 := p2[i].Sub(p1[i])
+		d01 := p1[i].Add(p0[i].Scale(-1))
+		d12 := p2[i].Add(p1[i].Scale(-1))
 		if geom.Dist(d01, d12) > 1e-9 {
 			t.Fatalf("node %d direction changed mid-flight: %v vs %v", i, d01, d12)
 		}

@@ -16,7 +16,6 @@ func TestNilHandlesAreNops(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(5)
-	g.Add(-2)
 	if got := g.Value(); got != 0 {
 		t.Fatalf("nil Gauge.Value() = %d, want 0", got)
 	}
@@ -70,9 +69,8 @@ func TestRegistryHandlesAreStable(t *testing.T) {
 	}
 	g := r.Gauge("adhocnet_test")
 	g.Set(10)
-	g.Add(-4)
-	if got := r.Gauge("adhocnet_test").Value(); got != 6 {
-		t.Fatalf("gauge value = %d, want 6", got)
+	if got := r.Gauge("adhocnet_test").Value(); got != 10 {
+		t.Fatalf("gauge value = %d, want 10", got)
 	}
 }
 

@@ -113,14 +113,14 @@ func TestSymmetricGraphRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 0 {
+	if g.Degree(0) != 0 {
 		t.Fatal("asymmetric coverage must not create an edge")
 	}
 	g, err = SymmetricGraph(pts, Assignment{5, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 1 {
+	if g.Degree(0) != 1 {
 		t.Fatal("mutual coverage at exact distance must create an edge")
 	}
 }
@@ -187,7 +187,7 @@ func TestPropertyMSTAssignmentAlwaysConnects(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return g.IsolatedCount() == 0
+		return g.DegreeStats().Isolated == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

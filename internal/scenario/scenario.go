@@ -25,7 +25,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"os"
 )
@@ -270,15 +269,6 @@ func (s Spec) Identity() (string, error) {
 		return "", fmt.Errorf("scenario: encoding spec: %w", err)
 	}
 	return string(canon), nil
-}
-
-// ReadSpec decodes a spec from a reader (strictly, like Decode).
-func ReadSpec(r io.Reader) (Spec, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return Spec{}, fmt.Errorf("scenario: reading spec: %w", err)
-	}
-	return Decode(data)
 }
 
 // ReadSpecFile decodes a spec from a file.

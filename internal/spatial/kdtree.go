@@ -9,11 +9,11 @@ package spatial
 // each node stores the exact bounding box of its subtree — so query cost
 // follows the local density, whatever the placement looks like.
 //
-// The tree serves the same query surface as the grid (ForEachPairWithin,
-// NearestNeighborDistancesInto) plus an annulus query the grid cannot answer
-// without widening its cells: the filtered-Kruskal MST's per-label-pair
-// minimum query MinPairsByLabel (kdtree_minpairs.go), which prunes whole
-// subtrees whose boxes lie entirely below the annulus floor.
+// The tree serves the grid's pair query (ForEachPairWithin) plus an annulus
+// query the grid cannot answer without widening its cells: the
+// filtered-Kruskal MST's per-label-pair minimum query MinPairsByLabel
+// (kdtree_minpairs.go), which prunes whole subtrees whose boxes lie entirely
+// below the annulus floor.
 // Results are bit-identical to the grid and the brute-force reference: pair
 // inclusion uses the same geom.Dist2 values and the same `d2 <= r*r`
 // comparison, and the box distance bounds are computed with the operation
@@ -24,11 +24,7 @@ package spatial
 // point set into the existing backing arrays, so steady-state rebuilds
 // allocate nothing.
 
-import (
-	"math"
-
-	"adhocnet/internal/geom"
-)
+import "adhocnet/internal/geom"
 
 // kdLeafSize is the subtree size below which splitting stops. Leaves pay an
 // O(k^2) scan against a sibling leaf, internal nodes pay box tests and
@@ -62,15 +58,6 @@ type KDTree struct {
 	staleMoves int
 
 	stats Stats // operation counters, drained by TakeStats
-}
-
-// NewKDTree builds a tree over pts. The dim argument is retained for API
-// symmetry with NewIndex; the tree is derived from the point coordinates, so
-// it is correct for every dimension.
-func NewKDTree(pts []geom.Point, dim int) *KDTree {
-	t := &KDTree{}
-	t.Rebuild(pts, dim)
-	return t
 }
 
 // Rebuild re-indexes pts, reusing the tree's backing arrays. It is the
@@ -339,72 +326,4 @@ func axisSpan(amin, amax, bmin, bmax float64) float64 {
 		s = u
 	}
 	return s
-}
-
-// NearestNeighborDistancesInto is the tree analogue of the package-level
-// NearestNeighborDistancesInto: dst (len(pts), overwritten) receives each
-// point's distance to its nearest other point (+Inf for a singleton set).
-// The tree is rebuilt over pts; distances are bit-identical to the grid
-// path, since both take the exact minimum of the same geom.Dist2 values.
-func (t *KDTree) NearestNeighborDistancesInto(dst []float64, pts []geom.Point) []float64 {
-	n := len(pts)
-	dst = dst[:n]
-	if n < 2 {
-		for i := range dst {
-			dst[i] = math.Inf(1)
-		}
-		return dst
-	}
-	t.Rebuild(pts, 3)
-	for i := range pts {
-		dst[i] = math.Sqrt(t.nearest(t.root, int32(i), pts[i], math.Inf(1)))
-	}
-	return dst
-}
-
-// nearest returns the smallest squared distance from p to any indexed point
-// other than skip, starting from the running best. Children are descended
-// nearer-box first; a child whose box cannot beat best is pruned (its points
-// all have Dist2 >= the box bound >= best, see boxMinDist2).
-//
-//adhoc:hotpath
-func (t *KDTree) nearest(node, skip int32, p geom.Point, best float64) float64 {
-	nd := &t.nodes[node]
-	if nd.left < 0 {
-		for x := nd.lo; x < nd.hi; x++ {
-			j := t.idx[x]
-			if j == skip {
-				continue
-			}
-			if d2 := geom.Dist2(p, t.pts[j]); d2 < best {
-				best = d2
-			}
-		}
-		return best
-	}
-	l, r := nd.left, nd.right
-	dl, dr := t.pointBoxDist2(p, l), t.pointBoxDist2(p, r)
-	if dr < dl {
-		l, r = r, l
-		dl, dr = dr, dl
-	}
-	if dl < best {
-		best = t.nearest(l, skip, p, best)
-	}
-	if dr < best {
-		best = t.nearest(r, skip, p, best)
-	}
-	return best
-}
-
-// pointBoxDist2 returns a rounding-monotone lower bound on the squared
-// distance from p to any point of the node's box.
-//
-//adhoc:hotpath
-func (t *KDTree) pointBoxDist2(p geom.Point, node int32) float64 {
-	nd := &t.nodes[node]
-	dx := axisGap(p.X, p.X, nd.minX, nd.maxX)
-	dy := axisGap(p.Y, p.Y, nd.minY, nd.maxY)
-	dz := axisGap(p.Z, p.Z, nd.minZ, nd.maxZ)
-	return geom.SumSq(dx, dy, dz)
 }

@@ -2,7 +2,6 @@ package spatial
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"adhocnet/internal/geom"
@@ -22,6 +21,13 @@ func clusteredPoints(rng *xrand.Rand, reg geom.Region, clusters, perCluster int,
 	return pts
 }
 
+// newKDTree builds a tree over pts.
+func newKDTree(pts []geom.Point, dim int) *KDTree {
+	t := &KDTree{}
+	t.Rebuild(pts, dim)
+	return t
+}
+
 func TestKDTreeMatchesBruteForce(t *testing.T) {
 	rng := xrand.New(11)
 	for _, dim := range []int{1, 2, 3} {
@@ -29,7 +35,7 @@ func TestKDTreeMatchesBruteForce(t *testing.T) {
 			for _, r := range []float64{0, 0.5, 2, 10, 50, 200} {
 				reg := geom.MustRegion(100, dim)
 				pts := reg.UniformPoints(rng, n)
-				tree := NewKDTree(pts, dim)
+				tree := newKDTree(pts, dim)
 				got := pairSet(func(v PairVisitor) { tree.ForEachPairWithin(r, v) })
 				want := pairSet(func(v PairVisitor) { BruteForcePairsWithin(pts, r, v) })
 				if !equalStrings(got, want) {
@@ -45,7 +51,7 @@ func TestKDTreeMatchesGridClustered(t *testing.T) {
 	rng := xrand.New(12)
 	reg := geom.MustRegion(2000, 2)
 	pts := clusteredPoints(rng, reg, 6, 40, 4)
-	tree := NewKDTree(pts, 2)
+	tree := newKDTree(pts, 2)
 	for _, r := range []float64{0.5, 3, 8, 100, 3000} {
 		got := pairSet(func(v PairVisitor) { tree.ForEachPairWithin(r, v) })
 		want := pairSet(func(v PairVisitor) { PairsWithin(pts, 2, r, v) })
@@ -63,7 +69,7 @@ func TestKDTreeCoincidentPoints(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{X: 7, Y: 7, Z: 7}
 	}
-	tree := NewKDTree(pts, 3)
+	tree := newKDTree(pts, 3)
 	count := 0
 	tree.ForEachPairWithin(0, func(i, j int, d2 float64) {
 		if d2 != 0 {
@@ -76,53 +82,20 @@ func TestKDTreeCoincidentPoints(t *testing.T) {
 	}
 }
 
-func TestKDTreeNearestNeighborMatchesGrid(t *testing.T) {
-	rng := xrand.New(14)
-	var tree KDTree
-	cases := []struct {
-		name string
-		pts  []geom.Point
-	}{
-		{"uniform2d", geom.MustRegion(500, 2).UniformPoints(rng, 300)},
-		{"uniform3d", geom.MustRegion(64, 3).UniformPoints(rng, 300)},
-		{"clustered", clusteredPoints(rng, geom.MustRegion(4000, 2), 8, 50, 10)},
-		{"line", geom.MustRegion(1000, 1).UniformPoints(rng, 100)},
-		{"empty", nil},
-		{"singleton", []geom.Point{{X: 3, Y: 4}}},
-		{"coincident", []geom.Point{{X: 1}, {X: 1}, {X: 1}}},
-	}
-	for _, tc := range cases {
-		got := tree.NearestNeighborDistancesInto(make([]float64, len(tc.pts)), tc.pts)
-		want := NearestNeighborDistances(tc.pts)
-		if len(got) != len(want) {
-			t.Fatalf("%s: length %d vs %d", tc.name, len(got), len(want))
-		}
-		for i := range got {
-			// Bitwise identity, including +Inf for singletons.
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: nn[%d] tree=%v grid=%v", tc.name, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestKDTreeRebuildZeroAllocs(t *testing.T) {
 	rng := xrand.New(15)
 	reg := geom.MustRegion(2000, 2)
 	pts := clusteredPoints(rng, reg, 8, 64, 20)
 	var tree KDTree
-	nn := make([]float64, len(pts))
 	sink := 0
 	visit := func(i, j int, d2 float64) { sink++ }
 	// Warm the backing arrays once, then demand a zero steady state.
 	tree.Rebuild(pts, 2)
 	tree.ForEachPairWithin(60, visit)
-	nn = tree.NearestNeighborDistancesInto(nn, pts)
 	allocs := testing.AllocsPerRun(10, func() {
 		tree.Rebuild(pts, 2)
 		tree.ForEachPairWithin(60, visit)
 		tree.ForEachPairWithin(120, visit)
-		nn = tree.NearestNeighborDistancesInto(nn, pts)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state rebuild+query allocates %v/op, want 0", allocs)
@@ -142,7 +115,7 @@ func TestKDTreeBalancedOnDuplicateCoordinates(t *testing.T) {
 			Y: float64(rng.Intn(16)),
 		}
 	}
-	tree := NewKDTree(pts, 2)
+	tree := newKDTree(pts, 2)
 	count := 0
 	tree.ForEachPairWithin(0.5, func(i, j int, d2 float64) { count++ })
 	want := 0
@@ -249,7 +222,7 @@ func TestKDTreeMinPairsByLabel(t *testing.T) {
 		},
 	}
 	for ptsName, pts := range map[string][]geom.Point{"clustered": clustered, "uniform": uniform} {
-		tree := NewKDTree(pts, 2)
+		tree := newKDTree(pts, 2)
 		for labName, mk := range labelings {
 			labels := mk(len(pts))
 			for _, band := range [][2]float64{{-1, 10}, {100, 400}, {160000, 4000}} {

@@ -105,7 +105,7 @@ func TestKDTreeUpdateMatchesRebuild(t *testing.T) {
 	rng := xrand.New(406)
 	reg := geom.MustRegion(1000, 2)
 	pts := clusteredPoints(rng, reg, 6, 50, 15)
-	tree := NewKDTree(pts, 2)
+	tree := newKDTree(pts, 2)
 	for step := 0; step < 12; step++ {
 		stepLen := 8.0
 		if step%3 == 2 {
@@ -113,7 +113,7 @@ func TestKDTreeUpdateMatchesRebuild(t *testing.T) {
 		}
 		moved := walkStep(rng, pts, 0.1, stepLen)
 		tree.Update(moved)
-		fresh := NewKDTree(pts, 2)
+		fresh := newKDTree(pts, 2)
 		name := fmt.Sprintf("step %d (%d moved)", step, len(moved))
 		for _, r := range []float64{40, 120} {
 			got := pairMap(func(v PairVisitor) { tree.ForEachPairWithin(r, v) })
@@ -136,7 +136,7 @@ func TestKDTreeMinPairsByLabelCrossing(t *testing.T) {
 		"clustered": clusteredPoints(rng, reg, 6, 40, 8),
 		"uniform":   reg.UniformPoints(rng, 200),
 	} {
-		tree := NewKDTree(pts, 2)
+		tree := newKDTree(pts, 2)
 		n := len(pts)
 		// Mirror the kinetic repair's shapes: frag blocks of kept-forest
 		// fragments with a sprinkle of singleton "movers", against labels

@@ -45,7 +45,6 @@ type Index struct {
 	starts   []int32 // len nCells+1; cell c occupies items[starts[c]:starts[c+1]]
 	items    []int32 // point indices grouped by cell
 	cursor   []int32 // build scratch
-	scratch  []int32 // query scratch (expanding-radius searches)
 	nodeCell []int32 // build scratch: cell of every point, one division each
 
 	stats Stats // operation counters, drained by TakeStats
@@ -268,11 +267,6 @@ func (ix *Index) cell(cx, cy, cz int32) []int32 {
 	c := (cz*ix.ny+cy)*ix.nx + cx
 	return ix.items[ix.starts[c]:ix.starts[c+1]]
 }
-
-// Side returns the effective cell side of the index (>= the requested side
-// when the cell budget forced the grid coarser; 0 for the degenerate
-// single-cell index).
-func (ix *Index) Side() float64 { return ix.side }
 
 // ForEachPairWithin calls visit once per unordered pair (i < j) whose points
 // lie at distance <= r. It requires r <= the index cell side; larger radii
@@ -500,126 +494,4 @@ func BruteForcePairsWithin(pts []geom.Point, r float64, visit PairVisitor) {
 			}
 		}
 	}
-}
-
-// CountPairsWithin returns the number of unordered pairs within distance r.
-func CountPairsWithin(pts []geom.Point, dim int, r float64) int {
-	n := 0
-	PairsWithin(pts, dim, r, func(int, int, float64) { n++ })
-	return n
-}
-
-// NearestNeighborDistances returns, for every point, the distance to its
-// nearest other point (infinity for a singleton set). A node is isolated at
-// range r exactly when its nearest-neighbor distance exceeds r — the quantity
-// behind the isolated-node analysis of [Santi-Blough-Vainstein '01] that the
-// paper's Section 3 sharpens.
-func NearestNeighborDistances(pts []geom.Point) []float64 {
-	var ix Index
-	return NearestNeighborDistancesInto(make([]float64, len(pts)), pts, &ix)
-}
-
-// NearestNeighborDistancesInto is NearestNeighborDistances with
-// caller-provided storage: dst (len(pts), overwritten) receives the
-// distances and ix supplies reusable grid storage. It runs in near-linear
-// time by an expanding-radius grid search: points are hashed at the mean
-// nearest-neighbor scale, each point scans its 3^d cell neighborhood, and
-// the few points whose neighbor lies further than one cell retry on a grid
-// twice as coarse until resolved.
-//
-//adhoc:hotpath
-func NearestNeighborDistancesInto(dst []float64, pts []geom.Point, ix *Index) []float64 {
-	n := len(pts)
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = math.Inf(1)
-	}
-	if n < 2 {
-		return dst
-	}
-
-	extent, dims := BoundingExtent(pts)
-	if extent == 0 {
-		// All points coincident: every nearest-neighbor distance is zero.
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
-	}
-
-	// Start at the mean spacing of a uniform placement; unresolved points
-	// escalate through doublings, so a bad guess only costs extra rounds.
-	side := extent / math.Pow(float64(n), 1/float64(dims))
-
-	unresolved := growInt32(ix.scratch, n)
-	for i := range unresolved {
-		unresolved[i] = int32(i)
-	}
-	for len(unresolved) > 0 {
-		ix.Rebuild(pts, 3, side)
-		side = ix.Side() // the cell budget may have coarsened the grid
-		// The full 3^d neighborhood covers the whole grid when every axis
-		// has at most two cells; then the scan below is exhaustive and its
-		// result is final: the true nearest, or +Inf when no distance to
-		// the point is finite (a NaN or infinite coordinate).
-		exhaustive := ix.nx <= 2 && ix.ny <= 2 && ix.nz <= 2
-		kept := unresolved[:0]
-		for _, i := range unresolved {
-			best := nearestInNeighborhood(ix, int(i))
-			if best <= side*side || exhaustive {
-				dst[i] = math.Sqrt(best)
-			} else {
-				kept = append(kept, i)
-			}
-		}
-		unresolved = kept
-		side *= 2
-	}
-	ix.scratch = unresolved[:0]
-	return dst
-}
-
-// nearestInNeighborhood returns the squared distance from point i to its
-// closest other point within the 3^d cells around i's cell (+Inf if that
-// neighborhood holds no other point). Any point outside the neighborhood is
-// at distance > the cell side, so a result <= side^2 is the true nearest
-// neighbor.
-//
-//adhoc:hotpath
-func nearestInNeighborhood(ix *Index, i int) float64 {
-	p := ix.pts[i]
-	cx := clampCell(int32((p.X-ix.minX)/ix.side), ix.nx)
-	cy := clampCell(int32((p.Y-ix.minY)/ix.side), ix.ny)
-	cz := clampCell(int32((p.Z-ix.minZ)/ix.side), ix.nz)
-	if ix.side <= 0 {
-		cx, cy, cz = 0, 0, 0
-	}
-	best := math.Inf(1)
-	for dz := int32(-1); dz <= 1; dz++ {
-		z := cz + dz
-		if z < 0 || z >= ix.nz {
-			continue
-		}
-		for dy := int32(-1); dy <= 1; dy++ {
-			y := cy + dy
-			if y < 0 || y >= ix.ny {
-				continue
-			}
-			for dx := int32(-1); dx <= 1; dx++ {
-				x := cx + dx
-				if x < 0 || x >= ix.nx {
-					continue
-				}
-				for _, j := range ix.cell(x, y, z) {
-					if int(j) == i {
-						continue
-					}
-					if d2 := geom.Dist2(p, ix.pts[j]); d2 < best {
-						best = d2
-					}
-				}
-			}
-		}
-	}
-	return best
 }

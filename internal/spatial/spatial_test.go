@@ -146,29 +146,10 @@ func TestHalfStencilSizes(t *testing.T) {
 
 func TestCountPairsWithin(t *testing.T) {
 	pts := []geom.Point{{X: 0}, {X: 1}, {X: 2}, {X: 10}}
-	if got := CountPairsWithin(pts, 1, 1.5); got != 2 {
-		t.Fatalf("CountPairsWithin = %d, want 2", got)
-	}
-}
-
-func TestNearestNeighborDistances(t *testing.T) {
-	pts := []geom.Point{{X: 0}, {X: 3}, {X: 4}, {X: 10}}
-	got := NearestNeighborDistances(pts)
-	want := []float64{3, 1, 1, 6}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("NN[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestNearestNeighborSingleton(t *testing.T) {
-	got := NearestNeighborDistances([]geom.Point{{X: 1}})
-	if len(got) != 1 || !math.IsInf(got[0], 1) {
-		t.Fatalf("singleton NN = %v, want +Inf", got)
-	}
-	if got := NearestNeighborDistances(nil); len(got) != 0 {
-		t.Fatalf("empty NN = %v", got)
+	n := 0
+	PairsWithin(pts, 1, 1.5, func(int, int, float64) { n++ })
+	if n != 2 {
+		t.Fatalf("PairsWithin visited %d pairs, want 2", n)
 	}
 }
 

@@ -69,7 +69,9 @@ func TestPropertyQuantileWithinSampleRange(t *testing.T) {
 	f := func(seed uint64, qRaw uint16) bool {
 		xs := randomSample(seed, 50)
 		q := float64(qRaw) / 65535
-		v := Quantile(xs, q)
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		v := QuantileSorted(sorted, q)
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, x := range xs {
 			lo = math.Min(lo, x)

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the simulation
 // harness needs: streaming moment accumulators (Welford), empirical
-// quantiles and CDFs, histograms, and normal-approximation confidence
-// intervals for reporting Monte-Carlo estimates.
+// quantiles and CDFs, and the normal and Poisson distribution functions
+// the theory tables use.
 package stats
 
 import (
@@ -37,13 +37,6 @@ func (a *Accumulator) Add(x float64) {
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
-}
-
-// AddN records the same observation k times.
-func (a *Accumulator) AddN(x float64, k int64) {
-	for i := int64(0); i < k; i++ {
-		a.Add(x)
-	}
 }
 
 // Merge folds the contents of b into a (parallel-reduction step), using the
@@ -118,44 +111,16 @@ func (a *Accumulator) Max() float64 {
 	return a.max
 }
 
-// StdErr returns the standard error of the mean.
-func (a *Accumulator) StdErr() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.StdDev() / math.Sqrt(float64(a.n))
-}
-
-// ConfidenceInterval95 returns the normal-approximation 95% confidence
-// interval for the mean. With the paper's 50-iteration samples the normal
-// approximation is adequate for reporting purposes.
-func (a *Accumulator) ConfidenceInterval95() (lo, hi float64) {
-	const z95 = 1.959963984540054
-	h := z95 * a.StdErr()
-	return a.mean - h, a.mean + h
-}
-
 // String summarizes the accumulator for logs.
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g",
 		a.n, a.Mean(), a.StdDev(), a.Min(), a.Max())
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of the sample using linear
-// interpolation between order statistics (Hyndman-Fan type 7, the common
-// default). The input need not be sorted; it is not modified. It returns NaN
-// for an empty sample and clamps q into [0,1].
-func Quantile(sample []float64, q float64) float64 {
-	if len(sample) == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(sample))
-	copy(sorted, sample)
-	sort.Float64s(sorted)
-	return QuantileSorted(sorted, q)
-}
-
-// QuantileSorted is Quantile for an already ascending-sorted sample.
+// QuantileSorted returns the q-quantile (0 <= q <= 1) of an ascending-sorted
+// sample using linear interpolation between order statistics (Hyndman-Fan
+// type 7, the common default). It returns NaN for an empty sample and
+// clamps q into [0,1].
 func QuantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -187,134 +152,9 @@ func ECDF(sorted []float64, x float64) float64 {
 	return float64(idx) / float64(len(sorted))
 }
 
-// Mean returns the arithmetic mean of the sample (NaN when empty).
-func Mean(sample []float64) float64 {
-	if len(sample) == 0 {
-		return math.NaN()
-	}
-	var a Accumulator
-	for _, x := range sample {
-		a.Add(x)
-	}
-	return a.Mean()
-}
-
-// PearsonCorrelation returns the sample Pearson correlation coefficient of
-// the paired samples (NaN when lengths differ, fewer than two pairs, or a
-// sample is constant).
-func PearsonCorrelation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	var xa, ya Accumulator
-	for i := range xs {
-		xa.Add(xs[i])
-		ya.Add(ys[i])
-	}
-	cov := 0.0
-	for i := range xs {
-		cov += (xs[i] - xa.Mean()) * (ys[i] - ya.Mean())
-	}
-	cov /= float64(len(xs) - 1)
-	denom := xa.StdDev() * ya.StdDev()
-	if denom == 0 {
-		return math.NaN()
-	}
-	return cov / denom
-}
-
-// SpearmanCorrelation returns the Spearman rank correlation of the paired
-// samples: the Pearson correlation of their ranks (mean ranks for ties).
-func SpearmanCorrelation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	return PearsonCorrelation(ranks(xs), ranks(ys))
-}
-
-// ranks returns the 1-based ranks of the sample, averaging ties.
-func ranks(xs []float64) []float64 {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	out := make([]float64, len(xs))
-	for i := 0; i < len(idx); {
-		j := i
-		for j+1 < len(idx) && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Average rank for the tie group [i, j].
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			out[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return out
-}
-
-// Histogram counts observations into equal-width bins over [Lo, Hi].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	// Under and Over count observations falling outside [Lo, Hi].
-	Under, Over int64
-}
-
-// NewHistogram returns a histogram with the given number of bins over
-// [lo, hi]. It returns an error for a non-positive bin count or an empty
-// interval.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs at least one bin, got %d", bins)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: histogram interval [%v,%v] is empty", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x > h.Hi:
-		h.Over++
-	default:
-		idx := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if idx == len(h.Counts) { // x == Hi
-			idx--
-		}
-		h.Counts[idx]++
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
 // NormalCDF returns the standard normal cumulative distribution function.
 func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// NormalPDF returns the standard normal density.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
 }
 
 // PoissonPMF returns P(X = k) for X ~ Poisson(lambda), evaluated in log
@@ -331,21 +171,6 @@ func PoissonPMF(lambda float64, k int) float64 {
 	}
 	logp := float64(k)*math.Log(lambda) - lambda - LogFactorial(k)
 	return math.Exp(logp)
-}
-
-// PoissonCDF returns P(X <= k) for X ~ Poisson(lambda).
-func PoissonCDF(lambda float64, k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := 0; i <= k; i++ {
-		sum += PoissonPMF(lambda, i)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
 }
 
 // LogFactorial returns log(n!) using exact accumulation for small n and
@@ -380,25 +205,4 @@ func LogBinomial(n, k int) float64 {
 		return math.Inf(-1)
 	}
 	return LogFactorial(n) - LogFactorial(k) - LogFactorial(n-k)
-}
-
-// LogSumExp returns log(sum exp(x_i)) computed stably.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	max := math.Inf(-1)
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-	}
-	if math.IsInf(max, -1) {
-		return max
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += math.Exp(x - max)
-	}
-	return max + math.Log(sum)
 }

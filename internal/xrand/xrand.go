@@ -105,11 +105,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.boundedUint64(uint64(n)))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // boundedUint64 returns a uniform value in [0, bound) using Lemire's
 // multiply-shift rejection method, which avoids modulo bias.
 func (r *Rand) boundedUint64(bound uint64) uint64 {
@@ -175,35 +170,5 @@ func (r *Rand) NormFloat64() float64 {
 		r.cachedNorm = v * f
 		r.hasCachedNorm = true
 		return u * f
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// Perm returns a uniform random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle randomizes the order of n elements using the provided swap
-// function, as in math/rand.Shuffle.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }

@@ -153,15 +153,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestInt63NonNegative(t *testing.T) {
-	r := New(21)
-	for i := 0; i < 1000; i++ {
-		if v := r.Int63(); v < 0 {
-			t.Fatalf("Int63 returned negative value %d", v)
-		}
-	}
-}
-
 func TestRange(t *testing.T) {
 	r := New(6)
 	for i := 0; i < 10000; i++ {
@@ -228,57 +219,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.02 {
 		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestExpFloat64Moments(t *testing.T) {
-	r := New(19)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("exponential variate negative: %v", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(23)
-	for _, n := range []int{0, 1, 2, 5, 64} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(29)
-	vals := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range vals {
-		sum += v
-	}
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	got := 0
-	for _, v := range vals {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed element sum: %d != %d", got, sum)
 	}
 }
 
