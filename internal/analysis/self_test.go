@@ -78,6 +78,9 @@ func TestHotPathMarksPresent(t *testing.T) {
 		"spatial.minCross",
 		"spatial.minCrossPair",
 		"spatial.minCrossPure",
+		"spatial.pointsVsPure",
+		"spatial.minPoint",
+		"spatial.pointBoxMinDist2",
 		"spatial.offerPair",
 		"spatial.ForEachNear",
 		"geom.Dist2Batch",
@@ -124,8 +127,17 @@ var exportAllowlist = map[string]string{
 // TestNoUncalledExports keeps internal/ to the API its programs use: every
 // exported function or method there must be referenced by non-test code of
 // the module (cmd/adhocbench included) somewhere outside its own
-// declaration, be a method named like a method of an interface it may be
-// called through, or carry a reason in exportAllowlist.
+// declaration, be a method an interface may dispatch to, or carry a reason
+// in exportAllowlist.
+//
+// A method counts as dispatched when some module type T — its receiver, or
+// a type it is promoted into by embedding — has it in the method set of T
+// or *T, and that type implements an interface declaring the method's
+// name: one declared in the module, or error, fmt.Stringer,
+// json.Marshaler, json.Unmarshaler or types.Importer. A name match alone is
+// not enough (a Validate nobody calls is not excused by some other type's
+// Validate), and a receiver-only check is too little (a method of an
+// embedded type reaches its interface through the embedding type).
 func TestNoUncalledExports(t *testing.T) {
 	l := testLoader(t)
 	pkgs, err := l.LoadPatterns([]string{"./..."}, l.ModuleRoot)
@@ -134,11 +146,22 @@ func TestNoUncalledExports(t *testing.T) {
 	}
 	const internal = "adhocnet/internal/"
 	seen := false
-	// Method names an interface may dispatch to: any interface declared in
-	// the module, plus the standard ones the module's types implement. The
-	// match is by name, so a method promoted from an embedded type counts.
-	ifaceMethods := map[string]bool{
-		"String": true, "Error": true, "MarshalJSON": true, "UnmarshalJSON": true, "Import": true,
+	// The interfaces a method may be dispatched through, and the module's
+	// other named types, whose method sets the exemption searches.
+	var ifaces []*types.Interface
+	var named []types.Type
+	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, std := range [][2]string{
+		{"fmt", "Stringer"},
+		{"encoding/json", "Marshaler"},
+		{"encoding/json", "Unmarshaler"},
+		{"go/types", "Importer"},
+	} {
+		p, err := l.Import(std[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ifaces = append(ifaces, p.Scope().Lookup(std[1]).Type().Underlying().(*types.Interface))
 	}
 	type export struct {
 		key      string
@@ -149,13 +172,16 @@ func TestNoUncalledExports(t *testing.T) {
 		seen = seen || pkg.Path == "adhocnet/cmd/adhocbench"
 		for _, name := range pkg.Types.Scope().Names() {
 			tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName)
-			if !ok {
+			if !ok || tn.IsAlias() {
 				continue
 			}
+			if nt, ok := tn.Type().(*types.Named); ok && nt.TypeParams().Len() > 0 {
+				continue // uninstantiated generics implement nothing as such
+			}
 			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-				for i := 0; i < it.NumMethods(); i++ {
-					ifaceMethods[it.Method(i).Name()] = true
-				}
+				ifaces = append(ifaces, it)
+			} else {
+				named = append(named, tn.Type(), types.NewPointer(tn.Type()))
 			}
 		}
 		if !strings.HasPrefix(pkg.Path, internal) {
@@ -200,7 +226,7 @@ func TestNoUncalledExports(t *testing.T) {
 		if used[fn] {
 			continue
 		}
-		if fn.Type().(*types.Signature).Recv() != nil && ifaceMethods[fn.Name()] {
+		if fn.Type().(*types.Signature).Recv() != nil && dispatched(fn, named, ifaces) {
 			continue
 		}
 		short, _, _ := strings.Cut(e.key, ".")
@@ -223,4 +249,24 @@ func TestNoUncalledExports(t *testing.T) {
 			t.Errorf("exportAllowlist names %s, which is gone or now called: drop the entry", key)
 		}
 	}
+}
+
+// dispatched reports whether some type of named has method fn in its method
+// set, itself or promoted from an embedded field, and implements an
+// interface of ifaces that declares fn's name.
+func dispatched(fn *types.Func, named []types.Type, ifaces []*types.Interface) bool {
+	for _, T := range named {
+		sel := types.NewMethodSet(T).Lookup(fn.Pkg(), fn.Name())
+		if sel == nil || sel.Obj() != fn {
+			continue
+		}
+		for _, it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == fn.Name() && types.Implements(T, it) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

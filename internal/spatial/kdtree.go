@@ -294,6 +294,18 @@ func boxMinDist2(a, b *kdNode) float64 {
 	return geom.SumSq(dx, dy, dz)
 }
 
+// pointBoxMinDist2 is boxMinDist2 with a as the zero-width box of point p:
+// a lower bound on the squared distance from p to any point of b's box,
+// with the same rounding-monotone construction.
+//
+//adhoc:hotpath
+func pointBoxMinDist2(p geom.Point, b *kdNode) float64 {
+	dx := axisGap(p.X, p.X, b.minX, b.maxX)
+	dy := axisGap(p.Y, p.Y, b.minY, b.maxY)
+	dz := axisGap(p.Z, p.Z, b.minZ, b.maxZ)
+	return geom.SumSq(dx, dy, dz)
+}
+
 // boxMaxDist2 returns an upper bound on the squared distance between any
 // point of a's box and any point of b's box, with the same rounding-monotone
 // construction as boxMinDist2 (every pair's Dist2 value is <= this bound).

@@ -10,7 +10,7 @@ package spatial
 // whole bill: a bridging round between two 256-point clusters enumerates and
 // sorts 65k cross pairs to keep one. This query returns exactly the per-
 // label-pair minima inside the annulus, restricted to pairs whose endpoints
-// lie in different parts of a second partition (frag), and prunes with four
+// lie in different parts of a second partition (frag), and prunes with six
 // facts the flat pair enumeration cannot use:
 //
 //   - a subtree whose points all share one label contains no cross-label
@@ -21,6 +21,13 @@ package spatial
 //   - a pair of single-label subtrees needs no descent once its box distance
 //     exceeds the pair's current best (turns the 65k-pair island-vs-island
 //     scan into a bichromatic closest-pair search);
+//   - a point of a mixed leaf facing a single-label subtree has one label
+//     pair with all of it, so it searches that subtree best-first for its
+//     nearest partner against that pair's current best, instead of the
+//     whole subtree being scanned leaf pair by leaf pair (the late rounds,
+//     where a straggler makes a leaf beside an island mixed);
+//   - a point farther than r from the other leaf's box has no annulus pair
+//     in it (the point–box bound of the mixed leaf×leaf scans);
 //   - the annulus and box bounds of the plain queries still apply.
 //
 // GeoMST passes its labels as frag, which makes the restriction vacuous.
@@ -63,6 +70,17 @@ func bestLess(a, b kdBest) bool {
 		return a.i < b.i
 	}
 	return a.j < b.j
+}
+
+// improve replaces b with the candidate pair (i, j) at squared distance d2,
+// stored as (min, max), when that comes first in the strict order.
+func (b *kdBest) improve(i, j int32, d2 float64) {
+	if i > j {
+		i, j = j, i
+	}
+	if c := (kdBest{d2: d2, i: i, j: j}); bestLess(c, *b) {
+		*b = c
+	}
 }
 
 // minPairsScratch is the per-query state of MinPairsByLabel, owned by the
@@ -164,36 +182,59 @@ func (t *KDTree) annotate(vals, out []int32) []int32 {
 	return out
 }
 
-// bestFor returns the table slot's candidate for the label pair (la, lb) and
-// the slot to write back to, inserting a +Inf sentinel on first sight. The
-// table doubles at 3/4 load; steady state reuses the grown storage.
+// bestFor returns the table entry of the label pair (la, lb), inserting a
+// +Inf sentinel on first sight. The table doubles at 3/4 load; steady state
+// reuses the grown storage.
 func (s *minPairsScratch) bestFor(la, lb int32) *kdBest {
-	if la > lb {
-		la, lb = lb, la
-	}
-	key := (uint64(uint32(la))<<32 | uint64(uint32(lb))) + 1
+	key := pairKey(la, lb)
 	if key == s.lastKey {
 		return &s.best[s.lastIdx]
 	}
-	h := (key * 0x9e3779b97f4a7c15) & s.mask
-	for {
-		switch s.keys[h] {
-		case key:
-			s.lastKey, s.lastIdx = key, s.vals[h]
-			return &s.best[s.vals[h]]
-		case 0:
-			if 4*(len(s.best)+1) > 3*len(s.keys) {
-				s.growTable()
-				return s.bestFor(la, lb)
-			}
-			s.keys[h] = key
-			s.vals[h] = int32(len(s.best))
-			s.best = append(s.best, kdBest{d2: math.Inf(1), i: -1, j: -1})
-			s.lastKey, s.lastIdx = key, s.vals[h]
-			return &s.best[len(s.best)-1]
+	h := s.slot(key)
+	if s.keys[h] != key {
+		if 4*(len(s.best)+1) > 3*len(s.keys) {
+			s.growTable()
+			h = s.slot(key)
 		}
+		s.keys[h] = key
+		s.vals[h] = int32(len(s.best))
+		s.best = append(s.best, kdBest{d2: math.Inf(1), i: -1, j: -1})
+	}
+	s.lastKey, s.lastIdx = key, s.vals[h]
+	return &s.best[s.lastIdx]
+}
+
+// lookup returns the index in best of the label pair (la, lb)'s entry, or
+// -1 when the pair has none; unlike bestFor it never inserts.
+func (s *minPairsScratch) lookup(la, lb int32) int32 {
+	key := pairKey(la, lb)
+	if key == s.lastKey {
+		return s.lastIdx
+	}
+	if h := s.slot(key); s.keys[h] == key {
+		s.lastKey, s.lastIdx = key, s.vals[h]
+		return s.lastIdx
+	}
+	return -1
+}
+
+// pairKey is the table key of the unordered label pair (la, lb); it is
+// never 0, which marks an empty slot.
+func pairKey(la, lb int32) uint64 {
+	if la > lb {
+		la, lb = lb, la
+	}
+	return (uint64(uint32(la))<<32 | uint64(uint32(lb))) + 1
+}
+
+// slot returns the slot holding key, or the empty slot where linear probing
+// would insert it.
+func (s *minPairsScratch) slot(key uint64) uint64 {
+	h := (key * 0x9e3779b97f4a7c15) & s.mask
+	for s.keys[h] != 0 && s.keys[h] != key {
 		h = (h + 1) & s.mask
 	}
+	return h
 }
 
 // growTable rehashes into a table of twice the size.
@@ -203,15 +244,11 @@ func (s *minPairsScratch) growTable() {
 	s.vals = make([]int32, len(s.keys))
 	s.mask = uint64(len(s.keys) - 1)
 	for i, key := range oldKeys {
-		if key == 0 {
-			continue
+		if key != 0 {
+			h := s.slot(key)
+			s.keys[h] = key
+			s.vals[h] = oldVals[i]
 		}
-		h := (key * 0x9e3779b97f4a7c15) & s.mask
-		for s.keys[h] != 0 {
-			h = (h + 1) & s.mask
-		}
-		s.keys[h] = key
-		s.vals[h] = oldVals[i]
 	}
 }
 
@@ -276,10 +313,30 @@ func (t *KDTree) minCross(a, b int32) {
 		return
 	}
 	aLeaf, bLeaf := na.left < 0, nb.left < 0
+	if pa != kdMixed || pb != kdMixed {
+		// One side is a single label L. Split the mixed side down to its
+		// leaves first, so its pure children meet this side in
+		// minCrossPair; a mixed leaf then searches the pure side point by
+		// point instead of scanning it leaf pair by leaf pair.
+		pure, mixed, nm, l := a, b, nb, pa
+		if pa == kdMixed {
+			pure, mixed, nm, l = b, a, na, pb
+		}
+		if nm.left >= 0 {
+			t.minCross(pure, nm.left)
+			t.minCross(pure, nm.right)
+			return
+		}
+		t.pointsVsPure(mixed, pure, l)
+		return
+	}
 	if aLeaf && bLeaf {
 		for x := na.lo; x < na.hi; x++ {
 			i := t.idx[x]
 			pi, li, fi := t.pts[i], s.labels[i], s.frag[i]
+			if pointBoxMinDist2(pi, nb) > s.r2 {
+				continue // no point of b's box is within r of i
+			}
 			for y := nb.lo; y < nb.hi; y++ {
 				j := t.idx[y]
 				if s.frag[j] == fi || s.labels[j] == li {
@@ -297,6 +354,75 @@ func (t *KDTree) minCross(a, b int32) {
 		t.minCross(a, nb.left)
 		t.minCross(a, nb.right)
 	}
+}
+
+// pointsVsPure handles crossing pairs between the mixed leaf m and the
+// subtree p, whose points all carry label l. Every point i of m with
+// another label has exactly one label pair with p, so it reads that pair's
+// table entry once and searches p best-first for its nearest qualifying
+// partner (minPoint); points labelled l have no cross-label pair with p.
+// The search runs on a copy of the entry, and a pair that has no entry
+// gets one only when the search finds a candidate, so the point search
+// grows the table no more than offering every leaf pair did.
+//
+//adhoc:hotpath
+func (t *KDTree) pointsVsPure(m, p, l int32) {
+	s := &t.mp
+	nm, np := &t.nodes[m], &t.nodes[p]
+	for x := nm.lo; x < nm.hi; x++ {
+		i := t.idx[x]
+		li := s.labels[i]
+		if li == l {
+			continue
+		}
+		bst := kdBest{d2: math.Inf(1), i: -1, j: -1}
+		if k := s.lookup(li, l); k >= 0 {
+			bst = s.best[k]
+		}
+		pi := t.pts[i]
+		t.minPoint(i, pi, s.frag[i], p, pointBoxMinDist2(pi, np), &bst)
+		if bst.i >= 0 {
+			*s.bestFor(li, l) = bst
+		}
+	}
+}
+
+// minPoint minimizes over crossing pairs (i, j) with j under node a into
+// bst, the best candidate so far of i's label pair with a's single label.
+// It is the point form of minCrossPair: nearer child first, a subtree
+// dropped once its point–box bound min2 exceeds r² or bst (strict >,
+// preserving equal-d2 smaller-(i, j) ties), and subtrees whose points all
+// share i's frag value fi dropped outright.
+//
+//adhoc:hotpath
+func (t *KDTree) minPoint(i int32, pi geom.Point, fi, a int32, min2 float64, bst *kdBest) {
+	s := &t.mp
+	if min2 > s.r2 || min2 > bst.d2 || s.pureF[a] == fi {
+		return
+	}
+	nd := &t.nodes[a]
+	if nd.left < 0 {
+		for y := nd.lo; y < nd.hi; y++ {
+			j := t.idx[y]
+			if s.frag[j] == fi {
+				continue
+			}
+			d2 := geom.Dist2(pi, t.pts[j])
+			if d2 > s.r2 || d2 <= s.lo2 {
+				continue
+			}
+			bst.improve(i, j, d2)
+		}
+		return
+	}
+	c1, c2 := nd.left, nd.right
+	d1 := pointBoxMinDist2(pi, &t.nodes[c1])
+	d2 := pointBoxMinDist2(pi, &t.nodes[c2])
+	if d2 < d1 {
+		c1, c2, d1, d2 = c2, c1, d2, d1
+	}
+	t.minPoint(i, pi, fi, c1, d1, bst)
+	t.minPoint(i, pi, fi, c2, d2, bst)
 }
 
 // minCrossPair minimizes over crossing pairs with one endpoint under a and
@@ -346,13 +472,7 @@ func (t *KDTree) minCrossPair(a, b int32, min2 float64, bst *kdBest) {
 				if d2 > s.r2 || d2 <= s.lo2 {
 					continue
 				}
-				lo, hi := i, j
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if cand := (kdBest{d2: d2, i: lo, j: hi}); bestLess(cand, *bst) {
-					*bst = cand
-				}
+				bst.improve(i, j, d2)
 			}
 		}
 		return
@@ -404,13 +524,7 @@ func (t *KDTree) minCrossPure(a, b int32, min2 float64, bst *kdBest) {
 				if d2 > s.r2 || d2 <= s.lo2 {
 					continue
 				}
-				lo, hi := i, j
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if cand := (kdBest{d2: d2, i: lo, j: hi}); bestLess(cand, *bst) {
-					*bst = cand
-				}
+				bst.improve(i, j, d2)
 			}
 		}
 		return
@@ -448,12 +562,5 @@ func (t *KDTree) offerPair(i, j int32, pi geom.Point) {
 	if d2 > s.r2 || d2 <= s.lo2 {
 		return
 	}
-	lo, hi := i, j
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	cand := kdBest{d2: d2, i: lo, j: hi}
-	if bst := s.bestFor(s.labels[i], s.labels[j]); bestLess(cand, *bst) {
-		*bst = cand
-	}
+	s.bestFor(s.labels[i], s.labels[j]).improve(i, j, d2)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adhocnet/internal/geom"
+	"adhocnet/internal/mobility"
 	"adhocnet/internal/xrand"
 )
 
@@ -103,6 +104,21 @@ func TestKDTreeRebuildZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
+// BenchmarkKDTreeRebuildClustered4096 times the tree build on the placement
+// of adhocbench's clustered-islands workload (4096 nodes in 8 islands of
+// radius 600, l = 16384), which rebuilds the tree every snapshot.
+func BenchmarkKDTreeRebuildClustered4096(b *testing.B) {
+	pts := make([]geom.Point, 4096)
+	mobility.Clusters{Clusters: 8, Radius: 600}.Fill(xrand.New(1), geom.MustRegion(16384, 2), pts)
+	var tree KDTree
+	tree.Rebuild(pts, 2) // grow the backing arrays once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.Rebuild(pts, 2)
+	}
+}
+
 func TestKDTreeBalancedOnDuplicateCoordinates(t *testing.T) {
 	// Many tied coordinates must not degrade the median select (3-way
 	// partition) or unbalance the tree into a recursion hazard: 4096 points
@@ -192,6 +208,21 @@ func checkMinPairs(t *testing.T, name string, tree *KDTree, pts []geom.Point, la
 	}
 }
 
+// stragglerLabels labels points by blocks of blk (aligned with the islands
+// of clusteredPoints) and gives every 7th point a label of its own: mixed
+// leaves then sit beside single-label islands, the shape of the MST's later
+// rounds, where a few unjoined points remain next to coalesced islands.
+func stragglerLabels(n, blk int) []int32 {
+	l := make([]int32, n)
+	for i := range l {
+		l[i] = int32(i / blk)
+		if i%7 == 0 {
+			l[i] = int32(n + i)
+		}
+	}
+	return l
+}
+
 func TestKDTreeMinPairsByLabel(t *testing.T) {
 	rng := xrand.New(31)
 	reg := geom.MustRegion(2000, 2)
@@ -220,15 +251,66 @@ func TestKDTreeMinPairsByLabel(t *testing.T) {
 			}
 			return l
 		},
+		"blocks+stragglers": func(n int) []int32 { return stragglerLabels(n, 40) },
 	}
 	for ptsName, pts := range map[string][]geom.Point{"clustered": clustered, "uniform": uniform} {
 		tree := newKDTree(pts, 2)
 		for labName, mk := range labelings {
 			labels := mk(len(pts))
-			for _, band := range [][2]float64{{-1, 10}, {100, 400}, {160000, 4000}} {
+			for _, band := range [][2]float64{{-1, 10}, {100, 400}, {2500, 150}, {160000, 4000}} {
 				name := fmt.Sprintf("%s/%s/(%v,%v]", ptsName, labName, band[0], band[1])
 				checkMinPairs(t, name, tree, pts, labels, labels, band[0], band[1])
 			}
+		}
+	}
+}
+
+func TestKDTreeMinPairsByLabelLattice(t *testing.T) {
+	// Integer coordinates make point-box bounds and pair distances land
+	// exactly on r*r: the pruning must keep a subtree whose bound equals
+	// r*r (a pair at distance exactly r is in the annulus) and one whose
+	// bound equals the current best (it may hold an equal-d2 pair with a
+	// smaller (i, j)). Every band ends on an integer radius.
+	rng := xrand.New(33)
+	// Four 12x12 lattice islands, 3 to 6 units apart, in shuffled index
+	// order so that (i, j) ties do not follow the geometry.
+	offsets := [4][2]float64{{0, 0}, {14, 0}, {0, 16}, {18, 17}}
+	var pts []geom.Point
+	var island []int32
+	for c, o := range offsets {
+		for x := 0; x < 12; x++ {
+			for y := 0; y < 12; y++ {
+				pts = append(pts, geom.Point{X: o[0] + float64(x), Y: o[1] + float64(y)})
+				island = append(island, int32(c))
+			}
+		}
+	}
+	for i := len(pts) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		pts[i], pts[j] = pts[j], pts[i]
+		island[i], island[j] = island[j], island[i]
+	}
+	n := len(pts)
+	tree := newKDTree(pts, 2)
+	islands := make([]int32, n) // label by island, stragglers on their own
+	for i := range islands {
+		islands[i] = island[i]
+		if i%7 == 0 {
+			islands[i] = int32(n + i)
+		}
+	}
+	frag := make([]int32, n)
+	for i := range frag {
+		frag[i] = islands[i]
+		if i%5 == 0 {
+			frag[i] = int32(2*n + i)
+		}
+	}
+	for _, r := range []float64{1, 2, 3, 4, 5, 6, 8} {
+		for _, lo2 := range []float64{-1, (r - 1) * (r - 1)} {
+			name := fmt.Sprintf("lattice (%v,%v]", lo2, r)
+			checkMinPairs(t, name, tree, pts, islands, islands, lo2, r)
+			checkMinPairs(t, name+" frag", tree, pts, islands, frag, lo2, r)
 		}
 	}
 }

@@ -162,5 +162,24 @@ func TestKDTreeMinPairsByLabelCrossing(t *testing.T) {
 				checkMinPairs(t, name, tree, pts, labels, frag, lo2, r)
 			}
 		}
+		// Islands labelled by block with every 7th point a straggler of
+		// its own, so mixed leaves meet single-label islands, against the
+		// same frag shapes; the last band bridges the islands.
+		labels := stragglerLabels(n, 40)
+		for _, fragBlock := range []int{40, 10} {
+			frag := make([]int32, n)
+			for i := range frag {
+				frag[i] = int32(i / fragBlock)
+				if i%17 == 0 {
+					frag[i] = int32(1000 + i)
+				}
+			}
+			for _, band := range [][2]float64{{-1, 10}, {100, 400}, {250000, 4000}} {
+				lo2, r := band[0], band[1]
+				name := fmt.Sprintf("%s frag/%d stragglers band (%v,%v]", ptsName, fragBlock, lo2, r)
+				checkMinPairs(t, name+" frag=labels", tree, pts, labels, labels, lo2, r)
+				checkMinPairs(t, name, tree, pts, labels, frag, lo2, r)
+			}
+		}
 	}
 }

@@ -6,7 +6,8 @@ package spatial
 // the placement is clustered, because the grid's O(n) cell budget then
 // forces coarse cells with quadratic intra-cell scans. The heuristic below
 // estimates exactly that failure mode — mean squared cell occupancy of the
-// grid Rebuild would actually build — from a bounded point sample.
+// grid Rebuild would actually build, against what a uniform placement
+// scores on that grid — from a bounded point sample.
 //
 // The choice is a pure performance decision: both backends emit identical
 // pair sets with identical squared distances (see kdtree.go), so results are
@@ -64,37 +65,49 @@ func ParseBackend(s string) (Backend, error) {
 
 // Selection thresholds. autoMinPoints keeps tiny snapshots on the grid,
 // where constant factors dominate and both backends are microseconds.
-// crowdingThreshold is the mean-squared-occupancy level above which the
-// grid's intra-cell scans outweigh the tree's box tests; a uniform placement
-// at the grid's budgeted density measures ~2-5, the 8-island clustered
-// benchmark measures >20, so 8 splits the regimes with margin on both sides.
+// crowdingRatio is the level of crowding, relative to what a uniform
+// placement scores on the same grid, above which the grid's intra-cell
+// scans outweigh the tree's box tests. The test is relative because the
+// uniform level itself moves with the grid's shape: gridShape doubles the
+// cell side until the grid fits its n/2+1 cell budget, which in 3-D
+// multiplies the cell volume by 8, so a uniform 3-D placement at the
+// paper's density sees ~8 points per cell and scores ~9 — above any
+// absolute threshold that also lets moderately clustered 2-D placements
+// reach the tree. Over 20 seeds per case, uniform 2-D and 3-D placements
+// at n = 128..16384 score at most ~2.0 (3-D n = 224, where the last cell
+// layer of each axis is nearly empty), the 8- and 64-island placements of
+// the benchmarks and scenarios at least ~3.1 (clustered-sensorfield,
+// n = 256); 2.5 sits between them.
 const (
-	autoMinPoints     = 128
-	crowdingSamples   = 256
-	crowdingThreshold = 8.0
+	autoMinPoints   = 128
+	crowdingSamples = 256
+	crowdingRatio   = 2.5
 )
 
 // CellCrowding estimates the mean squared cell occupancy ("crowding") of the
 // grid that Index.Rebuild would build over pts at query radius r, from a
-// stride sample of at most crowdingSamples points. Uniform placements score
-// near their points-per-cell density; clustered placements score roughly the
-// island population. ok is false when the estimate is meaningless: fewer
-// than two points, a non-positive radius, or a grid degenerated to a single
-// cell (zero extent).
+// stride sample of at most crowdingSamples points, and returns it with
+// uniform, the crowding a uniform placement of the same n would score on the
+// same grid: n/cells + 1, the mean occupancy a point of a Poisson placement
+// sees (itself plus its expected cohabitants). Clustered placements score
+// roughly the island population. ok is false when the estimate is
+// meaningless: fewer than two points, a non-positive radius, or a grid
+// degenerated to a single cell (zero extent).
 //
 // The estimate corrects for sampling: with s of n points sampled, a cell
 // holding c sampled points holds about c*n/s real ones, and the unbiased
 // occupancy seen by a random point is (c-1)*(n/s) + 1 (the point itself is
 // certainly there; its c-1 sampled cohabitants each stand for n/s points).
-func CellCrowding(pts []geom.Point, r float64) (crowding float64, ok bool) {
+func CellCrowding(pts []geom.Point, r float64) (crowding, uniform float64, ok bool) {
 	n := len(pts)
 	if n < 2 || r <= 0 {
-		return 0, false
+		return 0, 0, false
 	}
 	minP, maxP := bounds(pts)
 	side, nx, ny, nz := gridShape(minP, maxP, n, r)
-	if int(nx)*int(ny)*int(nz) <= 1 {
-		return 0, false
+	cells := int(nx) * int(ny) * int(nz)
+	if cells <= 1 {
+		return 0, 0, false
 	}
 	stride := 1
 	if n > crowdingSamples {
@@ -135,7 +148,7 @@ func CellCrowding(pts []geom.Point, r float64) (crowding float64, ok bool) {
 		// c * ((c-1)*scale + 1).
 		sum += c * ((c-1)*scale + 1)
 	}
-	return sum / float64(sampled), true
+	return sum / float64(sampled), float64(n)/float64(cells) + 1, true
 }
 
 // ChooseBackend resolves BackendAuto to a concrete backend for one snapshot
@@ -148,8 +161,8 @@ func ChooseBackend(pts []geom.Point, dim int, r float64) Backend {
 	if len(pts) < autoMinPoints {
 		return BackendGrid
 	}
-	crowding, ok := CellCrowding(pts, r)
-	if ok && crowding > crowdingThreshold {
+	crowding, uniform, ok := CellCrowding(pts, r)
+	if ok && crowding > crowdingRatio*uniform {
 		return BackendKDTree
 	}
 	return BackendGrid

@@ -1,11 +1,14 @@
 package spatial
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 
 	"adhocnet/internal/geom"
+	"adhocnet/internal/mobility"
 	"adhocnet/internal/xrand"
 )
 
@@ -38,6 +41,59 @@ func TestChooseBackendClusteredVsUniform(t *testing.T) {
 	}
 	if got := ChooseBackend(clustered, 2, r); got != BackendKDTree {
 		t.Fatalf("clustered placement chose %v, want kdtree", got)
+	}
+}
+
+// mstStartRadius is the radius GeoMST resolves the backend at: the mean
+// nearest-neighbour scale extent / n^(1/dims).
+func mstStartRadius(pts []geom.Point) float64 {
+	extent, dims := BoundingExtent(pts)
+	return extent / math.Pow(float64(len(pts)), 1/float64(dims))
+}
+
+func TestChooseBackendRelativeToUniform(t *testing.T) {
+	// Uniform placements at the paper's density (n/128 nodes per 16384^d)
+	// stay on the grid in 2-D and 3-D alike. In 3-D the budget-doubled grid
+	// holds ~8 uniform points per cell, which an absolute crowding
+	// threshold of 8 mistook for clustering; the relative test must not.
+	for _, dim := range []int{2, 3} {
+		for _, n := range []int{256, 384, 1024, 4096} {
+			side := 16384 * math.Pow(float64(n)/128, 1/float64(dim))
+			reg := geom.MustRegion(side, dim)
+			for seed := uint64(1); seed <= 20; seed++ {
+				pts := reg.UniformPoints(xrand.New(seed), n)
+				if got := ChooseBackend(pts, dim, mstStartRadius(pts)); got != BackendGrid {
+					c, u, _ := CellCrowding(pts, mstStartRadius(pts))
+					t.Errorf("uniform %d-D n=%d seed %d chose %v (crowding %.2f, uniform level %.2f)",
+						dim, n, seed, got, c, u)
+				}
+			}
+		}
+	}
+	// Island placements pick the tree: the benchmark's clustered-islands,
+	// the clustered-sensorfield scenario, BenchmarkSnapshotClustered's, and
+	// wider or more numerous islands.
+	for _, is := range []struct {
+		l      float64
+		n, k   int
+		radius float64
+	}{
+		{16384, 4096, 8, 600},
+		{2048, 256, 8, 120},
+		{65536, 2048, 8, 0.05 * 65536},
+		{16384, 4096, 8, 1200},
+		{16384, 4096, 64, 300},
+	} {
+		reg := geom.MustRegion(is.l, 2)
+		place := mobility.Clusters{Clusters: is.k, Radius: is.radius}
+		for seed := uint64(1); seed <= 20; seed++ {
+			pts := make([]geom.Point, is.n)
+			place.Fill(xrand.New(seed), reg, pts)
+			if got := ChooseBackend(pts, 2, mstStartRadius(pts)); got != BackendKDTree {
+				name := fmt.Sprintf("%d islands of radius %v, n=%d, l=%v", is.k, is.radius, is.n, is.l)
+				t.Errorf("%s seed %d chose %v, want kdtree", name, seed, got)
+			}
+		}
 	}
 }
 
@@ -105,10 +161,10 @@ func TestChooseBackendDegenerateInputs(t *testing.T) {
 			t.Fatalf("%s: chose %v, want grid fallback", tc.name, got)
 		}
 	}
-	if _, ok := CellCrowding(coincident, 10); ok {
+	if _, _, ok := CellCrowding(coincident, 10); ok {
 		t.Fatal("CellCrowding reported ok on a single-cell (zero extent) grid")
 	}
-	if _, ok := CellCrowding(nil, 10); ok {
+	if _, _, ok := CellCrowding(nil, 10); ok {
 		t.Fatal("CellCrowding reported ok on an empty point set")
 	}
 }
@@ -123,11 +179,11 @@ func TestCellCrowdingTracksOccupancy(t *testing.T) {
 	uniform := reg.UniformPoints(rng, n)
 	clustered := clusteredPoints(rng, reg, 8, n/8, 400)
 	r := 16384.0 / 64
-	cu, ok := CellCrowding(uniform, r)
+	cu, _, ok := CellCrowding(uniform, r)
 	if !ok {
 		t.Fatal("uniform crowding not ok")
 	}
-	cc, ok := CellCrowding(clustered, r)
+	cc, _, ok := CellCrowding(clustered, r)
 	if !ok {
 		t.Fatal("clustered crowding not ok")
 	}
