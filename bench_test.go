@@ -152,21 +152,26 @@ func benchSnapshotProfile(b *testing.B, n, dim int) {
 }
 
 // The critical-range-only twins of the paper-size rows above: the snapshot
-// cost of a time-targets-only run (figures 2-5, 7-9), which skips the tree
-// sort and the profile replay (DESIGN.md "Critical-only snapshots").
-func BenchmarkSnapshotCriticalN16(b *testing.B)  { benchSnapshotCritical(b, 16) }
-func BenchmarkSnapshotCriticalN64(b *testing.B)  { benchSnapshotCritical(b, 64) }
-func BenchmarkSnapshotCriticalN128(b *testing.B) { benchSnapshotCritical(b, 128) }
-func BenchmarkSnapshotCriticalN256(b *testing.B) { benchSnapshotCritical(b, 256) }
+// cost of a time-targets-only run (figures 2-5, 7-9), which runs the
+// critical-only dense Prim below the dense cutoff and skips the tree sort
+// and the profile replay above it (DESIGN.md "Critical-only snapshots").
+func BenchmarkSnapshotCriticalN16(b *testing.B)  { benchSnapshotCritical(b, 16, 2) }
+func BenchmarkSnapshotCriticalN64(b *testing.B)  { benchSnapshotCritical(b, 64, 2) }
+func BenchmarkSnapshotCriticalN128(b *testing.B) { benchSnapshotCritical(b, 128, 2) }
+func BenchmarkSnapshotCriticalN256(b *testing.B) { benchSnapshotCritical(b, 256, 2) }
 
-func benchSnapshotCritical(b *testing.B, n int) {
-	pts := benchPlacement(n, 2)
+// The 3-D rows: the paper's largest n, and the 3-D dense cutoff.
+func BenchmarkSnapshotCritical3DN128(b *testing.B) { benchSnapshotCritical(b, 128, 3) }
+func BenchmarkSnapshotCritical3DN240(b *testing.B) { benchSnapshotCritical(b, 240, 3) }
+
+func benchSnapshotCritical(b *testing.B, n, dim int) {
+	pts := benchPlacement(n, dim)
 	ws := graph.NewWorkspace()
-	ws.Critical(pts, 2) // warm the workspace buffers
+	ws.Critical(pts, dim) // warm the workspace buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws.Critical(pts, 2)
+		ws.Critical(pts, dim)
 	}
 }
 

@@ -89,6 +89,8 @@ func TestHotPathMarksPresent(t *testing.T) {
 		"graph.outsiderPairs",
 		"graph.prim2",
 		"graph.prim3",
+		"graph.critical2",
+		"graph.critical3",
 		"graph.Find",
 		"graph.Union",
 		"graph.hopStatsInto",

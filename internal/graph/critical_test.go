@@ -184,3 +184,61 @@ func TestCriticalNonFinitePanics(t *testing.T) {
 		}
 	}
 }
+
+// denseCriticalPlacements are the tie-heavy and degenerate placements of
+// TestDenseCriticalMatchesStrictKruskal, n points each on the integer
+// lattice (so squared distances are exact): a lattice, coincident triples
+// over random bases, equal gaps on a line (d2 = 25 in 2-D, 49 in 3-D),
+// and, in 3-D, a flat placement whose Z alternates +0 and -0 (the kernel
+// for flat placements) and random points off any plane.
+func denseCriticalPlacements(rng *xrand.Rand, n, dim int) map[string][]geom.Point {
+	lattice, triples, line := make([]geom.Point, n), make([]geom.Point, n), make([]geom.Point, n)
+	side := int(math.Ceil(math.Pow(float64(n), 1/float64(dim))))
+	coord := func() float64 { return math.Floor(rng.Range(0, 1000)) }
+	var base geom.Point
+	for i := range lattice {
+		lattice[i] = geom.Point{X: float64(3 * (i % side)), Y: float64(3 * (i / side % side))}
+		// Point 0 alone, then triples, so n = 2 and n = 3 are not all
+		// coincident either.
+		if (i+2)%3 == 0 {
+			base = geom.Point{X: coord(), Y: coord()}
+			if dim == 3 {
+				base.Z = coord()
+			}
+		}
+		triples[i] = base
+		line[i] = geom.Point{X: float64(3 * i), Y: float64(4 * i)}
+		if dim == 3 {
+			lattice[i].Z = float64(3 * (i / (side * side)))
+			line[i] = geom.Point{X: float64(2 * i), Y: float64(3 * i), Z: float64(6 * i)}
+		}
+	}
+	out := map[string][]geom.Point{"lattice": lattice, "coincident": triples, "collinear": line}
+	if dim == 3 {
+		flat, cloud := make([]geom.Point, n), make([]geom.Point, n)
+		for i := range flat {
+			flat[i] = geom.Point{X: coord(), Y: coord(), Z: math.Copysign(0, float64(i%2)-0.5)}
+			cloud[i] = geom.Point{X: coord(), Y: coord(), Z: coord()}
+		}
+		out["flat-signed-zero"], out["cloud"] = flat, cloud
+	}
+	return out
+}
+
+// TestDenseCriticalMatchesStrictKruskal checks the critical-only dense Prim
+// (denseCritical) on ties and degenerate placements, at n = 2, 3 and up to
+// the dense cutoff: Critical must return the bits of strict Kruskal's
+// largest edge, however the kernel breaks its ties (checkStrictSequence,
+// which also checks the dense Prim's edge sequence).
+func TestDenseCriticalMatchesStrictKruskal(t *testing.T) {
+	rng := xrand.New(29)
+	for _, dim := range []int{2, 3} {
+		for _, n := range []int{2, 3, denseCutoff(dim) - 1, denseCutoff(dim)} {
+			for name, pts := range denseCriticalPlacements(rng, n, dim) {
+				t.Run(fmt.Sprintf("dim%d/n%d/%s", dim, n, name), func(t *testing.T) {
+					checkStrictSequence(t, NewWorkspace(), pts, dim)
+				})
+			}
+		}
+	}
+}

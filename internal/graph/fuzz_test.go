@@ -288,9 +288,10 @@ func strictSeedPlacements() []strictSeed {
 // the k-d tree each forced. That exact sequence is what the kinetic cache
 // replays, so the dense Prim's tie breaking, the outsider rounds and the
 // filter-Kruskal replay must all keep it; Critical must return its largest
-// edge weight. The seeds come in two sizes: as built, above the dense
-// cutoff, and cut down to it, so the ties of each seed reach both the dense
-// Prim and the annulus rounds.
+// edge weight, which below the dense cutoff comes from the critical-only
+// dense Prim. The seeds come in two sizes: as built, above the dense
+// cutoff, and cut down to it, so the ties of each seed reach both dense
+// kernels and the annulus rounds.
 func FuzzGeoMSTMatchesStrictKruskal(f *testing.F) {
 	for _, s := range strictSeedPlacements() {
 		f.Add(encodeFuzzPoints(s.pts, s.dim))

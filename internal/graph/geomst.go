@@ -246,12 +246,16 @@ func GeoMST(pts []geom.Point, dim int) []Edge {
 // comes from the workspace and the returned edge slice is transient
 // (overwritten by the next MST or profile call on this workspace).
 func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
-	return ws.sorted(ws.mst(pts, dim))
+	if edges, dense := ws.mst(pts, dim); !dense {
+		return edges
+	}
+	return ws.densePrim(pts)
 }
 
-// mst is GeoMST short of the dense path's last step: it returns the tree's
-// edges in strict order or, with dense set, leaves the tree unsorted in
-// ws.cand (densePrim) for sorted or bottleneck to finish.
+// mst is GeoMST short of the dense kernels: it returns the tree's edges in
+// strict order or, with dense set, nothing, leaving pts to one of the dense
+// Prims below the cutoff — densePrim for the tree, denseCritical for its
+// largest weight alone.
 func (ws *Workspace) mst(pts []geom.Point, dim int) (edges []Edge, dense bool) {
 	n := len(pts)
 	ws.edges = ws.edges[:0]
@@ -271,7 +275,6 @@ func (ws *Workspace) mst(pts []geom.Point, dim int) (edges []Edge, dense bool) {
 		return ws.edges, false
 	}
 	if n <= denseCutoff(dim) {
-		ws.densePrim(pts)
 		return nil, true
 	}
 	// The mean nearest-neighbor scale of the placement: most points see
@@ -309,63 +312,54 @@ func (ws *Workspace) mst(pts []geom.Point, dim int) (edges []Edge, dense bool) {
 	return ws.mstRounds(pts, dim, r, useTree, nil, nil), false
 }
 
-// sorted finishes what mst returned into the strict-order edge list: the
-// dense tree is sorted by candLess, the order Kruskal accepts its edges in,
-// and converted to threshold-radius edges in ws.edges.
-func (ws *Workspace) sorted(edges []Edge, dense bool) []Edge {
-	if !dense {
-		return edges
-	}
-	sortCandidates(ws.cand)
-	for _, c := range ws.cand {
-		ws.edges = append(ws.edges, Edge{I: c.i, J: c.j, D: thresholdRadius(c.d2)})
-	}
-	return ws.edges
-}
-
-// bottleneck returns the largest edge weight of what mst returned, the
-// critical radius, without sorting the tree. Every MST has the same multiset
-// of edge weights and thresholdRadius is monotone, so the dense tree's
-// largest squared distance yields the same weight; mst's weights are never
-// NaN or -0, so the maximum has the bits of the profile's last merge radius.
-func (ws *Workspace) bottleneck(edges []Edge, dense bool) float64 {
+// bottleneck returns the largest weight of an edge list, the critical radius
+// when the edges are an MST. The trees mst returns have no NaN or -0
+// weight, so their maximum has the bits of the profile's last merge radius
+// (criticalGap guards the 1-D gaps, which can have both).
+func bottleneck(edges []Edge) float64 {
 	crit := 0.0
-	if dense {
-		for _, c := range ws.cand {
-			crit = max(crit, c.d2)
-		}
-		return thresholdRadius(crit)
-	}
 	for _, e := range edges {
 		crit = max(crit, e.D)
 	}
 	return crit
 }
 
-// primSlabs is the dense Prim's scratch in structure-of-arrays form: the
+// primSlabs is the dense Prims' scratch in structure-of-arrays form: the
 // fringe (the points not yet in the tree) as one coordinate slab per axis,
 // with each fringe point's index (id), its least squared distance to the
-// tree so far (best) and the tree point at that distance (from). Picking a
-// point swap-removes it, so the fringe shrinks and one MST visits about
-// n^2/2 pairs.
+// tree so far (best) and the tree point at that distance (from); the
+// critical-only kernels keep that distance as its float64 bits (key)
+// instead. Picking a point swap-removes it, so the fringe shrinks and one
+// MST visits about n^2/2 pairs.
 type primSlabs struct {
 	x, y, z, best []float64
 	id, from      []int32
+	key           []uint64
 }
 
-// fill loads every point but the root pts[0] into the fringe, each at best
-// +Inf from the root, and reports whether the placement is flat (every Z
-// equal, so Z never enters a squared distance).
-func (s *primSlabs) fill(pts []geom.Point) (flat bool) {
+// load puts every point but the root pts[0] into the fringe's coordinate
+// slabs and reports whether the placement is flat (every Z equal, so Z
+// never enters a squared distance).
+func (s *primSlabs) load(pts []geom.Point) (flat bool) {
 	m := len(pts) - 1
 	s.x, s.y, s.z = grow(s.x, m), grow(s.y, m), grow(s.z, m)
-	s.best, s.id, s.from = grow(s.best, m), grow(s.id, m), grow(s.from, m)
 	z0 := pts[0].Z
 	flat = true
 	for k, p := range pts[1:] {
 		s.x[k], s.y[k], s.z[k] = p.X, p.Y, p.Z
-		s.best[k], s.id[k], s.from[k] = math.Inf(1), int32(k+1), 0
 		flat = flat && p.Z == z0
+	}
+	return flat
+}
+
+// fill is load for densePrim: every fringe point starts at best +Inf from
+// the root.
+func (s *primSlabs) fill(pts []geom.Point) (flat bool) {
+	flat = s.load(pts)
+	m := len(s.x)
+	s.best, s.id, s.from = grow(s.best, m), grow(s.id, m), grow(s.from, m)
+	for k := range m {
+		s.best[k], s.id[k], s.from[k] = math.Inf(1), int32(k+1), 0
 	}
 	return flat
 }
@@ -386,14 +380,14 @@ func edgeKey(d2 float64, a, b int32) candidate {
 	return candidate{d2: d2, i: min(a, b), j: max(a, b)}
 }
 
-// densePrim builds the strict-(d2, i, j)-order MST of pts (n >= 2 finite
-// points) into ws.cand, unsorted, by a dense Prim over ws.prim. Prim in the
-// strict total order finds the unique strict-order MST; sorted turns it
-// into the annulus rounds' edge sequence. A first pass compares squared
-// distances only and gives up at the first tie, which the index keys would
-// have to break; ties are rare, and primExact then redoes the tree in the
-// full order.
-func (ws *Workspace) densePrim(pts []geom.Point) {
+// densePrim returns the strict-(d2, i, j)-order MST of pts (n >= 2 finite
+// points) in ws.edges, in that order, by a dense Prim over ws.prim. Prim in
+// the strict total order finds the unique strict-order MST; sorting its
+// edges by candLess gives the annulus rounds' edge sequence. A first pass
+// compares squared distances only and gives up at the first tie, which the
+// index keys would have to break; ties are rare, and primExact then redoes
+// the tree in the full order.
+func (ws *Workspace) densePrim(pts []geom.Point) []Edge {
 	s := &ws.prim
 	var ok bool
 	if s.fill(pts) {
@@ -405,6 +399,11 @@ func (ws *Workspace) densePrim(pts []geom.Point) {
 		s.fill(pts)
 		ws.cand = s.primExact(pts[0], ws.cand[:0])
 	}
+	sortCandidates(ws.cand)
+	for _, c := range ws.cand {
+		ws.edges = append(ws.edges, Edge{I: c.i, J: c.j, D: thresholdRadius(c.d2)})
+	}
+	return ws.edges
 }
 
 // prim2 is densePrim's fast pass over a flat placement, growing the tree
@@ -500,6 +499,115 @@ func (s *primSlabs) primExact(root geom.Point, out []candidate) []candidate {
 	return out
 }
 
+// denseCritical returns the critical radius of pts (n >= 2 finite points,
+// not all coincident): the largest weight of the tree densePrim would
+// return, bit for bit. Every MST has the same multiset of edge weights, so
+// a Prim that breaks ties any way it likes finds the same largest squared
+// distance; critical2 and critical3 therefore keep no parent and make no
+// tie check, and never need primExact. thresholdRadius is monotone, so
+// converting that one squared distance gives densePrim's largest weight.
+func (ws *Workspace) denseCritical(pts []geom.Point) float64 {
+	s := &ws.prim
+	flat := s.load(pts)
+	s.key = grow(s.key, len(s.x))
+	for k := range s.key {
+		s.key[k] = math.MaxUint64
+	}
+	var worst uint64
+	if flat {
+		worst = s.critical2(pts[0])
+	} else {
+		worst = s.critical3(pts[0])
+	}
+	return thresholdRadius(math.Float64frombits(worst))
+}
+
+// critical2 is denseCritical's Prim over a flat placement, grown from root:
+// each round relaxes the fringe through the point picked last and picks the
+// fringe point nearest the tree, and it returns the largest picked key.
+// Keys are the bits of squared distances, which are never negative or NaN,
+// and such bits order like the floats, so relaxing is an integer min; the
+// start key MaxUint64 sits above every one of them, +Inf included. The pick
+// keeps two running minima, over the even and the odd slots; an odd
+// fringe's last slot joins the even one, and the two merge after the loop.
+// The squared distances are prim2's.
+//
+//adhoc:hotpath
+func (s *primSlabs) critical2(root geom.Point) uint64 {
+	ux, uy := root.X, root.Y
+	worst := uint64(0)
+	for m := len(s.x); m > 0; m-- {
+		xs, ys, keys := s.x[:m], s.y[:m], s.key[:m]
+		k0, k1 := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		i0, i1 := 0, 0
+		k := 0
+		for ; k+1 < m; k += 2 {
+			a := min(keys[k], math.Float64bits(geom.SumSq(ux-xs[k], uy-ys[k], 0)))
+			b := min(keys[k+1], math.Float64bits(geom.SumSq(ux-xs[k+1], uy-ys[k+1], 0)))
+			keys[k], keys[k+1] = a, b
+			if a < k0 {
+				k0, i0 = a, k
+			}
+			if b < k1 {
+				k1, i1 = b, k+1
+			}
+		}
+		if k < m {
+			a := min(keys[k], math.Float64bits(geom.SumSq(ux-xs[k], uy-ys[k], 0)))
+			keys[k] = a
+			if a < k0 {
+				k0, i0 = a, k
+			}
+		}
+		if k1 < k0 {
+			k0, i0 = k1, i1
+		}
+		worst = max(worst, k0)
+		ux, uy = xs[i0], ys[i0]
+		xs[i0], ys[i0], keys[i0] = xs[m-1], ys[m-1], keys[m-1]
+	}
+	return worst
+}
+
+// critical3 is critical2 for placements that are not flat.
+//
+//adhoc:hotpath
+func (s *primSlabs) critical3(root geom.Point) uint64 {
+	ux, uy, uz := root.X, root.Y, root.Z
+	worst := uint64(0)
+	for m := len(s.x); m > 0; m-- {
+		xs, ys, zs, keys := s.x[:m], s.y[:m], s.z[:m], s.key[:m]
+		k0, k1 := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		i0, i1 := 0, 0
+		k := 0
+		for ; k+1 < m; k += 2 {
+			a := min(keys[k], math.Float64bits(geom.SumSq(ux-xs[k], uy-ys[k], uz-zs[k])))
+			b := min(keys[k+1], math.Float64bits(geom.SumSq(ux-xs[k+1], uy-ys[k+1], uz-zs[k+1])))
+			keys[k], keys[k+1] = a, b
+			if a < k0 {
+				k0, i0 = a, k
+			}
+			if b < k1 {
+				k1, i1 = b, k+1
+			}
+		}
+		if k < m {
+			a := min(keys[k], math.Float64bits(geom.SumSq(ux-xs[k], uy-ys[k], uz-zs[k])))
+			keys[k] = a
+			if a < k0 {
+				k0, i0 = a, k
+			}
+		}
+		if k1 < k0 {
+			k0, i0 = k1, i1
+		}
+		worst = max(worst, k0)
+		ux, uy, uz = xs[i0], ys[i0], zs[i0]
+		xs[i0], ys[i0], zs[i0], keys[i0] = xs[m-1], ys[m-1], zs[m-1], keys[m-1]
+	}
+	return worst
+}
+
 // mstRounds is the annulus Kruskal behind GeoMST and the kinetic repair: it
 // builds the strict-(d2, i, j)-order MST of pts into ws.edges, in that
 // order. Round k offers the candidates in the annulus (r_{k-1}, r_k], r_0 =
@@ -513,7 +621,8 @@ func (s *primSlabs) primExact(root geom.Point, out []candidate) []candidate {
 // round drains it up to r_k^2, without which a round whose query emits
 // nothing would never progress. Annuli are disjoint and increasing, so
 // Kruskal sees every candidate once, in globally sorted order, from any
-// starting radius.
+// starting radius. A round whose r*r overflows is the last: it takes
+// every pair above the previous bound.
 func (ws *Workspace) mstRounds(pts []geom.Point, dim int, r float64, useTree bool, kept []candidate, frag []int32) []Edge {
 	n := len(pts)
 	ws.uf.Reset(n)
@@ -555,6 +664,12 @@ func (ws *Workspace) mstRounds(pts []geom.Point, dim int, r float64, useTree boo
 	// initial exclusion bound sits below every squared distance.
 	prevR2 := -1.0
 	for ws.uf.Count() > 1 {
+		if math.IsInf(r*r, 1) {
+			// The pairs left beyond r may have squared distances of +Inf
+			// too, and no later annulus (+Inf, ...] would admit them: this
+			// round takes every pair above prevR2, which completes the tree.
+			r = math.MaxFloat64
+		}
 		ws.cand = ws.cand[:0]
 		ws.batchPrevR2 = prevR2
 		switch {

@@ -248,22 +248,35 @@ func (a *Adjacency) LargestComponentSize() int {
 // thresholdRadius returns the smallest float64 r such that r*r >= d2, i.e.
 // the exact transmitting range at which a pair with squared distance d2
 // becomes a neighbor pair under the d2 <= r*r inclusion rule used by the
-// point-graph builders. math.Sqrt is correctly rounded, so at most a couple
-// of ulp adjustments are ever needed.
+// point-graph builders. r*r never decreases as r grows, so that r is
+// unique. math.Sqrt is correctly rounded, so it or the float64 above it is
+// the answer whenever r*r neither overflows nor loses precision below the
+// normal range; otherwise (d2 = +Inf, whose answer is the least r with
+// r*r = +Inf, or d2 near the subnormals) a bisection over the bit patterns
+// of the non-negative float64s, which order like their values, finds it in
+// at most 64 steps. A NaN, negative or zero d2 gives math.Sqrt(d2).
 func thresholdRadius(d2 float64) float64 {
 	r := math.Sqrt(d2)
-	for r*r < d2 {
-		r = math.Nextafter(r, math.Inf(1))
+	if !(r > 0) {
+		return r
 	}
-	for r > 0 {
-		down := math.Nextafter(r, 0)
-		if down*down >= d2 {
-			r = down
-			continue
+	if r*r >= d2 {
+		if down := math.Nextafter(r, 0); down*down < d2 {
+			return r
 		}
-		break
+	} else if up := math.Nextafter(r, math.Inf(1)); up*up >= d2 {
+		return up
 	}
-	return r
+	lo, hi := uint64(0), math.Float64bits(math.Inf(1)) // lo's square < d2 <= hi's
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if m := math.Float64frombits(mid); m*m >= d2 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Float64frombits(hi)
 }
 
 // PrimMST computes the Euclidean minimum spanning tree of the points with the

@@ -100,24 +100,31 @@ func (ws *Workspace) ProfileKinetic(pts []geom.Point, dim int, moved []int32) *P
 		// The 1-D profile is already O(n log n) sorted gaps; no repair path.
 		return ws.Profile(pts, dim)
 	}
-	return ws.replayProfile(len(pts), ws.sorted(ws.kineticTree(pts, dim, moved)))
+	edges, dense := ws.kineticTree(pts, dim, moved)
+	if dense {
+		edges = ws.densePrim(pts)
+	}
+	return ws.replayProfile(len(pts), edges)
 }
 
 // CriticalKinetic is Critical with ProfileKinetic's incremental repair: it
 // returns ProfileKinetic(pts, dim, moved).Critical(), bit for bit, leaves
 // the tree cache and the WorkspaceStats counters as ProfileKinetic would,
-// and skips only the sort and the profile replay.
+// and differs from it as Critical differs from Profile.
 func (ws *Workspace) CriticalKinetic(pts []geom.Point, dim int, moved []int32) float64 {
 	if !ws.kin.armed || dim == 1 {
 		return ws.Critical(pts, dim)
 	}
-	return ws.bottleneck(ws.kineticTree(pts, dim, moved))
+	if edges, dense := ws.kineticTree(pts, dim, moved); !dense {
+		return bottleneck(edges)
+	}
+	return ws.denseCritical(pts)
 }
 
 // kineticTree is the armed 2-D/3-D tree step of ProfileKinetic and
 // CriticalKinetic, returning what mst returns: the repaired tree when the
 // cache is warm and the step clean enough, otherwise the plain path's tree,
-// priming the cache from it.
+// priming the cache from it, or dense set for the caller's dense Prim.
 func (ws *Workspace) kineticTree(pts []geom.Point, dim int, moved []int32) ([]Edge, bool) {
 	k := &ws.kin
 	n := len(pts)

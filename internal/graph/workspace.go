@@ -140,14 +140,19 @@ func (ws *Workspace) Profile(pts []geom.Point, dim int) *Profile {
 
 // Critical returns Profile(pts, dim).Critical(), bit for bit, without
 // building the profile: the largest edge weight of the tree Profile would
-// replay, which is the critical radius. It shares Profile's tree code,
-// panics and WorkspaceStats counters; only the sort and the replay are
-// skipped. Callers that need nothing but the critical radius use it.
+// replay, which is the critical radius. It shares Profile's preamble,
+// panics, annulus rounds and WorkspaceStats counters; below the dense
+// cutoff it runs denseCritical, a Prim that finds only the largest weight,
+// and above it only the sort and the replay are skipped. Callers that need
+// nothing but the critical radius use it.
 func (ws *Workspace) Critical(pts []geom.Point, dim int) float64 {
 	if dim == 1 {
 		return ws.criticalGap(pts)
 	}
-	return ws.bottleneck(ws.mst(pts, dim))
+	if edges, dense := ws.mst(pts, dim); !dense {
+		return bottleneck(edges)
+	}
+	return ws.denseCritical(pts)
 }
 
 // sortedGaps returns the 1-D MST of pts into ws.edges: the path through the
@@ -173,7 +178,7 @@ func (ws *Workspace) sortedGaps(pts []geom.Point) []Edge {
 // not a function of the gaps' values, so the profile decides.
 func (ws *Workspace) criticalGap(pts []geom.Point) float64 {
 	edges := ws.sortedGaps(pts)
-	if crit := ws.bottleneck(edges, false); crit > 0 {
+	if crit := bottleneck(edges); crit > 0 {
 		return crit
 	}
 	return ws.replayProfile(len(pts), edges).Critical()

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io/fs"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"adhocnet"
 	"adhocnet/internal/core"
@@ -172,6 +174,50 @@ func TestClusteredScenariosBackendInvariant(t *testing.T) {
 					t.Errorf("%s: fixed-range result depends on backend/workers (%s, %d)",
 						file, backend, workers)
 				}
+			}
+		}
+	}
+}
+
+// TestOverflowingRegionReturns runs decoded specs whose region is so large
+// that the nodes' squared distances overflow to +Inf, with n on both sides
+// of the dense MST cutoff: time targets take the critical-range-only
+// snapshot path, component targets the profile path. Each estimate must
+// return a finite range, and full connectivity one whose square overflows.
+func TestOverflowingRegionReturns(t *testing.T) {
+	for _, nodes := range []int{4, 300} {
+		for _, targets := range []string{`"time": [1, 0]`, `"component": [0.5]`} {
+			spec := fmt.Sprintf(`{
+  "name": "overflow", "region": {"l": 1e160, "dim": 2}, "nodes": %d,
+  "mobility": {"kind": "stationary"},
+  "run": {"iterations": 1, "steps": 1, "workers": 1},
+  "targets": {%s}
+}`, nodes, targets)
+			what := fmt.Sprintf("%d nodes, %s", nodes, targets)
+			sc, err := Default().Parse([]byte(spec))
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			done := make(chan error, 1)
+			var est core.RangeEstimates
+			go func() {
+				var err error
+				est, err = core.EstimateRanges(context.Background(), sc.Network, sc.Config, sc.Targets)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				for _, e := range append(est.Time, est.Component...) {
+					r := e.PerIteration[0]
+					if !(r > 0) || math.IsInf(r, 0) || (e.Target == 1 && !math.IsInf(r*r, 1)) {
+						t.Errorf("%s: target %v estimated at %v", what, e.Target, r)
+					}
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: EstimateRanges did not return within 10s", what)
 			}
 		}
 	}

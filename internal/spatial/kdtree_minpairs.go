@@ -59,6 +59,11 @@ type kdBest struct {
 	i, j int32
 }
 
+// noPair is the sentinel a label pair's best starts from. Point indices
+// are below MaxInt32, so every real pair comes first in the strict order,
+// one whose squared distance overflows to +Inf included.
+var noPair = kdBest{d2: math.Inf(1), i: math.MaxInt32, j: math.MaxInt32}
+
 // bestLess is the strict (d2, i, j) candidate order of the MST's Kruskal
 // replay; MinPairsByLabel minimizes in this order so ties in distance
 // resolve identically to the full enumeration.
@@ -144,7 +149,7 @@ func (t *KDTree) MinPairsByLabel(labels, frag []int32, lo2, r float64, visit Pai
 	s.lastKey = 0
 	t.minSelf(t.root)
 	for _, b := range s.best {
-		if b.i >= 0 { // skip pruning probes that never saw a qualifying pair
+		if b != noPair { // skip pruning probes that never saw a qualifying pair
 			emitOrdered(int(b.i), int(b.j), b.d2, visit)
 		}
 	}
@@ -182,8 +187,8 @@ func (t *KDTree) annotate(vals, out []int32) []int32 {
 	return out
 }
 
-// bestFor returns the table entry of the label pair (la, lb), inserting a
-// +Inf sentinel on first sight. The table doubles at 3/4 load; steady state
+// bestFor returns the table entry of the label pair (la, lb), inserting
+// noPair on first sight. The table doubles at 3/4 load; steady state
 // reuses the grown storage.
 func (s *minPairsScratch) bestFor(la, lb int32) *kdBest {
 	key := pairKey(la, lb)
@@ -198,7 +203,7 @@ func (s *minPairsScratch) bestFor(la, lb int32) *kdBest {
 		}
 		s.keys[h] = key
 		s.vals[h] = int32(len(s.best))
-		s.best = append(s.best, kdBest{d2: math.Inf(1), i: -1, j: -1})
+		s.best = append(s.best, noPair)
 	}
 	s.lastKey, s.lastIdx = key, s.vals[h]
 	return &s.best[s.lastIdx]
@@ -375,13 +380,13 @@ func (t *KDTree) pointsVsPure(m, p, l int32) {
 		if li == l {
 			continue
 		}
-		bst := kdBest{d2: math.Inf(1), i: -1, j: -1}
+		bst := noPair
 		if k := s.lookup(li, l); k >= 0 {
 			bst = s.best[k]
 		}
 		pi := t.pts[i]
 		t.minPoint(i, pi, s.frag[i], p, pointBoxMinDist2(pi, np), &bst)
-		if bst.i >= 0 {
+		if bst != noPair {
 			*s.bestFor(li, l) = bst
 		}
 	}
