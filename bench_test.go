@@ -8,6 +8,7 @@ package adhocnet_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -213,6 +214,48 @@ func BenchmarkSnapshotClustered(b *testing.B) {
 	for _, backend := range []spatial.Backend{spatial.BackendAuto, spatial.BackendGrid, spatial.BackendKDTree} {
 		b.Run("clustered/"+backend.String(), func(b *testing.B) { run(b, clustered, backend) })
 		b.Run("uniform/"+backend.String(), func(b *testing.B) { run(b, uniform, backend) })
+	}
+}
+
+// BenchmarkPointGraphBackends sizes the fixed-radius point graph (the
+// per-snapshot build of the structure metrics) on each spatial backend:
+// uniform, Gaussian hotspots (4, sigma 0.1 side) and two clusterings (8
+// islands of radius 0.05 side and 0.01 side) at the paper's n=128 density,
+// with the range at 0.25, 1 and 2 times the mean spacing side/sqrt(n). It
+// shows whether auto's pick, sized for the MST's starting radius, also
+// suits PointGraph's radius (ROADMAP item 6).
+func BenchmarkPointGraphBackends(b *testing.B) {
+	for _, n := range []int{1024, 4096} {
+		side := 16384 * math.Sqrt(float64(n)/128)
+		reg := geom.MustRegion(side, 2)
+		spacing := side / math.Sqrt(float64(n))
+		for _, pl := range []struct {
+			name string
+			p    mobility.Placement
+		}{
+			{"uniform", mobility.Uniform{}},
+			{"hotspots", mobility.GaussianHotspots{Hotspots: 4, Sigma: 0.1 * side}},
+			{"clusters05", mobility.Clusters{Clusters: 8, Radius: 0.05 * side}},
+			{"clusters01", mobility.Clusters{Clusters: 8, Radius: 0.01 * side}},
+		} {
+			pts := make([]geom.Point, n)
+			pl.p.Fill(xrand.New(1), reg, pts)
+			for _, mult := range []float64{0.25, 1, 2} {
+				for _, backend := range []spatial.Backend{spatial.BackendAuto, spatial.BackendGrid, spatial.BackendKDTree} {
+					name := fmt.Sprintf("n%d/%s/r%gs/%v", n, pl.name, mult, backend)
+					b.Run(name, func(b *testing.B) {
+						ws := graph.NewWorkspace()
+						ws.SetSpatialBackend(backend)
+						ws.PointGraph(pts, 2, mult*spacing) // warm the workspace buffers
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							ws.PointGraph(pts, 2, mult*spacing)
+						}
+					})
+				}
+			}
+		}
 	}
 }
 

@@ -77,7 +77,6 @@ func TestHotPathMarksPresent(t *testing.T) {
 		"spatial.minSelf",
 		"spatial.minCross",
 		"spatial.minCrossPair",
-		"spatial.minCrossPure",
 		"spatial.pointsVsPure",
 		"spatial.minPoint",
 		"spatial.pointBoxMinDist2",
@@ -112,6 +111,8 @@ func TestHotPathMarksPresent(t *testing.T) {
 // "pkg.Func", "pkg.Type.Method", or "pkg" for a whole package.
 var exportAllowlist = map[string]string{
 	"graph.PrimMST":                        "reference MST the GeoMST tests and fuzzers compare against",
+	"graph.NewProfile":                     "reference profile from GeoMST's annulus rounds at every n, which the dense Profile path is checked against",
+	"graph.NewProfile1D":                   "reference 1-D profile the sorted-gaps path and the 1-D estimates are checked against",
 	"core.DirectFixedRange":                "reference the fixed-range evaluator tests compare against",
 	"core.EvaluateFixedRange":              "single-radius twin of DirectFixedRange, the reference for EvaluateFixedRanges",
 	"graph.Adjacency.BFSDistances":         "reference BFS the bit-parallel hop statistics are checked against",

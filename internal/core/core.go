@@ -25,7 +25,6 @@ import (
 	"runtime"
 
 	"adhocnet/internal/geom"
-	"adhocnet/internal/graph"
 	"adhocnet/internal/mobility"
 	"adhocnet/internal/obs"
 	"adhocnet/internal/spatial"
@@ -149,20 +148,4 @@ func (c RunConfig) workers() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// snapshotProfile computes the connectivity profile of a placement, using
-// the O(n log n) sorted-gaps algorithm in one dimension and the Euclidean
-// MST otherwise. It allocates a fresh profile per call; the simulation loops
-// use the workspace path instead (graph.Workspace.Profile), which reuses all
-// scratch storage across snapshots.
-func snapshotProfile(pts []geom.Point, dim int) *graph.Profile {
-	if dim == 1 {
-		xs := make([]float64, len(pts))
-		for i, p := range pts {
-			xs[i] = p.X
-		}
-		return graph.NewProfile1D(xs)
-	}
-	return graph.NewProfile(pts)
 }

@@ -10,6 +10,7 @@ import (
 	"math"
 	"testing"
 
+	"adhocnet/internal/graph"
 	"adhocnet/internal/xrand"
 )
 
@@ -93,7 +94,7 @@ func TestProfileComponentTargetMatchesDirectEvaluation(t *testing.T) {
 		if step > 0 {
 			state.Step()
 		}
-		p := snapshotProfile(state.Positions(), net.Region.Dim)
+		p := graph.NewProfile(state.Positions())
 		sum += float64(p.LargestAt(r))
 	}
 	avg := sum / float64(cfg.Steps)
@@ -111,7 +112,7 @@ func TestProfileComponentTargetMatchesDirectEvaluation(t *testing.T) {
 		if step > 0 {
 			state.Step()
 		}
-		p := snapshotProfile(state.Positions(), net.Region.Dim)
+		p := graph.NewProfile(state.Positions())
 		sum += float64(p.LargestAt(below))
 	}
 	if sum/float64(cfg.Steps) >= 0.5*float64(net.Nodes) {

@@ -1,9 +1,10 @@
 package core
 
-// Cross-validation of the grid-accelerated snapshot pipeline against the
-// dense O(n^2) Prim reference: with a fixed seed, every estimate must be
+// Cross-validation of the workspace snapshot pipeline against the
+// allocating reference profiles: with a fixed seed, every estimate must be
 // bit-identical to what a trajectory evaluated through graph.NewProfile
-// (dense PrimMST) produces, and independent of the worker count.
+// (GeoMST's annulus rounds at every n, where the pipeline runs a dense Prim
+// below the dense cutoff) produces, and independent of the worker count.
 
 import (
 	"context"
@@ -17,8 +18,9 @@ import (
 )
 
 // denseEstimateReference recomputes EstimateRanges' per-iteration values
-// using the allocating dense-Prim profile path (snapshotProfile), mirroring
-// runIterations's seed derivation exactly.
+// using the allocating reference profiles (graph.NewProfile1D in one
+// dimension, graph.NewProfile, the annulus rounds at every n, otherwise),
+// mirroring runIterations's seed derivation exactly.
 func denseEstimateReference(t *testing.T, net Network, cfg RunConfig, targets RangeTargets) (timeVals, compVals [][]float64) {
 	t.Helper()
 	timeVals = make([][]float64, len(targets.TimeFractions))
@@ -40,7 +42,16 @@ func denseEstimateReference(t *testing.T, net Network, cfg RunConfig, targets Ra
 			if step > 0 {
 				state.Step()
 			}
-			p := snapshotProfile(state.Positions(), net.Region.Dim)
+			var p *graph.Profile
+			if pts := state.Positions(); net.Region.Dim == 1 {
+				xs := make([]float64, len(pts))
+				for i, q := range pts {
+					xs[i] = q.X
+				}
+				p = graph.NewProfile1D(xs)
+			} else {
+				p = graph.NewProfile(pts)
+			}
 			profiles = append(profiles, p)
 			criticals = append(criticals, p.Critical())
 		}
@@ -108,7 +119,7 @@ func TestStationaryCriticalSampleUnchangedFromDensePrim(t *testing.T) {
 	want := make([]float64, 40)
 	for iter := range want {
 		pts := reg.UniformPoints(seedForIteration(cfg, iter), 128)
-		want[iter] = snapshotProfile(pts, reg.Dim).Critical()
+		want[iter] = graph.NewProfile(pts).Critical()
 	}
 	sort.Float64s(want)
 	for i := range want {

@@ -53,6 +53,12 @@ func Dist2(p, q Point) float64 {
 // outside this package so the order cannot silently fork.
 func SumSq(dx, dy, dz float64) float64 { return dx*dx + dy*dy + dz*dz }
 
+// SumSq2 is SumSq(dx, dy, 0) without the add of a zero Z term, which the
+// compiler cannot drop for floats: the same two squares summed in the same
+// order, bit for bit (a sum of squares is never -0, so adding +0 changes
+// nothing). Kernels over flat placements use it.
+func SumSq2(dx, dy float64) float64 { return dx*dx + dy*dy }
+
 // Lerp returns the point a fraction t of the way from p to q. t outside [0,1]
 // extrapolates.
 func Lerp(p, q Point, t float64) Point {

@@ -47,6 +47,36 @@ func TestDist(t *testing.T) {
 	}
 }
 
+// TestSumSq2MatchesSumSq checks SumSq2(a, b) against SumSq(a, b, 0), and
+// against SumSq with a Z difference of ±0 known only at run time (what a
+// flat placement's Dist2 adds), bit for bit: signed zeros, subnormals,
+// squares that underflow or overflow to +Inf, and random magnitudes.
+func TestSumSq2MatchesSumSq(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, -3.75,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64,
+		0x1p-1022, 1e-160, 1e154, -1.4e154, 1e200, math.MaxFloat64, -math.MaxFloat64,
+	}
+	rng := xrand.New(5)
+	for range 200 {
+		vals = append(vals, math.Ldexp(rng.Range(-1, 1), rng.Intn(2100)-1074))
+	}
+	zs := []float64{0, math.Copysign(0, -1)}
+	for _, a := range vals {
+		for _, b := range vals {
+			got := math.Float64bits(SumSq2(a, b))
+			if want := math.Float64bits(SumSq(a, b, 0)); got != want {
+				t.Fatalf("SumSq2(%v, %v) = %v, SumSq(a, b, 0) = %v", a, b, SumSq2(a, b), SumSq(a, b, 0))
+			}
+			for _, z := range zs {
+				if want := math.Float64bits(SumSq(a, b, z)); got != want {
+					t.Fatalf("SumSq2(%v, %v) = %v, SumSq(a, b, %v) = %v", a, b, SumSq2(a, b), z, SumSq(a, b, z))
+				}
+			}
+		}
+	}
+}
+
 func TestDistSymmetryProperty(t *testing.T) {
 	f := func(ax, ay, bx, by float64) bool {
 		// Constrain magnitudes to keep the arithmetic exact enough.

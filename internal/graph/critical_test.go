@@ -12,8 +12,7 @@ import (
 // criticalPlacements are the placements of TestCriticalMatchesProfile, n
 // points in [0, 1000)^dim each: uniform, eight islands, groups of three
 // coincident points, every point stacked on one spot (the coincident star),
-// a line with uneven gaps, and an integer lattice whose distance ties make
-// the dense Prim's fast pass give up for primExact.
+// a line with uneven gaps, and an integer lattice full of distance ties.
 func criticalPlacements(rng *xrand.Rand, n, dim int) map[string][]geom.Point {
 	reg := geom.MustRegion(1000, dim)
 	at := func(c ...float64) geom.Point {
@@ -151,19 +150,6 @@ func TestCriticalGapDefersToProfile(t *testing.T) {
 	}
 }
 
-// TestCriticalLatticeDefeatsFastPrim checks that TestCriticalMatchesProfile's
-// lattice reaches primExact: the fast pass must meet a tie on it.
-func TestCriticalLatticeDefeatsFastPrim(t *testing.T) {
-	for _, dim := range []int{2, 3} {
-		pts := criticalPlacements(xrand.New(1), denseCutoff(dim), dim)["lattice"]
-		var s primSlabs
-		s.fill(pts)
-		if _, ok := s.prim3(pts[0], nil); ok {
-			t.Fatalf("dim %d: the lattice has no squared-distance tie for the fast pass", dim)
-		}
-	}
-}
-
 // TestCriticalNonFinitePanics checks that Critical and CriticalKinetic keep
 // GeoMST's non-finite contract on both sides of the dense cutoff: cold, and
 // (above the cutoff) from a warm tree cache whose moved point turns bad.
@@ -225,11 +211,11 @@ func denseCriticalPlacements(rng *xrand.Rand, n, dim int) map[string][]geom.Poin
 	return out
 }
 
-// TestDenseCriticalMatchesStrictKruskal checks the critical-only dense Prim
-// (denseCritical) on ties and degenerate placements, at n = 2, 3 and up to
-// the dense cutoff: Critical must return the bits of strict Kruskal's
-// largest edge, however the kernel breaks its ties (checkStrictSequence,
-// which also checks the dense Prim's edge sequence).
+// TestDenseCriticalMatchesStrictKruskal checks both dense Prims on ties and
+// degenerate placements, at n = 2, 3 and up to the dense cutoff
+// (checkStrictSequence): Critical (denseCritical) must return the bits of
+// strict Kruskal's largest edge and Profile (densePrim) its profile's
+// observables, however the kernels break their ties.
 func TestDenseCriticalMatchesStrictKruskal(t *testing.T) {
 	rng := xrand.New(29)
 	for _, dim := range []int{2, 3} {

@@ -201,15 +201,21 @@ func strictKruskal(pts []geom.Point) []Edge {
 }
 
 // checkStrictSequence asserts that ws.GeoMST returns exactly the strict
-// Kruskal edge sequence, element by element, under each forced backend, and
-// that ws.Critical returns its largest edge weight. In 1-D Critical is the
-// largest sorted gap, not a threshold radius, so it is checked from 2-D up.
+// Kruskal edge sequence, element by element, under each forced backend, at
+// every n; that ws.Critical returns its largest edge weight; and that
+// ws.Profile, whose dense Prim breaks ties its own way, has its profile's
+// observables (profilesIdentical). In 1-D Critical and Profile read sorted
+// gaps, not threshold radii, so they are checked from 2-D up.
 func checkStrictSequence(t *testing.T, ws *Workspace, pts []geom.Point, dim int) {
 	t.Helper()
 	want := strictKruskal(pts)
 	crit := 0.0
 	for _, e := range want {
 		crit = max(crit, e.D)
+	}
+	var wantProf *Profile
+	if dim > 1 {
+		wantProf = profileFromMST(len(pts), want)
 	}
 	for _, b := range []spatial.Backend{spatial.BackendGrid, spatial.BackendKDTree} {
 		ws.SetSpatialBackend(b)
@@ -222,9 +228,13 @@ func checkStrictSequence(t *testing.T, ws *Workspace, pts []geom.Point, dim int)
 				t.Fatalf("%v, n=%d dim=%d: edge %d is %+v, strict Kruskal has %+v", b, len(pts), dim, k, got[k], want[k])
 			}
 		}
-		if c := ws.Critical(pts, dim); dim > 1 && math.Float64bits(c) != math.Float64bits(crit) {
+		if dim == 1 {
+			continue
+		}
+		if c := ws.Critical(pts, dim); math.Float64bits(c) != math.Float64bits(crit) {
 			t.Fatalf("%v, n=%d dim=%d: Critical %v, strict Kruskal's largest edge %v", b, len(pts), dim, c, crit)
 		}
+		profilesIdentical(t, wantProf, ws.Profile(pts, dim))
 	}
 }
 
@@ -285,13 +295,13 @@ func strictSeedPlacements() []strictSeed {
 // FuzzGeoMSTMatchesStrictKruskal checks GeoMST's edge list — not only its
 // weight multiset, as FuzzGeoMSTMatchesDensePrim does — against the strict
 // (d2, i, j) Kruskal over all pairs, element by element, with the grid and
-// the k-d tree each forced. That exact sequence is what the kinetic cache
-// replays, so the dense Prim's tie breaking, the outsider rounds and the
-// filter-Kruskal replay must all keep it; Critical must return its largest
-// edge weight, which below the dense cutoff comes from the critical-only
-// dense Prim. The seeds come in two sizes: as built, above the dense
-// cutoff, and cut down to it, so the ties of each seed reach both dense
-// kernels and the annulus rounds.
+// the k-d tree each forced (checkStrictSequence). That exact sequence is
+// what the kinetic cache replays and rangeassign reads, so the outsider
+// rounds and the filter-Kruskal replay must keep it at every n. Below the
+// dense cutoff Critical's largest edge and Profile's observables come from
+// the two dense Prims, so the same check covers both kernels. The seeds
+// come in two sizes: as built, above the dense cutoff, and cut down to it,
+// so the ties of each seed reach both dense kernels and the annulus rounds.
 func FuzzGeoMSTMatchesStrictKruskal(f *testing.F) {
 	for _, s := range strictSeedPlacements() {
 		f.Add(encodeFuzzPoints(s.pts, s.dim))

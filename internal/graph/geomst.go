@@ -11,11 +11,11 @@ import (
 )
 
 // The dense cutoffs are the largest point counts, per dimension, at which
-// GeoMST runs the dense Prim (densePrim) instead of the annulus rounds: up to
-// there its ~n^2/2 slab pair visits cost less than the grid builds, pair
-// scans and candidate sorts they replace. Measured with the
-// BenchmarkSnapshotProfileN* rows in bench_test.go; DESIGN.md "Fallback
-// threshold" has the curve.
+// Profile and Critical run a dense Prim (densePrim, denseCritical) instead
+// of the annulus rounds: up to there its ~n^2/2 slab pair visits cost less
+// than the grid builds, pair scans and candidate sorts they replace.
+// Measured with the BenchmarkSnapshotProfileN* rows in bench_test.go;
+// DESIGN.md "Fallback threshold" has the curve.
 const (
 	geoMSTDenseCutoff2D = 192
 	geoMSTDenseCutoff3D = 240
@@ -220,18 +220,19 @@ func (ws *Workspace) outsiderPairs(r float64) {
 	}
 }
 
-// GeoMST computes the Euclidean minimum spanning tree of the points. Up to
-// the dense cutoff for dim (denseCutoff) it runs a dense Prim over
-// coordinate slabs; above it, a grid- or k-d-tree-accelerated filtered
-// Kruskal, near-linear in practice for the uniform and mobility-evolved
+// GeoMST computes the Euclidean minimum spanning tree of the points by a
+// grid- or k-d-tree-accelerated filtered Kruskal over doubling annuli
+// (mstRounds), near-linear in practice for the uniform and mobility-evolved
 // placements the simulator produces. Edge weights are threshold radii
 // exactly as in PrimMST.
 //
-// Both paths return the same tree in the same order: the strict-(d2, i, j)
-// Kruskal edge sequence over all pairs, which is unique even when distances
-// tie (cross-validated in the tests). The annulus rounds (mstRounds) start
-// at the mean point spacing (the nearest-neighbor scale) and double the
-// radius until the tree completes.
+// The tree comes in the strict-(d2, i, j) Kruskal edge sequence over all
+// pairs, which is unique even when distances tie (cross-validated in the
+// tests), at every n: it is the only MST output whose edge identities leave
+// this package. Profile and Critical, which read only the tree's weights and
+// its components at each radius, run a dense Prim below the dense cutoff
+// instead. The annulus rounds start at the mean point spacing (the
+// nearest-neighbor scale) and double the radius until the tree completes.
 //
 // GeoMST panics when a point coordinate is NaN or infinite (the bounding
 // extent is then not finite), since no radius can connect such a point.
@@ -249,13 +250,15 @@ func (ws *Workspace) GeoMST(pts []geom.Point, dim int) []Edge {
 	if edges, dense := ws.mst(pts, dim); !dense {
 		return edges
 	}
-	return ws.densePrim(pts)
+	extent, dims := spatial.BoundingExtent(pts)
+	return ws.annulusMST(pts, dim, extent, dims)
 }
 
-// mst is GeoMST short of the dense kernels: it returns the tree's edges in
-// strict order or, with dense set, nothing, leaving pts to one of the dense
-// Prims below the cutoff — densePrim for the tree, denseCritical for its
-// largest weight alone.
+// mst is the MST preamble shared by every 2-D/3-D path: it returns the
+// tree's edges in strict order or, with dense set, nothing, leaving pts (n
+// >= 2 finite points, not all coincident, n at most the dense cutoff) to
+// the caller — densePrim for the profile's tree, denseCritical for its
+// largest weight alone, annulusMST for GeoMST's edge sequence.
 func (ws *Workspace) mst(pts []geom.Point, dim int) (edges []Edge, dense bool) {
 	n := len(pts)
 	ws.edges = ws.edges[:0]
@@ -277,10 +280,17 @@ func (ws *Workspace) mst(pts []geom.Point, dim int) (edges []Edge, dense bool) {
 	if n <= denseCutoff(dim) {
 		return nil, true
 	}
+	return ws.annulusMST(pts, dim, extent, dims), false
+}
+
+// annulusMST is mst past its preamble: the strict-order tree of pts (n >= 2
+// finite points whose bounding extent, positive, spans dims axes) by the
+// annulus rounds on the backend the workspace resolves.
+func (ws *Workspace) annulusMST(pts []geom.Point, dim int, extent float64, dims int) []Edge {
 	// The mean nearest-neighbor scale of the placement: most points see
 	// their closest neighbor within a small multiple of it, so the first
 	// annuli already resolve the bulk of the tree.
-	r := extent / math.Pow(float64(n), 1/float64(dims))
+	r := extent / math.Pow(float64(len(pts)), 1/float64(dims))
 
 	// The backend is resolved once per MST at the starting radius. The k-d
 	// tree is radius-free — built once here — and its rounds use
@@ -309,7 +319,7 @@ func (ws *Workspace) mst(pts []geom.Point, dim int) (edges []Edge, dense bool) {
 		// all. The grid keeps the global scale, where its cells are sized.
 		r /= 8
 	}
-	return ws.mstRounds(pts, dim, r, useTree, nil, nil), false
+	return ws.mstRounds(pts, dim, r, useTree, nil, nil)
 }
 
 // bottleneck returns the largest weight of an edge list, the critical radius
@@ -365,39 +375,28 @@ func (s *primSlabs) fill(pts []geom.Point) (flat bool) {
 }
 
 // take swap-removes fringe slot k of a fringe of length m and returns the
-// removed point's strict-order tree edge.
+// removed point's tree edge, from its tree end to itself.
 func (s *primSlabs) take(k, m int) candidate {
-	c := edgeKey(s.best[k], s.from[k], s.id[k])
+	c := candidate{d2: s.best[k], i: s.from[k], j: s.id[k]}
 	m--
 	s.x[k], s.y[k], s.z[k] = s.x[m], s.y[m], s.z[m]
 	s.best[k], s.id[k], s.from[k] = s.best[m], s.id[m], s.from[m]
 	return c
 }
 
-// edgeKey is the strict-order candidate of the pair (a, b) at squared
-// distance d2: the smaller index first, as the pair scans emit it.
-func edgeKey(d2 float64, a, b int32) candidate {
-	return candidate{d2: d2, i: min(a, b), j: max(a, b)}
-}
-
-// densePrim returns the strict-(d2, i, j)-order MST of pts (n >= 2 finite
-// points) in ws.edges, in that order, by a dense Prim over ws.prim. Prim in
-// the strict total order finds the unique strict-order MST; sorting its
-// edges by candLess gives the annulus rounds' edge sequence. A first pass
-// compares squared distances only and gives up at the first tie, which the
-// index keys would have to break; ties are rare, and primExact then redoes
-// the tree in the full order.
+// densePrim returns an MST of pts (n >= 2 finite points) in ws.edges, sorted
+// by candLess, by a dense Prim over ws.prim. Its ties are broken however the
+// kernels' slot order falls, so the tree need not be GeoMST's; Profile and
+// ProfileKinetic, its callers, read only what every MST of pts shares: the
+// sorted weight multiset (the merge radii) and the components at every
+// radius, which the profile's queries see only at the ends of tied runs.
+// The sort hands replayProfile a sequence already in weight order.
 func (ws *Workspace) densePrim(pts []geom.Point) []Edge {
 	s := &ws.prim
-	var ok bool
 	if s.fill(pts) {
-		ws.cand, ok = s.prim2(pts[0], ws.cand[:0])
+		ws.cand = s.prim2(pts[0], ws.cand[:0])
 	} else {
-		ws.cand, ok = s.prim3(pts[0], ws.cand[:0])
-	}
-	if !ok {
-		s.fill(pts)
-		ws.cand = s.primExact(pts[0], ws.cand[:0])
+		ws.cand = s.prim3(pts[0], ws.cand[:0])
 	}
 	sortCandidates(ws.cand)
 	for _, c := range ws.cand {
@@ -406,47 +405,40 @@ func (ws *Workspace) densePrim(pts []geom.Point) []Edge {
 	return ws.edges
 }
 
-// prim2 is densePrim's fast pass over a flat placement, growing the tree
-// from root: each round relaxes the fringe through the point picked last
-// and picks the fringe point nearest the tree. It appends the tree edges to
-// out and reports false, abandoning the tree, at the first squared-distance
-// tie. Without a tie every comparison it makes agrees with the strict
-// order. The squared distances go through geom.SumSq, bitwise the pair
-// scans' geom.Dist2 values on every GOARCH (a Z difference of 0 adds +0).
+// prim2 is densePrim's Prim over a flat placement, growing the tree from
+// root: each round relaxes the fringe through the point picked last and
+// picks the fringe point nearest the tree, both by strict <, and it appends
+// the tree edges to out. The squared distances go through geom.SumSq2,
+// bitwise the pair scans' geom.Dist2 values on every GOARCH (a Z difference
+// of 0 adds +0, which changes no sum of squares).
 //
 //adhoc:hotpath
-func (s *primSlabs) prim2(root geom.Point, out []candidate) ([]candidate, bool) {
+func (s *primSlabs) prim2(root geom.Point, out []candidate) []candidate {
 	ux, uy, u := root.X, root.Y, int32(0)
 	for m := len(s.x); m > 0; m-- {
 		xs, ys, best, from := s.x[:m], s.y[:m], s.best[:m], s.from[:m]
 		next, nd := 0, math.Inf(1)
 		for k := range xs {
-			d2 := geom.SumSq(ux-xs[k], uy-ys[k], 0)
+			d2 := geom.SumSq2(ux-xs[k], uy-ys[k])
 			b := best[k]
-			if d2 <= b {
-				if d2 == b {
-					return out, false
-				}
+			if d2 < b {
 				b = d2
 				best[k], from[k] = d2, u
 			}
-			if b <= nd {
-				if b == nd {
-					return out, false
-				}
+			if b < nd {
 				nd, next = b, k
 			}
 		}
 		ux, uy, u = xs[next], ys[next], s.id[next]
 		out = append(out, s.take(next, m))
 	}
-	return out, true
+	return out
 }
 
 // prim3 is prim2 for placements that are not flat.
 //
 //adhoc:hotpath
-func (s *primSlabs) prim3(root geom.Point, out []candidate) ([]candidate, bool) {
+func (s *primSlabs) prim3(root geom.Point, out []candidate) []candidate {
 	ux, uy, uz, u := root.X, root.Y, root.Z, int32(0)
 	for m := len(s.x); m > 0; m-- {
 		xs, ys, zs, best, from := s.x[:m], s.y[:m], s.z[:m], s.best[:m], s.from[:m]
@@ -454,46 +446,15 @@ func (s *primSlabs) prim3(root geom.Point, out []candidate) ([]candidate, bool) 
 		for k := range xs {
 			d2 := geom.SumSq(ux-xs[k], uy-ys[k], uz-zs[k])
 			b := best[k]
-			if d2 <= b {
-				if d2 == b {
-					return out, false
-				}
+			if d2 < b {
 				b = d2
 				best[k], from[k] = d2, u
 			}
-			if b <= nd {
-				if b == nd {
-					return out, false
-				}
+			if b < nd {
 				nd, next = b, k
 			}
 		}
 		ux, uy, uz, u = xs[next], ys[next], zs[next], s.id[next]
-		out = append(out, s.take(next, m))
-	}
-	return out, true
-}
-
-// primExact is densePrim's tie-proof pass: Prim with every relaxation and
-// every pick compared in the strict (d2, i, j) order. Over a flat placement
-// each Z difference is exactly 0, so its squared distances equal prim2's.
-func (s *primSlabs) primExact(root geom.Point, out []candidate) []candidate {
-	ux, uy, uz, u := root.X, root.Y, root.Z, int32(0)
-	for m := len(s.x); m > 0; m-- {
-		next, nc := -1, candidate{}
-		for k := 0; k < m; k++ {
-			d2 := geom.SumSq(ux-s.x[k], uy-s.y[k], uz-s.z[k])
-			c, cur := edgeKey(d2, u, s.id[k]), edgeKey(s.best[k], s.from[k], s.id[k])
-			if candLess(c, cur) {
-				s.best[k], s.from[k] = d2, u
-			} else {
-				c = cur
-			}
-			if next < 0 || candLess(c, nc) {
-				next, nc = k, c
-			}
-		}
-		ux, uy, uz, u = s.x[next], s.y[next], s.z[next], s.id[next]
 		out = append(out, s.take(next, m))
 	}
 	return out
@@ -503,9 +464,9 @@ func (s *primSlabs) primExact(root geom.Point, out []candidate) []candidate {
 // not all coincident): the largest weight of the tree densePrim would
 // return, bit for bit. Every MST has the same multiset of edge weights, so
 // a Prim that breaks ties any way it likes finds the same largest squared
-// distance; critical2 and critical3 therefore keep no parent and make no
-// tie check, and never need primExact. thresholdRadius is monotone, so
-// converting that one squared distance gives densePrim's largest weight.
+// distance; critical2 and critical3 therefore keep no parent.
+// thresholdRadius is monotone, so converting that one squared distance
+// gives densePrim's largest weight.
 func (ws *Workspace) denseCritical(pts []geom.Point) float64 {
 	s := &ws.prim
 	flat := s.load(pts)
@@ -542,8 +503,8 @@ func (s *primSlabs) critical2(root geom.Point) uint64 {
 		i0, i1 := 0, 0
 		k := 0
 		for ; k+1 < m; k += 2 {
-			a := min(keys[k], math.Float64bits(geom.SumSq(ux-xs[k], uy-ys[k], 0)))
-			b := min(keys[k+1], math.Float64bits(geom.SumSq(ux-xs[k+1], uy-ys[k+1], 0)))
+			a := min(keys[k], math.Float64bits(geom.SumSq2(ux-xs[k], uy-ys[k])))
+			b := min(keys[k+1], math.Float64bits(geom.SumSq2(ux-xs[k+1], uy-ys[k+1])))
 			keys[k], keys[k+1] = a, b
 			if a < k0 {
 				k0, i0 = a, k
@@ -553,7 +514,7 @@ func (s *primSlabs) critical2(root geom.Point) uint64 {
 			}
 		}
 		if k < m {
-			a := min(keys[k], math.Float64bits(geom.SumSq(ux-xs[k], uy-ys[k], 0)))
+			a := min(keys[k], math.Float64bits(geom.SumSq2(ux-xs[k], uy-ys[k])))
 			keys[k] = a
 			if a < k0 {
 				k0, i0 = a, k

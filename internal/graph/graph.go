@@ -153,8 +153,8 @@ func AdjacencyFromEdges(n int, edges []Edge) *Adjacency {
 // transmitting range r: edges between all pairs at distance <= r.
 func BuildPointGraph(pts []geom.Point, dim int, r float64) *Adjacency {
 	var edges []Edge
-	spatial.PairsWithin(pts, dim, r, func(i, j int, d2 float64) {
-		edges = append(edges, Edge{I: int32(i), J: int32(j), D: math.Sqrt(d2)})
+	spatial.PairsWithin(pts, dim, r, func(i, j int, _ float64) {
+		edges = append(edges, Edge{I: int32(i), J: int32(j)})
 	})
 	return AdjacencyFromEdges(len(pts), edges)
 }
@@ -285,8 +285,8 @@ func thresholdRadius(d2 float64) float64 {
 // for n < 2). Edge weights are threshold radii (see thresholdRadius):
 // within one ulp of the Euclidean length, chosen so that the point graph at
 // r contains the edge exactly when r >= the stored weight. It allocates per
-// call and is the independent reference GeoMST is checked against; GeoMST
-// runs its own dense Prim (densePrim) below the dense cutoff.
+// call and is the independent reference GeoMST is checked against;
+// Profile runs its own dense Prim (densePrim) below the dense cutoff.
 func PrimMST(pts []geom.Point) []Edge {
 	n := len(pts)
 	if n < 2 {
@@ -355,10 +355,11 @@ type Profile struct {
 }
 
 // NewProfile computes the connectivity profile of the points (any
-// dimension) via the grid-accelerated MST — near-linear in practice, with a
-// dense-Prim fallback for tiny inputs. Each call allocates a fresh profile
-// and scratch; simulation loops use graph.Workspace.Profile instead, which
-// reuses all storage across snapshots.
+// dimension) from GeoMST's tree, the annulus rounds at every n. Each call
+// allocates a fresh profile and scratch; simulation loops use
+// graph.Workspace.Profile instead, which reuses all storage across
+// snapshots and runs a dense Prim below the dense cutoff, so NewProfile is
+// the independent reference that path is checked against.
 func NewProfile(pts []geom.Point) *Profile {
 	ws := AcquireWorkspace()
 	p := ws.replayProfile(len(pts), ws.GeoMST(pts, 3)).Clone()

@@ -140,7 +140,7 @@ func (ws *Workspace) kineticTree(pts []geom.Point, dim int, moved []int32) ([]Ed
 		}
 	}
 	ws.stats.MSTRebuilds++
-	// Plain path; prime the tree cache only where GeoMST runs its annulus
+	// Plain path; prime the tree cache only where mst runs its annulus
 	// Kruskal (n above the dense cutoff, non-degenerate extent): at or below
 	// the cutoff the dense Prim rebuilds for less than a repair costs, so
 	// nothing is cached there and no k-d tree is built.

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"slices"
 	"sync"
 
@@ -128,14 +127,19 @@ func (ws *Workspace) Points(n int) []geom.Point {
 }
 
 // Profile computes the connectivity profile of the placement, using the
-// O(n log n) sorted-gaps algorithm in one dimension and the grid-accelerated
-// Euclidean MST otherwise. The returned profile is transient (see the type
+// O(n log n) sorted-gaps algorithm in one dimension and the Euclidean MST
+// otherwise: the dense Prim (densePrim) up to the dense cutoff, GeoMST's
+// annulus rounds above it. The returned profile is transient (see the type
 // comment); Clone it to retain it past the next workspace call.
 func (ws *Workspace) Profile(pts []geom.Point, dim int) *Profile {
 	if dim == 1 {
 		return ws.replayProfile(len(pts), ws.sortedGaps(pts))
 	}
-	return ws.replayProfile(len(pts), ws.GeoMST(pts, dim))
+	edges, dense := ws.mst(pts, dim)
+	if dense {
+		edges = ws.densePrim(pts)
+	}
+	return ws.replayProfile(len(pts), edges)
 }
 
 // Critical returns Profile(pts, dim).Critical(), bit for bit, without
@@ -207,8 +211,8 @@ func (ws *Workspace) PointGraph(pts []geom.Point, dim int, r float64) *Adjacency
 	ws.edges = ws.edges[:0]
 	if r >= 0 && len(pts) >= 2 {
 		if ws.edgeVisitor == nil {
-			ws.edgeVisitor = func(i, j int, d2 float64) {
-				ws.edges = append(ws.edges, Edge{I: int32(i), J: int32(j), D: math.Sqrt(d2)})
+			ws.edgeVisitor = func(i, j int, _ float64) {
+				ws.edges = append(ws.edges, Edge{I: int32(i), J: int32(j)})
 			}
 		}
 		switch {

@@ -438,23 +438,16 @@ func (t *KDTree) minPoint(i int32, pi geom.Point, fi, a int32, min2 float64, bst
 // closest-pair order; a subtree pair is dropped once its box bound cannot
 // beat bst (strict >, preserving equal-d2 smaller-(i,j) ties). The box
 // bound bounds every pair, so it stays a valid bound for the crossing
-// subset. Same-frag subtree pairs are dropped outright, and frag-pure pairs
-// with different values go to the unrestricted minCrossPure, since every
-// pair between them crosses. min2 is boxMinDist2(a, b), already computed
-// by the caller's pruning check.
+// subset. Subtree pairs whose points all share one frag value are dropped
+// outright; every other pair is searched with the per-point frag check.
+// min2 is boxMinDist2(a, b), already computed by the caller's pruning
+// check.
 //
 //adhoc:hotpath
 func (t *KDTree) minCrossPair(a, b int32, min2 float64, bst *kdBest) {
 	s := &t.mp
-	fa, fb := s.pureF[a], s.pureF[b]
-	if fa != kdMixed {
-		if fa == fb {
-			return
-		}
-		if fb != kdMixed {
-			t.minCrossPure(a, b, min2, bst)
-			return
-		}
+	if fa := s.pureF[a]; fa != kdMixed && fa == s.pureF[b] {
+		return
 	}
 	if min2 > s.r2 || min2 > bst.d2 {
 		return
@@ -501,58 +494,6 @@ func (t *KDTree) minCrossPair(a, b int32, min2 float64, bst *kdBest) {
 		}
 		t.minCrossPair(a, c1, d1, bst)
 		t.minCrossPair(a, c2, d2, bst)
-	}
-}
-
-// minCrossPure is minCrossPair without the frag restriction, for subtree
-// pairs whose every pair crosses: the same best-first bichromatic descent
-// into bst.
-//
-//adhoc:hotpath
-func (t *KDTree) minCrossPure(a, b int32, min2 float64, bst *kdBest) {
-	s := &t.mp
-	if min2 > s.r2 || min2 > bst.d2 {
-		return
-	}
-	na, nb := &t.nodes[a], &t.nodes[b]
-	if boxMaxDist2(na, nb) <= s.lo2 {
-		return
-	}
-	aLeaf, bLeaf := na.left < 0, nb.left < 0
-	if aLeaf && bLeaf {
-		for x := na.lo; x < na.hi; x++ {
-			i := t.idx[x]
-			pi := t.pts[i]
-			for y := nb.lo; y < nb.hi; y++ {
-				j := t.idx[y]
-				d2 := geom.Dist2(pi, t.pts[j])
-				if d2 > s.r2 || d2 <= s.lo2 {
-					continue
-				}
-				bst.improve(i, j, d2)
-			}
-		}
-		return
-	}
-	var c1, c2 int32
-	if bLeaf || (!aLeaf && na.hi-na.lo >= nb.hi-nb.lo) {
-		c1, c2 = na.left, na.right
-		d1 := boxMinDist2(&t.nodes[c1], nb)
-		d2 := boxMinDist2(&t.nodes[c2], nb)
-		if d2 < d1 {
-			c1, c2, d1, d2 = c2, c1, d2, d1
-		}
-		t.minCrossPure(c1, b, d1, bst)
-		t.minCrossPure(c2, b, d2, bst)
-	} else {
-		c1, c2 = nb.left, nb.right
-		d1 := boxMinDist2(na, &t.nodes[c1])
-		d2 := boxMinDist2(na, &t.nodes[c2])
-		if d2 < d1 {
-			c1, c2, d1, d2 = c2, c1, d2, d1
-		}
-		t.minCrossPure(a, c1, d1, bst)
-		t.minCrossPure(a, c2, d2, bst)
 	}
 }
 
