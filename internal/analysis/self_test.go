@@ -84,7 +84,7 @@ func TestHotPathMarksPresent(t *testing.T) {
 		"spatial.ForEachNear",
 		"geom.Dist2Batch",
 		"graph.sortCandidates",
-		"graph.filterKruskal",
+		"graph.bucketReplay",
 		"graph.outsiderPairs",
 		"graph.prim2",
 		"graph.prim3",

@@ -297,7 +297,7 @@ func strictSeedPlacements() []strictSeed {
 // (d2, i, j) Kruskal over all pairs, element by element, with the grid and
 // the k-d tree each forced (checkStrictSequence). That exact sequence is
 // what the kinetic cache replays and rangeassign reads, so the outsider
-// rounds and the filter-Kruskal replay must keep it at every n. Below the
+// rounds and the bucketed replay must keep it at every n. Below the
 // dense cutoff Critical's largest edge and Profile's observables come from
 // the two dense Prims, so the same check covers both kernels. The seeds
 // come in two sizes: as built, above the dense cutoff, and cut down to it,

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"adhocnet/internal/geom"
@@ -104,48 +103,102 @@ func partitionCandidates(s []candidate) int {
 	return i
 }
 
-// filterKruskalCutoff is the batch length at or below which filterKruskal
-// stops partitioning and sorts: a partition pass plus a filter pass cost
-// more than the sort they save on short batches.
-const filterKruskalCutoff = 256
+// bucketReplayCutoff is the batch length at or below which bucketReplay
+// sorts the batch whole: distributing it into buckets costs more than the
+// sort it saves on short batches.
+const bucketReplayCutoff = 256
 
-// filterKruskal replays a candidate batch through Kruskal's union-find in
-// strict candLess order, appending every accepted edge to ws.edges, and
-// reports whether the forest became a single tree (the replay stops there).
-// It is the filter-Kruskal of Osipov, Sanders and Singler (ALENEX 2009):
-// partition around a pivot, replay the lighter side and then the pivot,
-// drop the heavier candidates whose endpoints are already joined, and go on
-// with the rest. Every candidate it drops is one Kruskal would reject —
-// components only grow — and the sides are replayed in order, so the
-// accepted edges are exactly those of sorting the whole batch first. Past
-// depth partition levels the batch is sorted instead, which bounds the
-// recursion (only the lighter side recurses) at O(log n) frames.
+// bucketReplay replays one round's candidate batch, whose squared distances
+// lie in (lo2, r2], through Kruskal's union-find in strict candLess order,
+// appending every accepted edge to ws.edges, then joins the kept edges at or
+// below r2. It reports whether the forest became a single tree (the replay
+// stops there).
+//
+// The batch is distributed in place into about len/16 buckets by the
+// monotone map ⌊(d2 − lo)·nb/(r2 − lo)⌋, lo = max(lo2, 0), so equal squared
+// distances share a bucket and every bucket sorts before the next. The
+// buckets are then walked in order: a bucket's candidates whose endpoints
+// the earlier buckets already joined are dropped — Kruskal would reject
+// them, as components only grow — and the rest are sorted and accepted.
+// The accepted edges are therefore exactly those of sorting the whole
+// batch first, and most of a round's candidates are dropped unsorted. A
+// short batch, or one whose bound is not finite (the overflow round), is
+// sorted whole.
 //
 //adhoc:hotpath
-func (ws *Workspace) filterKruskal(s []candidate, depth int) bool {
-	for len(s) > filterKruskalCutoff && depth > 0 {
-		depth--
-		mid := partitionCandidates(s)
-		if ws.filterKruskal(s[:mid], depth) || ws.accept(s[mid]) {
-			return true
+func (ws *Workspace) bucketReplay(s []candidate, lo2, r2 float64) bool {
+	lo := max(lo2, 0)
+	span := r2 - lo
+	if len(s) <= bucketReplayCutoff || !(span > 0 && span <= math.MaxFloat64) {
+		sortCandidates(s)
+		for _, c := range s {
+			if ws.accept(c) {
+				return true
+			}
 		}
-		heavy := s[mid+1:]
+		return ws.mergeKept(candidate{d2: r2, i: math.MaxInt32, j: math.MaxInt32})
+	}
+	nb := len(s) / 16
+	m := bucketMap{lo: lo, scale: float64(nb) / span, last: nb - 1}
+	ws.buckets = grow(ws.buckets, 2*nb)
+	head, end := ws.buckets[:nb], ws.buckets[nb:]
+	clear(end)
+	for _, c := range s {
+		end[m.of(c.d2)]++
+	}
+	var at int32
+	for b, cnt := range end {
+		head[b] = at
+		at += cnt
+		end[b] = at
+	}
+	// American flag permutation: fill each bucket in turn, sending every
+	// foreign candidate to the next free slot of its own bucket.
+	for b := range nb {
+		for head[b] < end[b] {
+			c := s[head[b]]
+			for k := m.of(c.d2); k != b; k = m.of(c.d2) {
+				s[head[k]], c = c, s[head[k]]
+				head[k]++
+			}
+			s[head[b]] = c
+			head[b]++
+		}
+	}
+	start := int32(0)
+	for _, stop := range end {
+		bucket := s[start:stop]
+		start = stop
 		k := 0
-		for _, c := range heavy {
+		for _, c := range bucket {
 			if ws.uf.Find(c.i) != ws.uf.Find(c.j) {
-				heavy[k] = c
+				bucket[k] = c
 				k++
 			}
 		}
-		s = heavy[:k]
-	}
-	sortCandidates(s)
-	for _, c := range s {
-		if ws.accept(c) {
-			return true
+		sortCandidates(bucket[:k])
+		for _, c := range bucket[:k] {
+			if ws.accept(c) {
+				return true
+			}
 		}
 	}
-	return false
+	return ws.mergeKept(candidate{d2: r2, i: math.MaxInt32, j: math.MaxInt32})
+}
+
+// bucketMap is bucketReplay's monotone bucket index ⌊(d2 − lo)·scale⌋;
+// every d2 at or past the last bucket's start, r2 among them, maps to the
+// last bucket.
+type bucketMap struct {
+	lo, scale float64
+	last      int
+}
+
+func (m bucketMap) of(d2 float64) int {
+	if f := (d2 - m.lo) * m.scale; f < float64(m.last) {
+		return int(f)
+	}
+	return m.last
 }
 
 // accept offers one candidate to Kruskal after joining the kept edges that
@@ -231,8 +284,9 @@ func (ws *Workspace) outsiderPairs(r float64) {
 // tests), at every n: it is the only MST output whose edge identities leave
 // this package. Profile and Critical, which read only the tree's weights and
 // its components at each radius, run a dense Prim below the dense cutoff
-// instead. The annulus rounds start at the mean point spacing (the
-// nearest-neighbor scale) and double the radius until the tree completes.
+// instead. The annulus rounds start near the mean point spacing (the
+// nearest-neighbor scale; see annulusMST) and double the radius until the
+// tree completes.
 //
 // GeoMST panics when a point coordinate is NaN or infinite (the bounding
 // extent is then not finite), since no radius can connect such a point.
@@ -283,6 +337,10 @@ func (ws *Workspace) mst(pts []geom.Point, dim int) (edges []Edge, dense bool) {
 	return ws.annulusMST(pts, dim, extent, dims), false
 }
 
+// gridStart2D is the 2-D grid rounds' starting radius in units of the mean
+// point spacing (see annulusMST).
+const gridStart2D = 1.3
+
 // annulusMST is mst past its preamble: the strict-order tree of pts (n >= 2
 // finite points whose bounding extent, positive, spans dims axes) by the
 // annulus rounds on the backend the workspace resolves.
@@ -316,8 +374,24 @@ func (ws *Workspace) annulusMST(pts []geom.Point, dim int, extent float64, dims 
 		// that covers the whole region arrives. Any starting radius is
 		// exact (the annuli stay disjoint and increasing); this one only
 		// adds three near-empty rounds when the placement is uniform after
-		// all. The grid keeps the global scale, where its cells are sized.
+		// all. The grid starts at or just above the global scale, where its
+		// cells are sized.
 		r /= 8
+	} else if dims == 2 {
+		// At the mean spacing a uniform planar placement has mean degree
+		// π, below the continuum-percolation threshold (about 4.51), so
+		// round one would leave thousands of small components and round
+		// two would rescan every pair at twice the radius. At 1.3 times it
+		// the mean degree is about 5.3: round one leaves a component above
+		// n/2, and every later round is an outsider round. In 3-D the mean
+		// spacing already gives mean degree about 4.2, above that
+		// threshold (about 2.7). The reserve holds round one's expected
+		// pairs plus a tenth, so a fresh workspace does not grow the batch
+		// by doubling.
+		r *= gridStart2D
+		if want := int(float64(len(pts)) * math.Pi * gridStart2D * gridStart2D / 2 * 1.1); cap(ws.cand) < want {
+			ws.cand = make([]candidate, 0, want)
+		}
 	}
 	return ws.mstRounds(pts, dim, r, useTree, nil, nil)
 }
@@ -336,14 +410,13 @@ func bottleneck(edges []Edge) float64 {
 
 // primSlabs is the dense Prims' scratch in structure-of-arrays form: the
 // fringe (the points not yet in the tree) as one coordinate slab per axis,
-// with each fringe point's index (id), its least squared distance to the
-// tree so far (best) and the tree point at that distance (from); the
-// critical-only kernels keep that distance as its float64 bits (key)
-// instead. Picking a point swap-removes it, so the fringe shrinks and one
-// MST visits about n^2/2 pairs.
+// with each fringe point's index (id) and its least squared distance to the
+// tree so far (best); the critical-only kernels keep that distance as its
+// float64 bits (key) instead. Picking a point swap-removes it, so the
+// fringe shrinks and one MST visits about n^2/2 pairs.
 type primSlabs struct {
 	x, y, z, best []float64
-	id, from      []int32
+	id            []int32
 	key           []uint64
 }
 
@@ -367,30 +440,38 @@ func (s *primSlabs) load(pts []geom.Point) (flat bool) {
 func (s *primSlabs) fill(pts []geom.Point) (flat bool) {
 	flat = s.load(pts)
 	m := len(s.x)
-	s.best, s.id, s.from = grow(s.best, m), grow(s.id, m), grow(s.from, m)
+	s.best, s.id = grow(s.best, m), grow(s.id, m)
 	for k := range m {
-		s.best[k], s.id[k], s.from[k] = math.Inf(1), int32(k+1), 0
+		s.best[k], s.id[k] = math.Inf(1), int32(k+1)
 	}
 	return flat
 }
 
 // take swap-removes fringe slot k of a fringe of length m and returns the
-// removed point's tree edge, from its tree end to itself.
-func (s *primSlabs) take(k, m int) candidate {
-	c := candidate{d2: s.best[k], i: s.from[k], j: s.id[k]}
+// removed point's edge from u, the point picked before it, at its key.
+// That edge need not be in the MST, but the tree of these edges (the path
+// of the pick order) has the MST's weights and components at every radius:
+// Prim picks a whole component of the graph at radius w before it leaves
+// it, so those components are runs of the pick order; a pick's key is the
+// least w that joins it to the earlier picks, which puts u in its run at
+// its key and in another run below it.
+func (s *primSlabs) take(u int32, k, m int) candidate {
+	c := candidate{d2: s.best[k], i: u, j: s.id[k]}
 	m--
 	s.x[k], s.y[k], s.z[k] = s.x[m], s.y[m], s.z[m]
-	s.best[k], s.id[k], s.from[k] = s.best[m], s.id[m], s.from[m]
+	s.best[k], s.id[k] = s.best[m], s.id[m]
 	return c
 }
 
-// densePrim returns an MST of pts (n >= 2 finite points) in ws.edges, sorted
-// by candLess, by a dense Prim over ws.prim. Its ties are broken however the
-// kernels' slot order falls, so the tree need not be GeoMST's; Profile and
-// ProfileKinetic, its callers, read only what every MST of pts shares: the
-// sorted weight multiset (the merge radii) and the components at every
-// radius, which the profile's queries see only at the ends of tied runs.
-// The sort hands replayProfile a sequence already in weight order.
+// densePrim returns in ws.edges, sorted by candLess, the pick-order path of
+// a dense Prim over ws.prim on pts (n >= 2 finite points): each pick joined
+// to the pick before it at its key (see take). That path need not be an
+// MST, and the kernels break ties however their slot order falls; Profile
+// and ProfileKinetic, its callers, read only what it shares with every MST
+// of pts: the sorted weight multiset (the merge radii) and the components
+// at every radius, which the profile's queries see only at the ends of
+// tied runs. The sort hands replayProfile a sequence already in weight
+// order.
 func (ws *Workspace) densePrim(pts []geom.Point) []Edge {
 	s := &ws.prim
 	if s.fill(pts) {
@@ -408,29 +489,31 @@ func (ws *Workspace) densePrim(pts []geom.Point) []Edge {
 // prim2 is densePrim's Prim over a flat placement, growing the tree from
 // root: each round relaxes the fringe through the point picked last and
 // picks the fringe point nearest the tree, both by strict <, and it appends
-// the tree edges to out. The squared distances go through geom.SumSq2,
-// bitwise the pair scans' geom.Dist2 values on every GOARCH (a Z difference
-// of 0 adds +0, which changes no sum of squares).
+// each pick's edge from the pick before it (take) to out. The squared
+// distances go through geom.SumSq2, bitwise the pair scans' geom.Dist2
+// values on every GOARCH (a Z difference of 0 adds +0, which changes no sum
+// of squares).
 //
 //adhoc:hotpath
 func (s *primSlabs) prim2(root geom.Point, out []candidate) []candidate {
 	ux, uy, u := root.X, root.Y, int32(0)
 	for m := len(s.x); m > 0; m-- {
-		xs, ys, best, from := s.x[:m], s.y[:m], s.best[:m], s.from[:m]
+		xs, ys, best := s.x[:m], s.y[:m], s.best[:m]
 		next, nd := 0, math.Inf(1)
 		for k := range xs {
 			d2 := geom.SumSq2(ux-xs[k], uy-ys[k])
 			b := best[k]
 			if d2 < b {
 				b = d2
-				best[k], from[k] = d2, u
+				best[k] = d2
 			}
 			if b < nd {
 				nd, next = b, k
 			}
 		}
-		ux, uy, u = xs[next], ys[next], s.id[next]
-		out = append(out, s.take(next, m))
+		ux, uy = xs[next], ys[next]
+		c := s.take(u, next, m)
+		out, u = append(out, c), c.j
 	}
 	return out
 }
@@ -441,21 +524,22 @@ func (s *primSlabs) prim2(root geom.Point, out []candidate) []candidate {
 func (s *primSlabs) prim3(root geom.Point, out []candidate) []candidate {
 	ux, uy, uz, u := root.X, root.Y, root.Z, int32(0)
 	for m := len(s.x); m > 0; m-- {
-		xs, ys, zs, best, from := s.x[:m], s.y[:m], s.z[:m], s.best[:m], s.from[:m]
+		xs, ys, zs, best := s.x[:m], s.y[:m], s.z[:m], s.best[:m]
 		next, nd := 0, math.Inf(1)
 		for k := range xs {
 			d2 := geom.SumSq(ux-xs[k], uy-ys[k], uz-zs[k])
 			b := best[k]
 			if d2 < b {
 				b = d2
-				best[k], from[k] = d2, u
+				best[k] = d2
 			}
 			if b < nd {
 				nd, next = b, k
 			}
 		}
-		ux, uy, uz, u = xs[next], ys[next], zs[next], s.id[next]
-		out = append(out, s.take(next, m))
+		ux, uy, uz = xs[next], ys[next], zs[next]
+		c := s.take(u, next, m)
+		out, u = append(out, c), c.j
 	}
 	return out
 }
@@ -658,10 +742,7 @@ func (ws *Workspace) mstRounds(pts []geom.Point, dim int, r float64, useTree boo
 		// against, so the next round's exclusion is the precise complement
 		// of this round's inclusion.
 		r2 := r * r
-		if !ws.filterKruskal(ws.cand, 2*bits.Len(uint(len(ws.cand)))) {
-			// Every kept edge at or below r2 sorts before this bound.
-			ws.mergeKept(candidate{d2: r2, i: math.MaxInt32, j: math.MaxInt32})
-		}
+		ws.bucketReplay(ws.cand, prevR2, r2)
 		prevR2 = r2
 		r *= 2
 	}

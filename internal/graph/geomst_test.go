@@ -255,9 +255,35 @@ func TestGeoMSTCountsRounds(t *testing.T) {
 	}
 }
 
+// TestGridRoundsScanPairsOnce pins the grid rounds' schedule on uniform
+// placements: in 2-D round one, at 1.3 times the mean spacing, leaves a
+// component above n/2, so every later round is an outsider round and an
+// MST makes exactly one full pair scan; in 3-D the mean spacing does that
+// already. Below n = 1024 a seed or two in 20 still needs a second scan, so
+// the test starts there.
+func TestGridRoundsScanPairsOnce(t *testing.T) {
+	ws := NewWorkspace()
+	ws.SetSpatialBackend(spatial.BackendGrid)
+	for _, dim := range []int{2, 3} {
+		reg := geom.MustRegion(1000, dim)
+		for _, n := range []int{1024, 2048, 16384} {
+			seeds := 20
+			if n == 16384 {
+				seeds = 5
+			}
+			for seed := range seeds {
+				ws.Profile(reg.UniformPoints(xrand.New(uint64(seed)), n), dim)
+				if got := ws.TakeStats().Grid.PairQueries; got != 1 {
+					t.Errorf("dim %d, n %d, seed %d: %d full pair scans, want 1", dim, n, seed, got)
+				}
+			}
+		}
+	}
+}
+
 // TestGeoMSTMatchesStrictKruskalLarger checks the exact edge sequence at
-// sizes where the first rounds' batches pass several filter-Kruskal levels
-// and the late rounds scan only outsiders.
+// sizes where the first rounds' batches are bucketed and the late rounds
+// scan only outsiders.
 func TestGeoMSTMatchesStrictKruskalLarger(t *testing.T) {
 	rng := xrand.New(29)
 	ws := NewWorkspace()
@@ -273,31 +299,73 @@ func TestGeoMSTMatchesStrictKruskalLarger(t *testing.T) {
 	checkStrictSequence(t, ws, islands, 2)
 }
 
-// TestFilterKruskalMatchesSortedReplay checks the filter-Kruskal replay
-// against sorting the whole batch and replaying it, at every depth budget
-// (0 sorts at once), on a batch of distinct pairs with many tied distances.
-func TestFilterKruskalMatchesSortedReplay(t *testing.T) {
-	rng := xrand.New(31)
-	const n = 300
+// replayBatch returns count candidates over distinct pairs of n points,
+// each at squared distance d2().
+func replayBatch(rng *xrand.Rand, n, count int, d2 func() float64) []candidate {
 	seen := make(map[[2]int32]bool)
 	var batch []candidate
-	for len(batch) < 3000 {
+	for len(batch) < count {
 		i, j := int32(rng.Intn(n)), int32(rng.Intn(n))
 		i, j = min(i, j), max(i, j)
 		if i == j || seen[[2]int32{i, j}] {
 			continue
 		}
 		seen[[2]int32{i, j}] = true
-		batch = append(batch, candidate{d2: float64(rng.Intn(40)), i: i, j: j})
+		batch = append(batch, candidate{d2: d2(), i: i, j: j})
 	}
-	want := strictReplay(n, batch)
-	ws := NewWorkspace()
-	for _, depth := range []int{0, 1, 3, 64} {
-		ws.uf.Reset(n)
+	return batch
+}
+
+// TestBucketReplayMatchesSortedReplay checks the bucketed replay against
+// sorting the batch and the kept edges at or below r2 together and
+// replaying them: on a batch with many tied distances, whose largest equals
+// r2; on a first round (lo2 = -1) with zero distances; on an overflow round
+// (r2 = +Inf) with infinite distances; on a batch short enough to be sorted
+// whole; and with a kept stream running past r2, on points too many for
+// the batch to span, so the stream's merge after the batch runs too.
+func TestBucketReplayMatchesSortedReplay(t *testing.T) {
+	rng := xrand.New(31)
+	tied := func(lo int) func() float64 { return func() float64 { return float64(lo + rng.Intn(40)) } }
+	for _, tc := range []struct {
+		name    string
+		n       int
+		lo2, r2 float64
+		batch   []candidate
+		kept    []candidate
+	}{
+		{name: "tied", n: 300, lo2: 9, r2: 49, batch: replayBatch(rng, 300, 3000, tied(10))},
+		{name: "first round", n: 300, lo2: -1, r2: 39, batch: replayBatch(rng, 300, 3000, tied(0))},
+		{name: "overflow round", n: 300, lo2: 1e307, r2: math.Inf(1), batch: replayBatch(rng, 300, 3000, func() float64 {
+			return 1e307 * float64(2+rng.Intn(30)) // +Inf from 1.8e308 up
+		})},
+		{name: "short", n: 300, lo2: 9, r2: 49, batch: replayBatch(rng, 300, bucketReplayCutoff, tied(10))},
+		{name: "kept stream", n: 3000, lo2: 9, r2: 49,
+			batch: replayBatch(rng, 3000, 3000, func() float64 { return 9 + 40*(1-rng.Float64()) }),
+			kept:  replayBatch(rng, 3000, 1000, func() float64 { return float64(rng.Intn(60)) })},
+	} {
+		// A pair both kept and in the batch is harmless: both replays
+		// reject its second copy.
+		sortCandidates(tc.kept)
+		stream := slices.Clone(tc.batch)
+		var rest []candidate
+		for _, c := range tc.kept {
+			if c.d2 <= tc.r2 {
+				stream = append(stream, c)
+			} else {
+				rest = append(rest, c)
+			}
+		}
+		want := strictReplay(tc.n, stream)
+		ws := NewWorkspace()
+		ws.uf.Reset(tc.n)
 		ws.edges = ws.edges[:0]
-		done := ws.filterKruskal(slices.Clone(batch), depth)
-		if done != (len(want) == n-1) || !slices.Equal(ws.edges, want) {
-			t.Fatalf("depth %d: done=%v, %d edges differ from the sorted replay's %d", depth, done, len(ws.edges), len(want))
+		ws.kept = tc.kept
+		done := ws.bucketReplay(slices.Clone(tc.batch), tc.lo2, tc.r2)
+		if done != (len(want) == tc.n-1) || !slices.Equal(ws.edges, want) {
+			t.Errorf("%s: done=%v, %d edges differ from the sorted replay's %d", tc.name, done, len(ws.edges), len(want))
+		}
+		if !done && !slices.Equal(ws.kept, rest) {
+			t.Errorf("%s: %d kept edges left, want the %d above r2", tc.name, len(ws.kept), len(rest))
 		}
 	}
 }

@@ -37,11 +37,12 @@ type Workspace struct {
 	// so the policy changes performance only — never results.
 	backend spatial.Backend
 
-	edges []Edge       // MST / point-graph edge buffer
-	cand  []candidate  // filtered Kruskal: current annulus batch
-	kept  []candidate  // mstRounds: unjoined rest of the sorted kept stream
-	xs    []float64    // 1-D coordinate scratch
-	pts   []geom.Point // placement scratch for samplers
+	edges   []Edge       // MST / point-graph edge buffer
+	cand    []candidate  // filtered Kruskal: current annulus batch
+	buckets []int32      // bucketReplay: bucket heads and ends
+	kept    []candidate  // mstRounds: unjoined rest of the sorted kept stream
+	xs      []float64    // 1-D coordinate scratch
+	pts     []geom.Point // placement scratch for samplers
 
 	prim primSlabs // dense Prim scratch (densePrim)
 
