@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"adhocnet/internal/core"
@@ -156,6 +157,10 @@ func benchSnapshotProfile(b *testing.B, n, dim int) {
 // cost of a time-targets-only run (figures 2-5, 7-9), which runs the
 // critical-only dense Prim below the dense cutoff and skips the tree sort
 // and the profile replay above it (DESIGN.md "Critical-only snapshots").
+// Each row cycles through benchCriticalPlacements independent placements,
+// so below the cutoff every call finds the workspace's kept tree from
+// another placement: the certificate fails and the Prim runs. That is the
+// cold path; the Walk rows below are the warm one.
 func BenchmarkSnapshotCriticalN16(b *testing.B)  { benchSnapshotCritical(b, 16, 2) }
 func BenchmarkSnapshotCriticalN64(b *testing.B)  { benchSnapshotCritical(b, 64, 2) }
 func BenchmarkSnapshotCriticalN128(b *testing.B) { benchSnapshotCritical(b, 128, 2) }
@@ -165,24 +170,76 @@ func BenchmarkSnapshotCriticalN256(b *testing.B) { benchSnapshotCritical(b, 256,
 func BenchmarkSnapshotCritical3DN128(b *testing.B) { benchSnapshotCritical(b, 128, 3) }
 func BenchmarkSnapshotCritical3DN240(b *testing.B) { benchSnapshotCritical(b, 240, 3) }
 
+// benchCriticalPlacements is the number of independent placements the
+// SnapshotCritical rows cycle through.
+const benchCriticalPlacements = 8
+
 func benchSnapshotCritical(b *testing.B, n, dim int) {
-	pts := benchPlacement(n, dim)
+	var placements [benchCriticalPlacements][]geom.Point
+	for i := range placements {
+		placements[i] = benchPlacementSeed(n, dim, uint64(i+1))
+	}
 	ws := graph.NewWorkspace()
-	ws.Critical(pts, dim) // warm the workspace buffers
+	for _, pts := range placements {
+		ws.Critical(pts, dim) // warm the workspace buffers
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws.Critical(pts, dim)
+		ws.Critical(placements[i%len(placements)], dim)
+	}
+}
+
+// The warm path of the critical range: consecutive steps of the paper's
+// waypoint and drunkard models at n = sqrt(l), pre-generated and evaluated
+// in order on one workspace, as a time-targets run walks a trajectory. The
+// last step's kept tree mostly certifies the next step's answer; the wrap
+// from the last step back to the first is one cold call in
+// benchWalkSteps.
+func BenchmarkSnapshotCriticalWalkN64(b *testing.B)  { benchSnapshotCriticalWalk(b, 64) }
+func BenchmarkSnapshotCriticalWalkN128(b *testing.B) { benchSnapshotCriticalWalk(b, 128) }
+
+// benchWalkSteps is the number of consecutive steps a Walk row cycles
+// through.
+const benchWalkSteps = 256
+
+func benchSnapshotCriticalWalk(b *testing.B, n int) {
+	l := float64(n * n)
+	reg := geom.MustRegion(l, 2)
+	for _, m := range []mobility.Model{mobility.PaperWaypoint(l), mobility.PaperDrunkard(l)} {
+		b.Run(m.Name(), func(b *testing.B) {
+			st, err := m.NewState(xrand.New(1), reg, n, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			steps := make([][]geom.Point, benchWalkSteps)
+			for i := range steps {
+				steps[i] = slices.Clone(st.Positions())
+				st.Step()
+			}
+			ws := graph.NewWorkspace()
+			for _, pts := range steps {
+				ws.Critical(pts, 2) // warm the workspace buffers
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Critical(steps[i%len(steps)], 2)
+			}
+		})
 	}
 }
 
 // benchPlacement samples n points in a dim-dimensional cube at the paper's
 // n=128 density (128 nodes in [0,16384]^dim), so all sizes probe the same
 // sparse regime.
-func benchPlacement(n, dim int) []geom.Point {
+func benchPlacement(n, dim int) []geom.Point { return benchPlacementSeed(n, dim, 1) }
+
+// benchPlacementSeed is benchPlacement drawn from the given seed.
+func benchPlacementSeed(n, dim int, seed uint64) []geom.Point {
 	side := 16384 * math.Pow(float64(n)/128, 1/float64(dim))
 	reg := geom.MustRegion(side, dim)
-	return reg.UniformPoints(xrand.New(1), n)
+	return reg.UniformPoints(xrand.New(seed), n)
 }
 
 // BenchmarkSnapshotClustered guards snapshot-profile behavior on non-uniform

@@ -90,6 +90,7 @@ func TestHotPathMarksPresent(t *testing.T) {
 		"graph.prim3",
 		"graph.critical2",
 		"graph.critical3",
+		"graph.lighterAcross",
 		"graph.Find",
 		"graph.Union",
 		"graph.hopStatsInto",

@@ -66,6 +66,7 @@ type runMetrics struct {
 	mstRounds     *obs.Counter
 	mstCandidates *obs.Counter
 	mstKept       *obs.Counter
+	certified     *obs.Counter
 	movedPoints   *obs.Counter
 	gridPicks     *obs.Counter
 	treePicks     *obs.Counter
@@ -138,6 +139,7 @@ func newRunMetrics(r *obs.Registry) *runMetrics {
 		mstRounds:     r.Counter("adhocnet_mst_rounds_total"),
 		mstCandidates: r.Counter("adhocnet_mst_candidates_total"),
 		mstKept:       r.Counter("adhocnet_kinetic_mst_kept_edges_total"),
+		certified:     r.Counter("adhocnet_graph_critical_certified_total"),
 		movedPoints:   r.Counter("adhocnet_kinetic_moved_points_total"),
 		gridPicks:     r.Counter(`adhocnet_spatial_auto_picks_total{backend="grid"}`),
 		treePicks:     r.Counter(`adhocnet_spatial_auto_picks_total{backend="kdtree"}`),
@@ -269,6 +271,7 @@ func (rm *runMetrics) flushWorkspace(ws *graph.Workspace) {
 	rm.mstRounds.Add(s.MSTRounds)
 	rm.mstCandidates.Add(s.MSTCandidates)
 	rm.mstKept.Add(s.MSTKeptEdges)
+	rm.certified.Add(s.CriticalCertified)
 	rm.movedPoints.Add(s.MovedPoints)
 	rm.gridPicks.Add(s.GridPicks)
 	rm.treePicks.Add(s.TreePicks)

@@ -55,7 +55,8 @@ var criticalDrift = []float64{-1, 0.05, 0.02, 0.5, 0.05, -1, 0.1, 0.3, 0.05, 0.0
 // TestCriticalMatchesProfile pins Critical and CriticalKinetic to their
 // profile twins: the same float64 bits as Profile(...).Critical() and
 // ProfileKinetic(...).Critical(), and the same WorkspaceStats after the
-// same calls, at sizes on both sides of the dense cutoff.
+// same calls but CriticalCertified, at sizes on both sides of the dense
+// cutoff.
 func TestCriticalMatchesProfile(t *testing.T) {
 	rng := xrand.New(91)
 	for _, dim := range []int{1, 2, 3} {
@@ -68,7 +69,9 @@ func TestCriticalMatchesProfile(t *testing.T) {
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s: critical %v, profile says %v", what, got, want)
 						}
-						if sp, sc := wsP.TakeStats(), wsC.TakeStats(); sp != sc {
+						sp, sc := wsP.TakeStats(), wsC.TakeStats()
+						sc.CriticalCertified = 0 // Profile has no certificate
+						if sp != sc {
 							t.Fatalf("%s: counters differ:\nprofile  %+v\ncritical %+v", what, sp, sc)
 						}
 					}

@@ -312,3 +312,42 @@ func FuzzGeoMSTMatchesStrictKruskal(f *testing.F) {
 		checkStrictSequence(t, NewWorkspace(), pts, dim)
 	})
 }
+
+// FuzzCriticalCertificate checks denseCritical's certificate across one
+// move: Critical on the decoded points (at most the dense cutoff, so the
+// dense path runs), then on the same workspace, whose kept tree now
+// describes the old positions, after moving a fuzz-chosen subset of the
+// points, must return strict Kruskal's largest edge both times, bit for
+// bit. Every four bytes of moves move one point: its index modulo n, then
+// a signed step per axis on the decoder's 1/16 lattice (Z only in 3-D), so
+// ties and coincident points survive the move.
+func FuzzCriticalCertificate(f *testing.F) {
+	for _, s := range strictSeedPlacements() {
+		f.Add(encodeFuzzPoints(s.pts[:denseCutoff(s.dim)], s.dim), []byte{0, 16, 240, 0, 5, 1, 255, 3, 17, 128, 0, 127})
+	}
+	f.Fuzz(func(t *testing.T, data, moves []byte) {
+		pts, dim := geomtest.DecodeFuzzPoints(data, geoMSTDenseCutoff3D)
+		if dim == 1 || len(pts) < 2 {
+			return
+		}
+		pts = pts[:min(len(pts), denseCutoff(dim))]
+		ws := NewWorkspace()
+		check := func(when string) {
+			t.Helper()
+			want := bottleneck(strictKruskal(pts))
+			if got := ws.Critical(pts, dim); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s, n=%d dim=%d: Critical %v, strict Kruskal's largest edge %v", when, len(pts), dim, got, want)
+			}
+		}
+		check("before the move")
+		for ; len(moves) >= 4; moves = moves[4:] {
+			p := &pts[int(moves[0])%len(pts)]
+			p.X += float64(int8(moves[1])) / 16
+			p.Y += float64(int8(moves[2])) / 16
+			if dim == 3 {
+				p.Z += float64(int8(moves[3])) / 16
+			}
+		}
+		check("after the move")
+	})
+}

@@ -412,26 +412,32 @@ func bottleneck(edges []Edge) float64 {
 // fringe (the points not yet in the tree) as one coordinate slab per axis,
 // with each fringe point's index (id) and its least squared distance to the
 // tree so far (best); the critical-only kernels keep that distance as its
-// float64 bits (key) instead. Picking a point swap-removes it, so the
-// fringe shrinks and one MST visits about n^2/2 pairs.
+// float64 bits (key) instead, in slabs that also hold the root and the
+// picked points (see critical2). Picking a point swap-removes it, so the
+// fringe shrinks and one MST visits about n^2/2 pairs. tree is the
+// spanning tree the last critical Prim found, which denseCritical's
+// certificate reuses.
 type primSlabs struct {
 	x, y, z, best []float64
 	id            []int32
 	key           []uint64
+	tree          spanTree
 }
 
-// load puts every point but the root pts[0] into the fringe's coordinate
-// slabs and reports whether the placement is flat (every Z equal, so Z
-// never enters a squared distance).
+// load puts all n points into the coordinate slabs: point 0, the dense
+// Prims' root, in the last slot and the others in index order before it,
+// each slot's point in id. It reports whether the placement is flat (every
+// Z equal, so Z never enters a squared distance).
 func (s *primSlabs) load(pts []geom.Point) (flat bool) {
-	m := len(pts) - 1
-	s.x, s.y, s.z = grow(s.x, m), grow(s.y, m), grow(s.z, m)
-	z0 := pts[0].Z
+	n := len(pts)
+	s.x, s.y, s.z, s.id = grow(s.x, n), grow(s.y, n), grow(s.z, n), grow(s.id, n)
+	r := pts[0]
 	flat = true
 	for k, p := range pts[1:] {
-		s.x[k], s.y[k], s.z[k] = p.X, p.Y, p.Z
-		flat = flat && p.Z == z0
+		s.x[k], s.y[k], s.z[k], s.id[k] = p.X, p.Y, p.Z, int32(k+1)
+		flat = flat && p.Z == r.Z
 	}
+	s.x[n-1], s.y[n-1], s.z[n-1], s.id[n-1] = r.X, r.Y, r.Z, 0
 	return flat
 }
 
@@ -439,10 +445,9 @@ func (s *primSlabs) load(pts []geom.Point) (flat bool) {
 // the root.
 func (s *primSlabs) fill(pts []geom.Point) (flat bool) {
 	flat = s.load(pts)
-	m := len(s.x)
-	s.best, s.id = grow(s.best, m), grow(s.id, m)
-	for k := range m {
-		s.best[k], s.id[k] = math.Inf(1), int32(k+1)
+	s.best = grow(s.best, len(pts)-1)
+	for k := range s.best {
+		s.best[k] = math.Inf(1)
 	}
 	return flat
 }
@@ -475,9 +480,9 @@ func (s *primSlabs) take(u int32, k, m int) candidate {
 func (ws *Workspace) densePrim(pts []geom.Point) []Edge {
 	s := &ws.prim
 	if s.fill(pts) {
-		ws.cand = s.prim2(pts[0], ws.cand[:0])
+		ws.cand = s.prim2(ws.cand[:0])
 	} else {
-		ws.cand = s.prim3(pts[0], ws.cand[:0])
+		ws.cand = s.prim3(ws.cand[:0])
 	}
 	sortCandidates(ws.cand)
 	for _, c := range ws.cand {
@@ -487,17 +492,18 @@ func (ws *Workspace) densePrim(pts []geom.Point) []Edge {
 }
 
 // prim2 is densePrim's Prim over a flat placement, growing the tree from
-// root: each round relaxes the fringe through the point picked last and
-// picks the fringe point nearest the tree, both by strict <, and it appends
-// each pick's edge from the pick before it (take) to out. The squared
-// distances go through geom.SumSq2, bitwise the pair scans' geom.Dist2
-// values on every GOARCH (a Z difference of 0 adds +0, which changes no sum
-// of squares).
+// the root in the last slot (load): each round relaxes the fringe, the
+// slots before it, through the point picked last and picks the fringe
+// point nearest the tree, both by strict <, and it appends each pick's edge
+// from the pick before it (take) to out. The squared distances go through
+// geom.SumSq2, bitwise the pair scans' geom.Dist2 values on every GOARCH (a
+// Z difference of 0 adds +0, which changes no sum of squares).
 //
 //adhoc:hotpath
-func (s *primSlabs) prim2(root geom.Point, out []candidate) []candidate {
-	ux, uy, u := root.X, root.Y, int32(0)
-	for m := len(s.x); m > 0; m-- {
+func (s *primSlabs) prim2(out []candidate) []candidate {
+	n := len(s.x)
+	ux, uy, u := s.x[n-1], s.y[n-1], int32(0)
+	for m := n - 1; m > 0; m-- {
 		xs, ys, best := s.x[:m], s.y[:m], s.best[:m]
 		next, nd := 0, math.Inf(1)
 		for k := range xs {
@@ -521,9 +527,10 @@ func (s *primSlabs) prim2(root geom.Point, out []candidate) []candidate {
 // prim3 is prim2 for placements that are not flat.
 //
 //adhoc:hotpath
-func (s *primSlabs) prim3(root geom.Point, out []candidate) []candidate {
-	ux, uy, uz, u := root.X, root.Y, root.Z, int32(0)
-	for m := len(s.x); m > 0; m-- {
+func (s *primSlabs) prim3(out []candidate) []candidate {
+	n := len(s.x)
+	ux, uy, uz, u := s.x[n-1], s.y[n-1], s.z[n-1], int32(0)
+	for m := n - 1; m > 0; m-- {
 		xs, ys, zs, best := s.x[:m], s.y[:m], s.z[:m], s.best[:m]
 		next, nd := 0, math.Inf(1)
 		for k := range xs {
@@ -546,42 +553,74 @@ func (s *primSlabs) prim3(root geom.Point, out []candidate) []candidate {
 
 // denseCritical returns the critical radius of pts (n >= 2 finite points,
 // not all coincident): the largest weight of the tree densePrim would
-// return, bit for bit. Every MST has the same multiset of edge weights, so
-// a Prim that breaks ties any way it likes finds the same largest squared
-// distance; critical2 and critical3 therefore keep no parent.
-// thresholdRadius is monotone, so converting that one squared distance
-// gives densePrim's largest weight.
+// return, bit for bit. It first tries to certify that weight from the
+// spanning tree the workspace's last critical Prim kept (certify), which
+// costs a pass over the tree and a scan across its longest edge's cut and
+// is exact whatever tree is kept: consecutive mobility steps move each
+// point a little, so the last step's tree mostly still proves the answer.
+// When it does not, or the kept tree spans another number of points, a
+// Prim runs over the slabs certify (or load) filled: every MST has the
+// same multiset of edge weights, so critical2 and critical3, which break
+// ties any way they like, find densePrim's largest squared distance, and
+// the tree they record is kept for the next call. thresholdRadius is
+// monotone, so converting that one squared distance gives densePrim's
+// largest weight.
 func (ws *Workspace) denseCritical(pts []geom.Point) float64 {
 	s := &ws.prim
-	flat := s.load(pts)
-	s.key = grow(s.key, len(s.x))
+	n := len(pts)
+	var flat bool
+	if len(s.tree.order) == n {
+		u, f, ok := s.certify(pts)
+		if ok {
+			ws.stats.CriticalCertified++
+			return thresholdRadius(u)
+		}
+		flat = f
+		s.id = append(s.id[:0], s.tree.order...)
+	} else {
+		flat = s.load(pts)
+	}
+	s.key = grow(s.key, n)
 	for k := range s.key {
 		s.key[k] = math.MaxUint64
 	}
+	s.tree.par = grow(s.tree.par, n)
 	var worst uint64
 	if flat {
-		worst = s.critical2(pts[0])
+		worst = s.critical2()
 	} else {
-		worst = s.critical3(pts[0])
+		worst = s.critical3()
 	}
+	s.tree.keep(s.id)
 	return thresholdRadius(math.Float64frombits(worst))
 }
 
-// critical2 is denseCritical's Prim over a flat placement, grown from root:
-// each round relaxes the fringe through the point picked last and picks the
-// fringe point nearest the tree, and it returns the largest picked key.
-// Keys are the bits of squared distances, which are never negative or NaN,
-// and such bits order like the floats, so relaxing is an integer min; the
-// start key MaxUint64 sits above every one of them, +Inf included. The pick
-// keeps two running minima, over the even and the odd slots; an odd
-// fringe's last slot joins the even one, and the two merge after the loop.
-// The squared distances are prim2's.
+// critical2 is denseCritical's Prim over a flat placement of the points in
+// the slabs (slot k holds point id[k]), grown from the root in the last
+// slot: each round relaxes the fringe, the slots before the picked ones,
+// through the point picked last and picks the fringe point nearest the
+// tree, and it returns the largest picked key. Keys are the bits of
+// squared distances, which are never negative or NaN, and such bits order
+// like the floats, so relaxing is an integer min; the start key MaxUint64
+// sits above every one of them, +Inf included. The pick keeps two running
+// minima, over the even and the odd slots; an odd fringe's last slot joins
+// the even one, and the two merge after the loop. The squared distances
+// are prim2's.
+//
+// A pick swap-removes its slot and moves into the slot the fringe frees,
+// so the picks fill the slabs from the back: the root last, each pick in
+// the slot before the one picked before it. The pick's parent is then a
+// picked point at exactly its key, and the search for one starts at the
+// pick before it and walks back towards the root, which on the paper's
+// placements ends within a few slots. tree.par[l] gets the slot of the
+// parent of the pick in slot l, so tree.par and id hold an MST for keep.
 //
 //adhoc:hotpath
-func (s *primSlabs) critical2(root geom.Point) uint64 {
-	ux, uy := root.X, root.Y
+func (s *primSlabs) critical2() uint64 {
+	n := len(s.x)
+	ux, uy := s.x[n-1], s.y[n-1]
 	worst := uint64(0)
-	for m := len(s.x); m > 0; m-- {
+	for m := n - 1; m > 0; m-- {
 		xs, ys, keys := s.x[:m], s.y[:m], s.key[:m]
 		k0, k1 := uint64(math.MaxUint64), uint64(math.MaxUint64)
 		i0, i1 := 0, 0
@@ -609,7 +648,16 @@ func (s *primSlabs) critical2(root geom.Point) uint64 {
 		}
 		worst = max(worst, k0)
 		ux, uy = xs[i0], ys[i0]
-		xs[i0], ys[i0], keys[i0] = xs[m-1], ys[m-1], keys[m-1]
+		l := m - 1
+		u := s.id[i0]
+		xs[i0], ys[i0], keys[i0], s.id[i0] = xs[l], ys[l], keys[l], s.id[l]
+		xs, ys = s.x, s.y
+		xs[l], ys[l], s.id[l] = ux, uy, u
+		j := m
+		for j < n-1 && math.Float64bits(geom.SumSq2(xs[j]-ux, ys[j]-uy)) != k0 {
+			j++
+		}
+		s.tree.par[l] = int32(j)
 	}
 	return worst
 }
@@ -617,10 +665,11 @@ func (s *primSlabs) critical2(root geom.Point) uint64 {
 // critical3 is critical2 for placements that are not flat.
 //
 //adhoc:hotpath
-func (s *primSlabs) critical3(root geom.Point) uint64 {
-	ux, uy, uz := root.X, root.Y, root.Z
+func (s *primSlabs) critical3() uint64 {
+	n := len(s.x)
+	ux, uy, uz := s.x[n-1], s.y[n-1], s.z[n-1]
 	worst := uint64(0)
-	for m := len(s.x); m > 0; m-- {
+	for m := n - 1; m > 0; m-- {
 		xs, ys, zs, keys := s.x[:m], s.y[:m], s.z[:m], s.key[:m]
 		k0, k1 := uint64(math.MaxUint64), uint64(math.MaxUint64)
 		i0, i1 := 0, 0
@@ -648,7 +697,16 @@ func (s *primSlabs) critical3(root geom.Point) uint64 {
 		}
 		worst = max(worst, k0)
 		ux, uy, uz = xs[i0], ys[i0], zs[i0]
-		xs[i0], ys[i0], zs[i0], keys[i0] = xs[m-1], ys[m-1], zs[m-1], keys[m-1]
+		l := m - 1
+		u := s.id[i0]
+		xs[i0], ys[i0], zs[i0], keys[i0], s.id[i0] = xs[l], ys[l], zs[l], keys[l], s.id[l]
+		xs, ys, zs = s.x, s.y, s.z
+		xs[l], ys[l], zs[l], s.id[l] = ux, uy, uz, u
+		j := m
+		for j < n-1 && math.Float64bits(geom.SumSq(xs[j]-ux, ys[j]-uy, zs[j]-uz)) != k0 {
+			j++
+		}
+		s.tree.par[l] = int32(j)
 	}
 	return worst
 }

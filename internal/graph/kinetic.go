@@ -146,7 +146,10 @@ func (ws *Workspace) kineticTree(pts []geom.Point, dim int, moved []int32) ([]Ed
 	// nothing is cached there and no k-d tree is built.
 	edges, dense := ws.mst(pts, dim)
 	k.treeOK = false
-	if extent, _ := spatial.BoundingExtent(pts); n > denseCutoff(dim) && extent > 0 {
+	if n <= denseCutoff(dim) {
+		return edges, dense
+	}
+	if extent, _ := spatial.BoundingExtent(pts); extent > 0 {
 		k.pts = pts
 		k.keepTree(pts, edges)
 		// The repair queries the k-d tree regardless of the workspace's

@@ -8,8 +8,8 @@ import "adhocnet/internal/spatial"
 // indexes' own counters. Like spatial.Stats they are plain fields on
 // goroutine-owned state — incremented for free on paths that are hot,
 // drained into registry atomics at iteration boundaries by the scheduler
-// (see core's runMetrics). Every counter is a deterministic function of the
-// workload.
+// (see core's runMetrics). Every counter but CriticalCertified is a
+// deterministic function of the workload.
 type WorkspaceStats struct {
 	// MSTRepairs counts ProfileKinetic calls answered by the incremental
 	// kineticMST repair; MSTRebuilds counts armed calls that ran the plain
@@ -31,6 +31,12 @@ type WorkspaceStats struct {
 	MSTCandidates uint64
 	// MSTKeptEdges accumulates phase-1 kept edges across repairs.
 	MSTKeptEdges uint64
+
+	// CriticalCertified counts the dense critical-range calls answered by
+	// the kept spanning tree's certificate instead of a Prim (denseCritical).
+	// It depends on which tree the workspace holds, so on the pooled and
+	// multi-worker paths it varies with the schedule; the answers do not.
+	CriticalCertified uint64
 
 	// GraphRepairs / GraphRebuilds are always zero: the communication graph
 	// is rebuilt per snapshot and has no repair path. They stay because the

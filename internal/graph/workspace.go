@@ -44,7 +44,7 @@ type Workspace struct {
 	xs      []float64    // 1-D coordinate scratch
 	pts     []geom.Point // placement scratch for samplers
 
-	prim primSlabs // dense Prim scratch (densePrim)
+	prim primSlabs // dense Prim scratch and the kept critical tree (densePrim, denseCritical)
 
 	cursor []int32 // adjacency build scratch
 	labels []int32 // component-labeling scratch
@@ -84,7 +84,9 @@ func AcquireWorkspace() *Workspace { return workspacePool.Get().(*Workspace) }
 // ReleaseWorkspace returns a workspace obtained from AcquireWorkspace to the
 // package pool. The caller must not use ws (or anything a ws method returned)
 // afterwards. The spatial-backend policy and the kinetic arming are reset so
-// the next acquirer starts from the plain rebuild-per-snapshot default.
+// the next acquirer starts from the plain rebuild-per-snapshot default. The
+// spanning tree denseCritical keeps stays: its certificate is exact
+// whatever tree it reads.
 func ReleaseWorkspace(ws *Workspace) {
 	ws.backend = spatial.BackendAuto
 	ws.SetKinetic(false)
@@ -146,8 +148,10 @@ func (ws *Workspace) Profile(pts []geom.Point, dim int) *Profile {
 // Critical returns Profile(pts, dim).Critical(), bit for bit, without
 // building the profile: the largest edge weight of the tree Profile would
 // replay, which is the critical radius. It shares Profile's preamble,
-// panics, annulus rounds and WorkspaceStats counters; below the dense
-// cutoff it runs denseCritical, a Prim that finds only the largest weight,
+// panics, annulus rounds and WorkspaceStats counters (and adds
+// CriticalCertified); below the dense cutoff it runs denseCritical, which
+// certifies the weight from the spanning tree the workspace kept from its
+// last call there or else runs a Prim that finds only the largest weight,
 // and above it only the sort and the replay are skipped. Callers that need
 // nothing but the critical radius use it.
 func (ws *Workspace) Critical(pts []geom.Point, dim int) float64 {
