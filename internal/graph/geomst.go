@@ -602,10 +602,11 @@ func (ws *Workspace) denseCritical(pts []geom.Point) float64 {
 // tree, and it returns the largest picked key. Keys are the bits of
 // squared distances, which are never negative or NaN, and such bits order
 // like the floats, so relaxing is an integer min; the start key MaxUint64
-// sits above every one of them, +Inf included. The pick keeps two running
-// minima, over the even and the odd slots; an odd fringe's last slot joins
-// the even one, and the two merge after the loop. The squared distances
-// are prim2's.
+// sits above every one of them, +Inf included. The loop relaxes four slots
+// at a time and the pick keeps two running minima, one over the slots 0
+// and 2 of each four and one over the slots 1 and 3; the last one to three
+// slots join the first, and the two merge after the loop. The squared
+// distances are prim2's.
 //
 // A pick swap-removes its slot and moves into the slot the fringe frees,
 // so the picks fill the slabs from the back: the root last, each pick in
@@ -625,18 +626,26 @@ func (s *primSlabs) critical2() uint64 {
 		k0, k1 := uint64(math.MaxUint64), uint64(math.MaxUint64)
 		i0, i1 := 0, 0
 		k := 0
-		for ; k+1 < m; k += 2 {
+		for ; k+3 < m; k += 4 {
 			a := min(keys[k], math.Float64bits(geom.SumSq2(ux-xs[k], uy-ys[k])))
 			b := min(keys[k+1], math.Float64bits(geom.SumSq2(ux-xs[k+1], uy-ys[k+1])))
-			keys[k], keys[k+1] = a, b
+			c := min(keys[k+2], math.Float64bits(geom.SumSq2(ux-xs[k+2], uy-ys[k+2])))
+			d := min(keys[k+3], math.Float64bits(geom.SumSq2(ux-xs[k+3], uy-ys[k+3])))
+			keys[k], keys[k+1], keys[k+2], keys[k+3] = a, b, c, d
 			if a < k0 {
 				k0, i0 = a, k
 			}
 			if b < k1 {
 				k1, i1 = b, k+1
 			}
+			if c < k0 {
+				k0, i0 = c, k+2
+			}
+			if d < k1 {
+				k1, i1 = d, k+3
+			}
 		}
-		if k < m {
+		for ; k < m; k++ {
 			a := min(keys[k], math.Float64bits(geom.SumSq2(ux-xs[k], uy-ys[k])))
 			keys[k] = a
 			if a < k0 {
@@ -674,18 +683,26 @@ func (s *primSlabs) critical3() uint64 {
 		k0, k1 := uint64(math.MaxUint64), uint64(math.MaxUint64)
 		i0, i1 := 0, 0
 		k := 0
-		for ; k+1 < m; k += 2 {
+		for ; k+3 < m; k += 4 {
 			a := min(keys[k], math.Float64bits(geom.SumSq(ux-xs[k], uy-ys[k], uz-zs[k])))
 			b := min(keys[k+1], math.Float64bits(geom.SumSq(ux-xs[k+1], uy-ys[k+1], uz-zs[k+1])))
-			keys[k], keys[k+1] = a, b
+			c := min(keys[k+2], math.Float64bits(geom.SumSq(ux-xs[k+2], uy-ys[k+2], uz-zs[k+2])))
+			d := min(keys[k+3], math.Float64bits(geom.SumSq(ux-xs[k+3], uy-ys[k+3], uz-zs[k+3])))
+			keys[k], keys[k+1], keys[k+2], keys[k+3] = a, b, c, d
 			if a < k0 {
 				k0, i0 = a, k
 			}
 			if b < k1 {
 				k1, i1 = b, k+1
 			}
+			if c < k0 {
+				k0, i0 = c, k+2
+			}
+			if d < k1 {
+				k1, i1 = d, k+3
+			}
 		}
-		if k < m {
+		for ; k < m; k++ {
 			a := min(keys[k], math.Float64bits(geom.SumSq(ux-xs[k], uy-ys[k], uz-zs[k])))
 			keys[k] = a
 			if a < k0 {
