@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"adhocnet/internal/geom"
@@ -81,7 +83,9 @@ func TestCriticalCertificateMatchesPrim(t *testing.T) {
 	var ties certifyCheck
 	for _, dim := range []int{2, 3} {
 		for _, n := range []int{3, 16, denseCutoff(dim)} {
-			for name, pts := range denseCriticalPlacements(rng, n, dim) {
+			placements := denseCriticalPlacements(rng, n, dim)
+			for _, name := range slices.Sorted(maps.Keys(placements)) {
+				pts := placements[name]
 				ws := NewWorkspace()
 				for step := range 8 {
 					ties.run(t, fmt.Sprintf("ties dim %d, n %d, %s, step %d", dim, n, name, step), ws, pts, dim)
