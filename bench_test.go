@@ -280,7 +280,8 @@ func BenchmarkSnapshotClustered(b *testing.B) {
 // islands of radius 0.05 side and 0.01 side) at the paper's n=128 density,
 // with the range at 0.25, 1 and 2 times the mean spacing side/sqrt(n). It
 // shows whether auto's pick, sized for the MST's starting radius, also
-// suits PointGraph's radius (ROADMAP item 6).
+// suits PointGraph's radius (ROADMAP "One MST backend above the dense
+// cutoff").
 func BenchmarkPointGraphBackends(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		side := 16384 * math.Sqrt(float64(n)/128)

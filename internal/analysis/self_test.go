@@ -86,8 +86,6 @@ func TestHotPathMarksPresent(t *testing.T) {
 		"graph.sortCandidates",
 		"graph.bucketReplay",
 		"graph.outsiderPairs",
-		"graph.prim2",
-		"graph.prim3",
 		"graph.critical2",
 		"graph.critical3",
 		"graph.lighterAcross",

@@ -4,22 +4,24 @@ import (
 	"adhocnet/internal/geom"
 )
 
-// spanTree is the spanning tree kept from the workspace's last critical
-// Prim (denseCritical), laid out for the critical Prims' slabs: the root,
-// point 0, in the last slot n-1 and the other points before it in
-// pre-order, so that every subtree but the root's is one contiguous run of
-// slots. The point in slot k is order[k], its parent sits in slot up[k],
-// and its subtree fills slots k up to end[k]. The tree is kept across
-// calls whatever points they pass; certify reads it at their positions.
+// spanTree is the spanning tree kept from the workspace's last dense Prim
+// under denseCritical, laid out for the Prim's slabs: the root, point 0, in
+// the last slot n-1 and the other points before it in pre-order, so that
+// every subtree but the root's is one contiguous run of slots. The point
+// in slot k is order[k], its parent sits in slot up[k], and its subtree
+// fills slots k up to end[k]. The tree is kept across calls whatever
+// points they pass; certify reads it at their positions.
 type spanTree struct {
 	order, up, end []int32
 
-	// par is the critical Prims' output, read by keep: the slot of each
-	// pick's parent (see critical2). next is keep's scratch.
+	// par is the dense Prim's output, read by keep: the slot of each
+	// pick's parent (see critical2). densePrim's Prim writes it too but
+	// does not keep, which leaves order, up and end as they were. next is
+	// keep's scratch.
 	par, next []int32
 }
 
-// keep replaces the kept tree with the one a critical Prim left in id and
+// keep replaces the kept tree with the one the dense Prim left in id and
 // t.par: slot k holds point id[k], and its parent sits in slot t.par[k] >
 // k, the root in slot n-1. Children sit in lower slots than their parents,
 // so one pass up the slots sums the subtree sizes, and one pass down them
@@ -66,7 +68,7 @@ func (t *spanTree) keep(id []int32) {
 // subtree A and the rest B, and every spanning tree, an MST among them,
 // has an edge across that cut, so b is at least the lightest pair across
 // it. When no pair across is strictly lighter than U, the edge itself is
-// that lightest pair and b = U. The squared distances are the dense Prims'
+// that lightest pair and b = U. The squared distances are the dense Prim's
 // own: geom.SumSq, which on a flat placement (every Z equal, so every Z
 // difference is a zero) has the bits of geom.SumSq2, and (a−b)² is (b−a)²
 // bit for bit, so U has the bits of the largest key the Prim would pick,

@@ -19,15 +19,24 @@ type certifyCheck struct {
 	calls, certified uint64
 }
 
-func (c *certifyCheck) run(t *testing.T, what string, warm *Workspace, pts []geom.Point, dim int) {
+func (c *certifyCheck) run(t *testing.T, what string, warm *Workspace, pts []geom.Point, dim int) (certified uint64) {
 	t.Helper()
 	want := NewWorkspace().Critical(pts, dim)
 	got := warm.Critical(pts, dim)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("%s: warm Critical %v, the Prim's %v", what, got, want)
 	}
+	certified = warm.TakeStats().CriticalCertified
 	c.calls++
-	c.certified += warm.TakeStats().CriticalCertified
+	c.certified += certified
+	return certified
+}
+
+// checkStrictProfile checks ws.Profile against strict Kruskal's profile
+// (profilesIdentical), which is what the dense Prim's tree must reproduce.
+func checkStrictProfile(t *testing.T, ws *Workspace, pts []geom.Point, dim int) {
+	t.Helper()
+	profilesIdentical(t, profileFromMST(len(pts), strictKruskal(pts)), ws.Profile(pts, dim))
 }
 
 // TestCriticalCertificateMatchesPrim checks denseCritical's certificate
@@ -37,7 +46,11 @@ func (c *certifyCheck) run(t *testing.T, what string, warm *Workspace, pts []geo
 // on the tie-heavy placements of denseCriticalPlacements, moved along
 // their lattice; and where squared distances overflow, so that the tree's
 // longest edge and the answer are +Inf. Both the certified path and the
-// Prim must be taken.
+// Prim must be taken. Between the trajectories' Critical calls Profile
+// runs the same Prim on the same workspace, at the moved positions and on
+// an unrelated placement of as many points: its profile must be strict
+// Kruskal's, and it must leave the kept tree as it was, so every Critical
+// call certifies exactly when it does on a workspace without them.
 func TestCriticalCertificateMatchesPrim(t *testing.T) {
 	rng := xrand.New(61)
 	var walk certifyCheck
@@ -45,9 +58,14 @@ func TestCriticalCertificateMatchesPrim(t *testing.T) {
 		reg := geom.MustRegion(1000, dim)
 		for _, n := range []int{16, 64, 128, 192} {
 			pts := reg.UniformPoints(rng, n)
-			ws := NewWorkspace()
+			ws, plain := NewWorkspace(), NewWorkspace()
 			for step := range 60 {
-				walk.run(t, fmt.Sprintf("walk dim %d, n %d, step %d", dim, n, step), ws, pts, dim)
+				what := fmt.Sprintf("walk dim %d, n %d, step %d", dim, n, step)
+				certified := walk.run(t, what, ws, pts, dim)
+				plain.Critical(pts, dim)
+				if want := plain.TakeStats().CriticalCertified; certified != want {
+					t.Fatalf("%s: %d calls certified after Profile calls, %d without them", what, certified, want)
+				}
 				// Half the points move up to 1% of the side per axis, as the
 				// paper's models do.
 				for i := range pts {
@@ -61,6 +79,8 @@ func TestCriticalCertificateMatchesPrim(t *testing.T) {
 						pts[i] = reg.Clamp(p)
 					}
 				}
+				checkStrictProfile(t, ws, pts, dim)
+				checkStrictProfile(t, ws, reg.UniformPoints(rng, n), dim)
 			}
 		}
 	}

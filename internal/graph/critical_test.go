@@ -214,11 +214,11 @@ func denseCriticalPlacements(rng *xrand.Rand, n, dim int) map[string][]geom.Poin
 	return out
 }
 
-// TestDenseCriticalMatchesStrictKruskal checks both dense Prims on ties and
-// degenerate placements, at n = 2, 3 and up to the dense cutoff
-// (checkStrictSequence): Critical (denseCritical) must return the bits of
-// strict Kruskal's largest edge and Profile (densePrim) its profile's
-// observables, however the kernels break their ties.
+// TestDenseCriticalMatchesStrictKruskal checks the dense Prim through both
+// of its readers on ties and degenerate placements, at n = 2, 3 and up to
+// the dense cutoff (checkStrictSequence): Critical (denseCritical) must
+// return the bits of strict Kruskal's largest edge and Profile (densePrim)
+// its profile's observables, however the kernels break their ties.
 func TestDenseCriticalMatchesStrictKruskal(t *testing.T) {
 	rng := xrand.New(29)
 	for _, dim := range []int{2, 3} {

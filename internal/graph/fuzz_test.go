@@ -298,10 +298,11 @@ func strictSeedPlacements() []strictSeed {
 // the k-d tree each forced (checkStrictSequence). That exact sequence is
 // what the kinetic cache replays and rangeassign reads, so the outsider
 // rounds and the bucketed replay must keep it at every n. Below the
-// dense cutoff Critical's largest edge and Profile's observables come from
-// the two dense Prims, so the same check covers both kernels. The seeds
-// come in two sizes: as built, above the dense cutoff, and cut down to it,
-// so the ties of each seed reach both dense kernels and the annulus rounds.
+// dense cutoff Critical's largest edge and Profile's observables both come
+// from the dense Prim, so the same check covers its tree and its largest
+// key. The seeds come in two sizes: as built, above the dense cutoff, and
+// cut down to it, so the ties of each seed reach the dense Prim and the
+// annulus rounds.
 func FuzzGeoMSTMatchesStrictKruskal(f *testing.F) {
 	for _, s := range strictSeedPlacements() {
 		f.Add(encodeFuzzPoints(s.pts, s.dim))
@@ -320,7 +321,12 @@ func FuzzGeoMSTMatchesStrictKruskal(f *testing.F) {
 // points, must return strict Kruskal's largest edge both times, bit for
 // bit. Every four bytes of moves move one point: its index modulo n, then
 // a signed step per axis on the decoder's 1/16 lattice (Z only in 3-D), so
-// ties and coincident points survive the move.
+// ties and coincident points survive the move. Between the two calls
+// Profile runs the same Prim on the same workspace, at the moved positions
+// and on an unrelated placement of as many points (the moved one turned a
+// quarter turn and renumbered); each profile must be strict Kruskal's, and the second
+// Critical must certify exactly when it does on a workspace that ran no
+// Profile, so Profile leaves the kept tree as it was.
 func FuzzCriticalCertificate(f *testing.F) {
 	for _, s := range strictSeedPlacements() {
 		f.Add(encodeFuzzPoints(s.pts[:denseCutoff(s.dim)], s.dim), []byte{0, 16, 240, 0, 5, 1, 255, 3, 17, 128, 0, 127})
@@ -331,12 +337,16 @@ func FuzzCriticalCertificate(f *testing.F) {
 			return
 		}
 		pts = pts[:min(len(pts), denseCutoff(dim))]
-		ws := NewWorkspace()
+		ws, plain := NewWorkspace(), NewWorkspace()
 		check := func(when string) {
 			t.Helper()
 			want := bottleneck(strictKruskal(pts))
 			if got := ws.Critical(pts, dim); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s, n=%d dim=%d: Critical %v, strict Kruskal's largest edge %v", when, len(pts), dim, got, want)
+			}
+			plain.Critical(pts, dim)
+			if got, want := ws.TakeStats().CriticalCertified, plain.TakeStats().CriticalCertified; got != want {
+				t.Fatalf("%s, n=%d dim=%d: %d calls certified after Profile calls, %d without them", when, len(pts), dim, got, want)
 			}
 		}
 		check("before the move")
@@ -348,6 +358,12 @@ func FuzzCriticalCertificate(f *testing.F) {
 				p.Z += float64(int8(moves[3])) / 16
 			}
 		}
+		checkStrictProfile(t, ws, pts, dim)
+		other := make([]geom.Point, len(pts))
+		for i, p := range pts {
+			other[len(pts)-1-i] = geom.Point{X: p.Y, Y: -p.X, Z: p.Z}
+		}
+		checkStrictProfile(t, ws, other, dim)
 		check("after the move")
 	})
 }

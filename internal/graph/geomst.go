@@ -408,24 +408,23 @@ func bottleneck(edges []Edge) float64 {
 	return crit
 }
 
-// primSlabs is the dense Prims' scratch in structure-of-arrays form: the
-// fringe (the points not yet in the tree) as one coordinate slab per axis,
-// with each fringe point's index (id) and its least squared distance to the
-// tree so far (best); the critical-only kernels keep that distance as its
-// float64 bits (key) instead, in slabs that also hold the root and the
-// picked points (see critical2). Picking a point swap-removes it, so the
-// fringe shrinks and one MST visits about n^2/2 pairs. tree is the
-// spanning tree the last critical Prim found, which denseCritical's
-// certificate reuses.
+// primSlabs is the dense Prim's scratch in structure-of-arrays form: one
+// coordinate slab per axis, each slot's point index (id) and the float64
+// bits of its least squared distance to the tree so far (key), which a
+// picked slot keeps from its pick. Picking a point swap-removes it from the
+// fringe (the points not yet in the tree), so the fringe shrinks and one
+// MST visits about n^2/2 pairs; the pick then moves into the slot the
+// fringe frees (see critical2). tree is the spanning tree the last
+// denseCritical Prim found, which its certificate reuses.
 type primSlabs struct {
-	x, y, z, best []float64
-	id            []int32
-	key           []uint64
-	tree          spanTree
+	x, y, z []float64
+	id      []int32
+	key     []uint64
+	tree    spanTree
 }
 
 // load puts all n points into the coordinate slabs: point 0, the dense
-// Prims' root, in the last slot and the others in index order before it,
+// Prim's root, in the last slot and the others in index order before it,
 // each slot's point in id. It reports whether the placement is flat (every
 // Z equal, so Z never enters a squared distance).
 func (s *primSlabs) load(pts []geom.Point) (flat bool) {
@@ -441,48 +440,39 @@ func (s *primSlabs) load(pts []geom.Point) (flat bool) {
 	return flat
 }
 
-// fill is load for densePrim: every fringe point starts at best +Inf from
-// the root.
-func (s *primSlabs) fill(pts []geom.Point) (flat bool) {
-	flat = s.load(pts)
-	s.best = grow(s.best, len(pts)-1)
-	for k := range s.best {
-		s.best[k] = math.Inf(1)
+// prim runs the dense Prim over the points load or certify put in the
+// slabs, flat as they reported, and returns the largest key it picked. It
+// leaves an MST with its weights in slots 0..n-2: the pick in slot l is
+// point id[l], joined to the point in slot tree.par[l] at squared distance
+// key[l] (as bits). It writes no other part of tree.
+func (s *primSlabs) prim(flat bool) uint64 {
+	n := len(s.x)
+	s.key = grow(s.key, n)
+	for k := range s.key {
+		s.key[k] = math.MaxUint64
 	}
-	return flat
+	s.tree.par = grow(s.tree.par, n)
+	if flat {
+		return s.critical2()
+	}
+	return s.critical3()
 }
 
-// take swap-removes fringe slot k of a fringe of length m and returns the
-// removed point's edge from u, the point picked before it, at its key.
-// That edge need not be in the MST, but the tree of these edges (the path
-// of the pick order) has the MST's weights and components at every radius:
-// Prim picks a whole component of the graph at radius w before it leaves
-// it, so those components are runs of the pick order; a pick's key is the
-// least w that joins it to the earlier picks, which puts u in its run at
-// its key and in another run below it.
-func (s *primSlabs) take(u int32, k, m int) candidate {
-	c := candidate{d2: s.best[k], i: u, j: s.id[k]}
-	m--
-	s.x[k], s.y[k], s.z[k] = s.x[m], s.y[m], s.z[m]
-	s.best[k], s.id[k] = s.best[m], s.id[m]
-	return c
-}
-
-// densePrim returns in ws.edges, sorted by candLess, the pick-order path of
-// a dense Prim over ws.prim on pts (n >= 2 finite points): each pick joined
-// to the pick before it at its key (see take). That path need not be an
-// MST, and the kernels break ties however their slot order falls; Profile
-// and ProfileKinetic, its callers, read only what it shares with every MST
-// of pts: the sorted weight multiset (the merge radii) and the components
-// at every radius, which the profile's queries see only at the ends of
-// tied runs. The sort hands replayProfile a sequence already in weight
-// order.
+// densePrim returns in ws.edges, sorted by candLess, the MST the dense Prim
+// finds over pts (n >= 2 finite points), each edge from the pick's parent,
+// offered in pick order. The Prim breaks ties however its slot order falls,
+// so the tree need not be strict Kruskal's; Profile and ProfileKinetic, its
+// callers, read only what it shares with every MST of pts: the sorted
+// weight multiset (the merge radii) and the components at every radius,
+// which the profile's queries see only at the ends of tied runs. It calls
+// no keep, so the tree denseCritical keeps stays as it was. The sort hands
+// replayProfile a sequence already in weight order.
 func (ws *Workspace) densePrim(pts []geom.Point) []Edge {
 	s := &ws.prim
-	if s.fill(pts) {
-		ws.cand = s.prim2(ws.cand[:0])
-	} else {
-		ws.cand = s.prim3(ws.cand[:0])
+	s.prim(s.load(pts))
+	ws.cand = ws.cand[:0]
+	for l := len(pts) - 2; l >= 0; l-- {
+		ws.cand = append(ws.cand, candidate{d2: math.Float64frombits(s.key[l]), i: s.id[s.tree.par[l]], j: s.id[l]})
 	}
 	sortCandidates(ws.cand)
 	for _, c := range ws.cand {
@@ -491,80 +481,18 @@ func (ws *Workspace) densePrim(pts []geom.Point) []Edge {
 	return ws.edges
 }
 
-// prim2 is densePrim's Prim over a flat placement, growing the tree from
-// the root in the last slot (load): each round relaxes the fringe, the
-// slots before it, through the point picked last and picks the fringe
-// point nearest the tree, both by strict <, and it appends each pick's edge
-// from the pick before it (take) to out. The squared distances go through
-// geom.SumSq2, bitwise the pair scans' geom.Dist2 values on every GOARCH (a
-// Z difference of 0 adds +0, which changes no sum of squares).
-//
-//adhoc:hotpath
-func (s *primSlabs) prim2(out []candidate) []candidate {
-	n := len(s.x)
-	ux, uy, u := s.x[n-1], s.y[n-1], int32(0)
-	for m := n - 1; m > 0; m-- {
-		xs, ys, best := s.x[:m], s.y[:m], s.best[:m]
-		next, nd := 0, math.Inf(1)
-		for k := range xs {
-			d2 := geom.SumSq2(ux-xs[k], uy-ys[k])
-			b := best[k]
-			if d2 < b {
-				b = d2
-				best[k] = d2
-			}
-			if b < nd {
-				nd, next = b, k
-			}
-		}
-		ux, uy = xs[next], ys[next]
-		c := s.take(u, next, m)
-		out, u = append(out, c), c.j
-	}
-	return out
-}
-
-// prim3 is prim2 for placements that are not flat.
-//
-//adhoc:hotpath
-func (s *primSlabs) prim3(out []candidate) []candidate {
-	n := len(s.x)
-	ux, uy, uz, u := s.x[n-1], s.y[n-1], s.z[n-1], int32(0)
-	for m := n - 1; m > 0; m-- {
-		xs, ys, zs, best := s.x[:m], s.y[:m], s.z[:m], s.best[:m]
-		next, nd := 0, math.Inf(1)
-		for k := range xs {
-			d2 := geom.SumSq(ux-xs[k], uy-ys[k], uz-zs[k])
-			b := best[k]
-			if d2 < b {
-				b = d2
-				best[k] = d2
-			}
-			if b < nd {
-				nd, next = b, k
-			}
-		}
-		ux, uy, uz = xs[next], ys[next], zs[next]
-		c := s.take(u, next, m)
-		out, u = append(out, c), c.j
-	}
-	return out
-}
-
 // denseCritical returns the critical radius of pts (n >= 2 finite points,
 // not all coincident): the largest weight of the tree densePrim would
 // return, bit for bit. It first tries to certify that weight from the
-// spanning tree the workspace's last critical Prim kept (certify), which
-// costs a pass over the tree and a scan across its longest edge's cut and
-// is exact whatever tree is kept: consecutive mobility steps move each
+// spanning tree the workspace's last denseCritical Prim kept (certify),
+// which costs a pass over the tree and a scan across its longest edge's cut
+// and is exact whatever tree is kept: consecutive mobility steps move each
 // point a little, so the last step's tree mostly still proves the answer.
-// When it does not, or the kept tree spans another number of points, a
-// Prim runs over the slabs certify (or load) filled: every MST has the
-// same multiset of edge weights, so critical2 and critical3, which break
-// ties any way they like, find densePrim's largest squared distance, and
-// the tree they record is kept for the next call. thresholdRadius is
-// monotone, so converting that one squared distance gives densePrim's
-// largest weight.
+// When it does not, or the kept tree spans another number of points, the
+// Prim runs over the slabs certify (or load) filled, and the tree it
+// records is kept for the next call. thresholdRadius is monotone, so
+// converting the Prim's largest squared distance gives densePrim's largest
+// weight.
 func (ws *Workspace) denseCritical(pts []geom.Point) float64 {
 	s := &ws.prim
 	n := len(pts)
@@ -580,22 +508,12 @@ func (ws *Workspace) denseCritical(pts []geom.Point) float64 {
 	} else {
 		flat = s.load(pts)
 	}
-	s.key = grow(s.key, n)
-	for k := range s.key {
-		s.key[k] = math.MaxUint64
-	}
-	s.tree.par = grow(s.tree.par, n)
-	var worst uint64
-	if flat {
-		worst = s.critical2()
-	} else {
-		worst = s.critical3()
-	}
+	worst := s.prim(flat)
 	s.tree.keep(s.id)
 	return thresholdRadius(math.Float64frombits(worst))
 }
 
-// critical2 is denseCritical's Prim over a flat placement of the points in
+// critical2 is the dense Prim (prim) over a flat placement of the points in
 // the slabs (slot k holds point id[k]), grown from the root in the last
 // slot: each round relaxes the fringe, the slots before the picked ones,
 // through the point picked last and picks the fringe point nearest the
@@ -606,7 +524,9 @@ func (ws *Workspace) denseCritical(pts []geom.Point) float64 {
 // at a time and the pick keeps two running minima, one over the slots 0
 // and 2 of each four and one over the slots 1 and 3; the last one to three
 // slots join the first, and the two merge after the loop. The squared
-// distances are prim2's.
+// distances go through geom.SumSq2, bitwise the pair scans' geom.Dist2
+// values on every GOARCH (a Z difference of 0 adds +0, which changes no sum
+// of squares).
 //
 // A pick swap-removes its slot and moves into the slot the fringe frees,
 // so the picks fill the slabs from the back: the root last, each pick in
@@ -614,7 +534,8 @@ func (ws *Workspace) denseCritical(pts []geom.Point) float64 {
 // picked point at exactly its key, and the search for one starts at the
 // pick before it and walks back towards the root, which on the paper's
 // placements ends within a few slots. tree.par[l] gets the slot of the
-// parent of the pick in slot l, so tree.par and id hold an MST for keep.
+// parent of the pick in slot l and key[l] its key, so id, tree.par and key
+// hold an MST with its weights.
 //
 //adhoc:hotpath
 func (s *primSlabs) critical2() uint64 {
@@ -661,7 +582,7 @@ func (s *primSlabs) critical2() uint64 {
 		u := s.id[i0]
 		xs[i0], ys[i0], keys[i0], s.id[i0] = xs[l], ys[l], keys[l], s.id[l]
 		xs, ys = s.x, s.y
-		xs[l], ys[l], s.id[l] = ux, uy, u
+		xs[l], ys[l], keys[l], s.id[l] = ux, uy, k0, u
 		j := m
 		for j < n-1 && math.Float64bits(geom.SumSq2(xs[j]-ux, ys[j]-uy)) != k0 {
 			j++
@@ -718,7 +639,7 @@ func (s *primSlabs) critical3() uint64 {
 		u := s.id[i0]
 		xs[i0], ys[i0], zs[i0], keys[i0], s.id[i0] = xs[l], ys[l], zs[l], keys[l], s.id[l]
 		xs, ys, zs = s.x, s.y, s.z
-		xs[l], ys[l], zs[l], s.id[l] = ux, uy, uz, u
+		xs[l], ys[l], zs[l], keys[l], s.id[l] = ux, uy, uz, k0, u
 		j := m
 		for j < n-1 && math.Float64bits(geom.SumSq(xs[j]-ux, ys[j]-uy, zs[j]-uz)) != k0 {
 			j++

@@ -2,6 +2,7 @@ package occupancy
 
 import (
 	"math"
+	"os"
 	"testing"
 
 	"adhocnet/internal/xrand"
@@ -72,6 +73,9 @@ func TestPMFSumsToOne(t *testing.T) {
 func TestDPMatchesInclusionExclusionSmall(t *testing.T) {
 	for _, tc := range []struct{ n, c int }{
 		{1, 1}, {3, 3}, {5, 4}, {8, 8}, {12, 6}, {6, 12}, {20, 10},
+		// Long runs whose one-occupied-cell entry, C^(1-n), is sub-normal,
+		// so the DP's flush sets it to 0.
+		{1030, 2}, {520, 4},
 	} {
 		dp, err := EmptyCellsPMF(tc.n, tc.c)
 		if err != nil {
@@ -86,6 +90,70 @@ func TestDPMatchesInclusionExclusionSmall(t *testing.T) {
 				t.Errorf("n=%d C=%d k=%d: DP %v != IE %v", tc.n, tc.c, k, dp[k], ie[k])
 			}
 		}
+	}
+}
+
+// unflushedPMF is EmptyCellsPMF's dynamic program without its sub-normal
+// flush.
+func unflushedPMF(n, c int) []float64 {
+	occ := make([]float64, c+1)
+	occ[0] = 1
+	maxM := 0
+	for t := 0; t < n; t++ {
+		if maxM < c {
+			maxM++
+		}
+		for m := maxM; m >= 1; m-- {
+			occ[m] = occ[m]*float64(m)/float64(c) + occ[m-1]*float64(c-m+1)/float64(c)
+		}
+		occ[0] = 0
+	}
+	pmf := make([]float64, c+1)
+	for m := 0; m <= c; m++ {
+		pmf[c-m] = occ[m]
+	}
+	return pmf
+}
+
+// TestEmptyCellsPMFFlushMovesOnlyTails pins EmptyCellsPMF's sub-normal
+// flush against the unflushed DP over the (n, C) grid of the T1 experiment:
+// every entry within 2^-1020, and bit for bit wherever the unflushed entry
+// is at least 2^-900. The flush must change some entry, or it is not
+// exercised. C = 4096 (the paper preset's largest) takes the unflushed DP
+// about 10 s, so it runs only with ADHOCNET_PAPER=1.
+func TestEmptyCellsPMFFlushMovesOnlyTails(t *testing.T) {
+	cells := []int{256, 1024}
+	if os.Getenv("ADHOCNET_PAPER") == "1" {
+		cells = append(cells, 4096)
+	}
+	changed := 0
+	for _, c := range cells {
+		cf := float64(c)
+		for _, n := range []int{
+			int(math.Sqrt(cf)),
+			int(math.Pow(cf, 0.75)),
+			c,
+			int(cf * math.Sqrt(math.Log(cf))),
+			int(cf * math.Log(cf)),
+		} {
+			got, err := EmptyCellsPMF(n, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := unflushedPMF(n, c)
+			for k := range want {
+				if got[k] == want[k] {
+					continue
+				}
+				changed++
+				if math.Abs(got[k]-want[k]) > 0x1p-1020 || want[k] >= 0x1p-900 {
+					t.Fatalf("n=%d C=%d k=%d: flushed %v, unflushed %v", n, c, k, got[k], want[k])
+				}
+			}
+		}
+	}
+	if changed == 0 {
+		t.Fatal("the flush changed no entry of the grid")
 	}
 }
 
