@@ -113,6 +113,42 @@ func BenchmarkAblationFixedRangeDirect(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateRangesComponentTargets is the component-target path of
+// EstimateRanges end to end: one iteration of 64 drunkard snapshots at n =
+// 4096 in [0,16384]^2 (clustered-islands' region and mobility), uniform and
+// in 8 islands of radius 600, on one worker. Each snapshot builds a
+// profile and keeps its largest-component curve for the iteration's
+// bisection, so B/op is that retained storage plus the trajectory's own
+// (DESIGN.md "Component targets keep largest-component curves" has the
+// rows).
+func BenchmarkEstimateRangesComponentTargets(b *testing.B) {
+	const n, l = 4096, 16384.0
+	targets := core.RangeTargets{ComponentFractions: core.PaperTargets().ComponentFractions}
+	cfg := core.RunConfig{Iterations: 1, Steps: 64, Seed: 1, Workers: 1}
+	for _, pl := range []struct {
+		name string
+		p    mobility.Placement
+	}{
+		{"uniform", nil},
+		{"islands", mobility.Clusters{Clusters: 8, Radius: 600}},
+	} {
+		net := core.Network{
+			Nodes:     n,
+			Region:    geom.MustRegion(l, 2),
+			Model:     mobility.Drunkard{PStationary: 0.4, PPause: 0.5, M: 40},
+			Placement: pl.p,
+		}
+		b.Run(pl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.EstimateRanges(context.Background(), net, cfg, targets); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // Core micro-benchmarks sizing the per-snapshot cost, from the paper's
 // largest configuration (n = 128 in [0,16384]^2, kept at the same density
 // for larger n) up to the scaling regimes the grid-accelerated MST targets.

@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -20,7 +21,9 @@ import (
 // denseEstimateReference recomputes EstimateRanges' per-iteration values
 // using the allocating reference profiles (graph.NewProfile1D in one
 // dimension, graph.NewProfile, the annulus rounds at every n, otherwise),
-// mirroring runIterations's seed derivation exactly.
+// mirroring runIterations's seed derivation exactly. It keeps every
+// snapshot's whole profile and inverts the component targets over them
+// (profileRadiusForAverageLargest).
 func denseEstimateReference(t *testing.T, net Network, cfg RunConfig, targets RangeTargets) (timeVals, compVals [][]float64) {
 	t.Helper()
 	timeVals = make([][]float64, len(targets.TimeFractions))
@@ -60,10 +63,89 @@ func denseEstimateReference(t *testing.T, net Network, cfg RunConfig, targets Ra
 			timeVals[i][iter] = quantileForTimeFraction(criticals, f)
 		}
 		for i, g := range targets.ComponentFractions {
-			compVals[i][iter] = radiusForAverageLargest(profiles, net.Nodes, g)
+			compVals[i][iter] = profileRadiusForAverageLargest(profiles, net.Nodes, g)
 		}
 	}
 	return timeVals, compVals
+}
+
+// profileRadiusForAverageLargest is radiusForAverageLargest over whole
+// retained profiles, as EstimateRanges ran it when it cloned every
+// snapshot's profile: the same bisection, probes and upper bound, with
+// Profile.LargestAt and Profile.Critical in place of the curves.
+func profileRadiusForAverageLargest(profiles []*graph.Profile, nodes int, frac float64) float64 {
+	target := frac * float64(nodes)
+	avgAt := func(r float64) float64 {
+		sum := 0.0
+		for _, p := range profiles {
+			sum += float64(p.LargestAt(r))
+		}
+		return sum / float64(len(profiles))
+	}
+	hi := 0.0
+	for _, p := range profiles {
+		if c := p.Critical(); c > hi {
+			hi = c
+		}
+	}
+	if avgAt(0) >= target {
+		return 0
+	}
+	lo := 0.0
+	for iter := 0; iter < 64 && hi-lo > 1e-12*(1+hi); iter++ {
+		mid := (lo + hi) / 2
+		if avgAt(mid) >= target {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// TestComponentTargetsMatchProfileBisection pins the component targets,
+// which EstimateRanges inverts over each snapshot's largest-component curve,
+// to the bisection over whole profiles (denseEstimateReference), bit for
+// bit: in 1-D, 2-D and 3-D, on the sequential scheduler path and on the
+// pooled one with kinetic repair off and forced on, for the paper's targets,
+// target 1 (the largest critical radius) and target 1/n, which avgAt(0)
+// already meets.
+func TestComponentTargetsMatchProfileBisection(t *testing.T) {
+	const n = 64
+	targets := RangeTargets{ComponentFractions: []float64{0.9, 0.75, 0.5, 1, 1.0 / n}}
+	for _, dim := range []int{1, 2, 3} {
+		l := 4096 * math.Pow(n/128.0, 1/float64(dim))
+		net := Network{Nodes: n, Region: geom.MustRegion(l, dim), Model: mobility.PaperDrunkard(l)}
+		for _, sched := range []struct {
+			name   string
+			pooled bool
+			cfg    RunConfig
+		}{
+			{"sequential", false, RunConfig{Iterations: 2, Steps: 10, Seed: 31, Workers: 1}},
+			{"pooled", true, RunConfig{Iterations: 1, Steps: 10, Seed: 31, Workers: 3, Kinetic: KineticOff}},
+			{"pooled-kinetic", true, RunConfig{Iterations: 1, Steps: 10, Seed: 31, Workers: 3, Kinetic: KineticOn}},
+		} {
+			name := fmt.Sprintf("dim %d, %s", dim, sched.name)
+			if _, inner, _ := sched.cfg.Levels(); (inner > 1) != sched.pooled {
+				t.Fatalf("%s: %d snapshot evaluators", name, inner)
+			}
+			est, err := EstimateRanges(context.Background(), net, sched.cfg, targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, want := denseEstimateReference(t, net, sched.cfg, targets)
+			for i, g := range targets.ComponentFractions {
+				for iter, w := range want[i] {
+					if got := est.Component[i].PerIteration[iter]; math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("%s: target %v iter %d: %v, profile bisection %v", name, g, iter, got, w)
+					}
+					if g == 1.0/n && w != 0 {
+						t.Fatalf("%s: target 1/n iter %d: %v, want 0 (met at range 0)", name, iter, w)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestEstimateRangesUnchangedFromDensePrim(t *testing.T) {

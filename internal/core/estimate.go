@@ -127,10 +127,11 @@ func (e RangeEstimates) ComponentFraction(g float64) (Estimate, error) {
 //
 // The targets pick the snapshot path. Time fractions alone need only each
 // snapshot's critical radius (graph.Workspace.CriticalKinetic: the largest
-// MST edge, no profile kept); component fractions need every snapshot's
-// whole connectivity profile, cloned and kept for the iteration's
-// bisection. The time estimates are bit-identical either way, so callers
-// should request only the targets they read.
+// MST edge, no profile built); component fractions build every snapshot's
+// connectivity profile and keep only its largest-component curve (the merge
+// events at which the largest component grows, graph.LargestCurve) for the
+// iteration's bisection. The time estimates are bit-identical either way,
+// so callers should request only the targets they read.
 //
 // The run honors ctx (a canceled run returns ErrCanceled within about one
 // snapshot's evaluation time) and supports checkpoint/resume through
@@ -150,14 +151,15 @@ func EstimateRanges(ctx context.Context, net Network, cfg RunConfig, targets Ran
 	width := targets.RowWidth()
 	rows, err := runIterations(ctx, cfg, floatsCodec(width), func(ctx context.Context, it iteration) ([]float64, error) {
 		// The component-fraction inversion below needs every snapshot's
-		// profile at once, so with component targets the transient profile
-		// is cloned (the one retained per-snapshot allocation of this path);
-		// time targets need only the critical radius, which CriticalKinetic
-		// computes without building a profile at all.
+		// largest-component curve at once, so with component targets each
+		// evaluation appends its transient profile's growth events into the
+		// slot's reused buffer and the ordered merge keeps an exactly-sized
+		// copy; time targets need only the critical radius, which
+		// CriticalKinetic computes without building a profile at all.
 		keep := len(targets.ComponentFractions) > 0
-		var profiles []*graph.Profile
+		var curves []graph.LargestCurve
 		if keep {
-			profiles = make([]*graph.Profile, 0, cfg.Steps)
+			curves = make([]graph.LargestCurve, 0, cfg.Steps)
 		}
 		criticals := make([]float64, 0, cfg.Steps)
 		err := runTrajectory(ctx, it, net,
@@ -169,11 +171,11 @@ func EstimateRanges(ctx context.Context, net Network, cfg RunConfig, targets Ran
 				}
 				p := ws.ProfileKinetic(pts, net.Region.Dim, moved)
 				out.critical = p.Critical()
-				out.prof = p.Clone()
+				out.curve = p.AppendLargestCurve(out.curve[:0])
 			},
 			func(_ int, out *estimateSnap) {
 				if keep {
-					profiles = append(profiles, out.prof)
+					curves = append(curves, slices.Clone(out.curve))
 				}
 				criticals = append(criticals, out.critical)
 			})
@@ -186,7 +188,7 @@ func EstimateRanges(ctx context.Context, net Network, cfg RunConfig, targets Ran
 			row = append(row, quantileForTimeFraction(criticals, f))
 		}
 		for _, g := range targets.ComponentFractions {
-			row = append(row, radiusForAverageLargest(profiles, net.Nodes, g))
+			row = append(row, radiusForAverageLargest(curves, net.Nodes, g))
 		}
 		return row, nil
 	})
@@ -226,11 +228,12 @@ func floatsCodec(width int) rowCodec[[]float64] {
 }
 
 // estimateSnap is the per-snapshot result slot of EstimateRanges: the
-// snapshot's critical radius and, when component targets need it, a
-// retained clone of its profile.
+// snapshot's critical radius and, when component targets need it, its
+// largest-component curve in a buffer the slot reuses from snapshot to
+// snapshot, so evaluation allocates nothing once the buffer has grown.
 type estimateSnap struct {
 	critical float64
-	prof     *graph.Profile
+	curve    graph.LargestCurve
 }
 
 // quantileForTimeFraction maps a time-fraction target to the corresponding
@@ -249,21 +252,25 @@ func quantileForTimeFraction(sortedCriticals []float64, f float64) float64 {
 
 // radiusForAverageLargest returns the minimal range at which the average
 // (over the iteration's snapshots) largest-component size reaches
-// frac * nodes, by bisection over the profiles. The average is monotone
-// nondecreasing in the range, reaching nodes at the largest critical radius.
-func radiusForAverageLargest(profiles []*graph.Profile, nodes int, frac float64) float64 {
+// frac * nodes, by bisection over the snapshots' largest-component curves.
+// The average is monotone nondecreasing in the range, reaching nodes at the
+// largest critical radius, which is the largest last step of the curves.
+// Each curve answers with its profile's integer, and a sum of at most
+// steps * nodes such integers is exact in float64, so the result is the
+// bisection's over the whole profiles, bit for bit.
+func radiusForAverageLargest(curves []graph.LargestCurve, nodes int, frac float64) float64 {
 	target := frac * float64(nodes)
 	avgAt := func(r float64) float64 {
 		sum := 0.0
-		for _, p := range profiles {
-			sum += float64(p.LargestAt(r))
+		for _, c := range curves {
+			sum += float64(c.LargestAt(r))
 		}
-		return sum / float64(len(profiles))
+		return sum / float64(len(curves))
 	}
 	hi := 0.0
-	for _, p := range profiles {
-		if c := p.Critical(); c > hi {
-			hi = c
+	for _, c := range curves {
+		if last := c[len(c)-1].R; last > hi {
+			hi = last
 		}
 	}
 	if avgAt(0) >= target {

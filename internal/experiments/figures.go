@@ -29,7 +29,7 @@ type sweepPoint struct {
 // timeTargets and componentTargets are the two families of the paper's
 // range targets (core.PaperTargets). A sweep asks only for the family its
 // figure reads: time targets alone take the critical-radius snapshot path,
-// component targets keep every snapshot's profile.
+// component targets keep every snapshot's largest-component curve.
 func timeTargets() core.RangeTargets {
 	return core.RangeTargets{TimeFractions: core.PaperTargets().TimeFractions}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -365,5 +366,42 @@ func FuzzCriticalCertificate(f *testing.F) {
 		}
 		checkStrictProfile(t, ws, other, dim)
 		check("after the move")
+	})
+}
+
+// FuzzLargestCurve makes TestLargestCurveMatchesProfile's comparison
+// (checkLargestCurve) on decoded points. Bit i of signs negates point i's
+// coordinates, so 1-D placements get -0 gaps, and scale multiplies every
+// coordinate by 2^(4*scale), up to 2^1012 in 1-D, where a gap can then
+// overflow to +Inf, and up to 2^1010 in 2-D and 3-D, where squared
+// distances can overflow but the bounding extent stays finite.
+func FuzzLargestCurve(f *testing.F) {
+	for _, s := range strictSeedPlacements() {
+		f.Add(encodeFuzzPoints(s.pts[:denseCutoff(s.dim)], s.dim), byte(0), []byte{})
+	}
+	// 1-D: +0 and -0 among small integers, and two spots at ±4095·2^1012,
+	// whose gap overflows to +Inf.
+	line, far := make([]geom.Point, 40), make([]geom.Point, 40)
+	for i := range line {
+		line[i].X, far[i].X = float64(i%5), 4095
+	}
+	f.Add(encodeFuzzPoints(line, 1), byte(0), []byte{0x55, 0xf0, 0x0f, 0xaa, 0x33})
+	f.Add(encodeFuzzPoints(far, 1), byte(255), []byte{0x55, 0xf0, 0x0f, 0xaa, 0x33})
+	f.Add(encodeFuzzPoints(strictSeedPlacements()[0].pts[:50], 2), byte(255), []byte{0x0f})
+	f.Fuzz(func(t *testing.T, data []byte, scale byte, signs []byte) {
+		pts, dim := geomtest.DecodeFuzzPoints(data, 400)
+		exp := min(4*int(scale), 1012)
+		if dim > 1 {
+			exp = min(exp, 1010) // a bounding extent past MaxFloat64 panics
+		}
+		for i := range pts {
+			p := &pts[i]
+			p.X, p.Y, p.Z = math.Ldexp(p.X, exp), math.Ldexp(p.Y, exp), math.Ldexp(p.Z, exp)
+			if i/8 < len(signs) && signs[i/8]>>(i%8)&1 == 1 {
+				p.X, p.Y, p.Z = -p.X, -p.Y, -p.Z
+			}
+		}
+		p := NewWorkspace().Profile(pts, dim)
+		checkLargestCurve(t, fmt.Sprintf("n=%d dim=%d", len(pts), dim), p, p.AppendLargestCurve(nil))
 	})
 }

@@ -474,3 +474,47 @@ func (p *Profile) LargestAt(r float64) int {
 	}
 	return int(p.largestAfter[k-1])
 }
+
+// LargestStep is one growth event of a placement's largest component: from
+// range R on, the largest component has Size nodes.
+type LargestStep struct {
+	R    float64
+	Size int32
+}
+
+// LargestCurve is the step function r -> largest-component size of a
+// placement of at least one node, kept as the merge events at which the
+// largest component grows, in ascending R. Once the giant component forms it
+// absorbs the rest in a few hundred merges (arXiv:0806.2351), so the curve
+// holds a small share of the profile's n-1 events: about 560 of 16383 on a
+// uniform placement of 16384 nodes. Its last step is the critical radius,
+// where the size reaches n.
+type LargestCurve []LargestStep
+
+// AppendLargestCurve appends the profile's largest-component growth events
+// to dst and returns the extended slice. dst may be caller-owned storage
+// reused from snapshot to snapshot, so a transient profile's curve is kept
+// without cloning the profile.
+func (p *Profile) AppendLargestCurve(dst LargestCurve) LargestCurve {
+	size := int32(1)
+	for k, s := range p.largestAfter {
+		if s > size {
+			size = s
+			dst = append(dst, LargestStep{R: p.mergeRadii[k], Size: s})
+		}
+	}
+	return dst
+}
+
+// LargestAt returns Profile.LargestAt(r) of the profile the curve came from
+// (n >= 1). A step counts when its radius is below Nextafter(r, +Inf), the
+// predicate of Profile.mergesAt, so -0 radii count at r = 0 and +Inf radii
+// count at no r.
+func (c LargestCurve) LargestAt(r float64) int {
+	next := math.Nextafter(r, math.Inf(1))
+	k := sort.Search(len(c), func(i int) bool { return c[i].R >= next })
+	if k == 0 {
+		return 1
+	}
+	return int(c[k-1].Size)
+}

@@ -298,14 +298,15 @@ func (l LimitLaw) PMF(k int) float64 {
 	}
 }
 
-// SampleEmpty throws n balls into c cells uniformly at random and returns
-// the number of empty cells. It is the Monte-Carlo counterpart of
-// EmptyCellsPMF used for validation experiments.
-func SampleEmpty(rng *xrand.Rand, n, c int) int {
-	if c <= 0 {
+// sampleEmpty throws n balls into the len(occupied) cells uniformly at
+// random and returns the number of empty cells. occupied is the caller's
+// scratch, cleared here before the draw, so repeated draws allocate nothing.
+func sampleEmpty(rng *xrand.Rand, n int, occupied []bool) int {
+	c := len(occupied)
+	if c == 0 {
 		return 0
 	}
-	occupied := make([]bool, c)
+	clear(occupied)
 	distinct := 0
 	for i := 0; i < n; i++ {
 		cell := rng.Intn(c)
@@ -317,12 +318,16 @@ func SampleEmpty(rng *xrand.Rand, n, c int) int {
 	return c - distinct
 }
 
-// SampleEmptyMany draws k independent samples of mu(n,C) and returns the
-// empirical mean and variance.
+// SampleEmptyMany throws n balls into c cells uniformly at random k times
+// and returns the empirical mean and variance of the number of empty cells:
+// k independent samples of mu(n,C), the Monte-Carlo counterpart of
+// EmptyCellsPMF used for validation experiments. The draws share one
+// scratch slice of c cells.
 func SampleEmptyMany(rng *xrand.Rand, n, c, k int) (mean, variance float64) {
 	var acc stats.Accumulator
+	occupied := make([]bool, max(c, 0))
 	for i := 0; i < k; i++ {
-		acc.Add(float64(SampleEmpty(rng, n, c)))
+		acc.Add(float64(sampleEmpty(rng, n, occupied)))
 	}
 	return acc.Mean(), acc.Variance()
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"adhocnet/internal/stats"
 	"adhocnet/internal/xrand"
 )
 
@@ -371,11 +372,40 @@ func TestSampleEmptyAgainstExactMoments(t *testing.T) {
 
 func TestSampleEmptyDegenerate(t *testing.T) {
 	rng := xrand.New(1)
-	if got := SampleEmpty(rng, 0, 5); got != 5 {
+	if got := sampleEmpty(rng, 0, make([]bool, 5)); got != 5 {
 		t.Errorf("0 balls: %d empty, want 5", got)
 	}
-	if got := SampleEmpty(rng, 5, 0); got != 0 {
+	if got := sampleEmpty(rng, 5, nil); got != 0 {
 		t.Errorf("0 cells: %d empty, want 0", got)
+	}
+	if mean, variance := SampleEmptyMany(rng, 5, 0, 3); mean != 0 || variance != 0 {
+		t.Errorf("0 cells: mean %v and variance %v, want 0 and 0", mean, variance)
+	}
+}
+
+// TestSampleEmptyManyMatchesFreshDraws pins SampleEmptyMany, whose draws
+// share one cleared scratch slice, to draws that each allocate their own
+// cells, with the same RNG calls in the same order: the moments must be
+// equal bit for bit.
+func TestSampleEmptyManyMatchesFreshDraws(t *testing.T) {
+	for _, tc := range []struct{ n, c, k int }{{200, 64, 500}, {10, 1000, 50}, {1000, 3, 20}, {0, 7, 4}} {
+		rng := xrand.New(9)
+		var acc stats.Accumulator
+		for range tc.k {
+			occupied := make([]bool, tc.c)
+			distinct := 0
+			for range tc.n {
+				if cell := rng.Intn(tc.c); !occupied[cell] {
+					occupied[cell] = true
+					distinct++
+				}
+			}
+			acc.Add(float64(tc.c - distinct))
+		}
+		mean, variance := SampleEmptyMany(xrand.New(9), tc.n, tc.c, tc.k)
+		if math.Float64bits(mean) != math.Float64bits(acc.Mean()) || math.Float64bits(variance) != math.Float64bits(acc.Variance()) {
+			t.Errorf("n=%d c=%d k=%d: (%v, %v), fresh draws (%v, %v)", tc.n, tc.c, tc.k, mean, variance, acc.Mean(), acc.Variance())
+		}
 	}
 }
 
@@ -395,7 +425,9 @@ func BenchmarkEmptyCellsPMF1024(b *testing.B) {
 
 func BenchmarkSampleEmpty(b *testing.B) {
 	rng := xrand.New(1)
+	occupied := make([]bool, 256)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		SampleEmpty(rng, 1024, 256)
+		sampleEmpty(rng, 1024, occupied)
 	}
 }
